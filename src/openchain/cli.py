@@ -18,6 +18,7 @@ import numpy as np
 
 from .config import (
     ABS_BUDGET,
+    MODES,
     SIGMA_FACTOR,
     ConfigError,
     ScenarioConfig,
@@ -33,7 +34,7 @@ from .lindblad import (
 from .model import build_chain_hamiltonian
 from .output import emit_csv, emit_events_csv, emit_heatmap
 from .state import init_basis_state
-from .trajectory import EnsembleResult, run_ensemble, run_trajectory
+from .trajectory import EnsembleResult, run_ensemble
 from .trotter import build_step
 
 
@@ -62,16 +63,6 @@ def _lindblad_run(cfg: ScenarioConfig):
     )
 
 
-def _lindblad_as_ensemble(lind) -> EnsembleResult:
-    return EnsembleResult(
-        times=lind.times,
-        mean_density=lind.densities,
-        stderr=np.zeros_like(lind.densities),
-        events=[],
-        n_traj=0,
-    )
-
-
 def compare_verdict(ens: EnsembleResult, lind) -> dict:
     diff = np.abs(ens.mean_density - lind.densities)
     excess = diff - SIGMA_FACTOR * ens.stderr
@@ -94,61 +85,51 @@ def run_scenario(
     single: bool = False,
 ) -> int:
     """Execute one scenario and write its output files.  Returns the
-    process exit code."""
+    process exit code.
+
+    Every mode is a view of the same trajectory ensemble: closed runs
+    one trajectory, open and compare run N_traj, `single` (open mode
+    only) adds trajectory 0 on its own, and the oracle modes add the
+    Lindblad densities.
+    """
+    if cfg.mode not in MODES:
+        raise ConfigError([f"unknown mode {cfg.mode!r}"])
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     ham = build_chain_hamiltonian(cfg.chain)
-    plan = build_step(ham, cfg.run.dt)
+    # (result, density file, events file, heatmap file); None is not written
+    writes = []
 
-    if cfg.mode == "closed":
-        run = replace(cfg.run, N_traj=1)
-        ens = run_ensemble(plan, (), run, cfg.init_occupations, workers=1)
-        emit_csv(ens, out / "density.csv")
-        emit_events_csv(ens.events, out / "events.csv")
-        if cfg.emit_heatmap:
-            emit_heatmap(ens, out / "heatmap.svg", n_steps=run.N_t)
-        return 0
+    if cfg.mode != "lindblad-check":
+        plan = build_step(ham, cfg.run.dt)
+        run = replace(cfg.run, N_traj=1) if cfg.mode == "closed" else cfg.run
+        ens = run_ensemble(plan, cfg.contacts, run, cfg.init_occupations, workers=workers)
+        writes.append((ens, "density.csv", "events.csv",
+                       "heatmap.svg" if cfg.emit_heatmap else None))
+        if single and cfg.mode == "open":
+            solo = run_ensemble(plan, cfg.contacts, replace(run, N_traj=1), cfg.init_occupations)
+            writes.append((solo, "single_density.csv", "single_events.csv", "single_heatmap.svg"))
 
-    if cfg.mode == "open":
-        ens = run_ensemble(plan, cfg.contacts, cfg.run, cfg.init_occupations, workers=workers)
-        emit_csv(ens, out / "density.csv")
-        emit_events_csv(ens.events, out / "events.csv")
-        if cfg.emit_heatmap:
-            emit_heatmap(ens, out / "heatmap.svg", n_steps=cfg.run.N_t)
-        if single:
-            rec = run_trajectory(plan, cfg.contacts, cfg.run, cfg.init_occupations, 0)
-            solo = EnsembleResult(
-                times=rec.times,
-                mean_density=rec.density,
-                stderr=np.zeros_like(rec.density),
-                events=rec.events,
-                n_traj=1,
-            )
-            emit_csv(solo, out / "single_density.csv")
-            emit_events_csv(solo.events, out / "single_events.csv")
-            emit_heatmap(solo, out / "single_heatmap.svg", n_steps=cfg.run.N_t)
-        return 0
-
-    if cfg.mode == "lindblad-check":
+    if cfg.mode in ("lindblad-check", "compare"):
         lind = _lindblad_run(cfg)
-        emit_csv(_lindblad_as_ensemble(lind), out / "density.csv")
+        oracle = EnsembleResult(lind.times, lind.densities, np.zeros_like(lind.densities), [], 0)
+        name = "lindblad.csv" if cfg.mode == "compare" else "density.csv"
+        writes.append((oracle, name, None, None))
+
+    for result, density, events, heatmap in writes:
+        emit_csv(result, out / density)
+        if events is not None:
+            emit_events_csv(result.events, out / events)
+        if heatmap is not None:
+            emit_heatmap(result, out / heatmap, n_steps=cfg.run.N_t)
+
+    if cfg.mode != "compare":
         return 0
-
-    if cfg.mode == "compare":
-        ens = run_ensemble(plan, cfg.contacts, cfg.run, cfg.init_occupations, workers=workers)
-        lind = _lindblad_run(cfg)
-        emit_csv(ens, out / "density.csv")
-        emit_csv(_lindblad_as_ensemble(lind), out / "lindblad.csv")
-        emit_events_csv(ens.events, out / "events.csv")
-        if cfg.emit_heatmap:
-            emit_heatmap(ens, out / "heatmap.svg", n_steps=cfg.run.N_t)
-        verdict = compare_verdict(ens, lind)
-        (out / "verdict.json").write_text(json.dumps(verdict, indent=2) + "\n")
-        print(f"compare: max|diff| = {verdict['max_abs_deviation']:.4f}, "
-              f"{'PASS' if verdict['pass'] else 'FAIL'}")
-        return 0 if verdict["pass"] else 2
-
-    raise ConfigError([f"unknown mode {cfg.mode!r}"])
+    verdict = compare_verdict(ens, lind)
+    (out / "verdict.json").write_text(json.dumps(verdict, indent=2) + "\n")
+    print(f"compare: max|diff| = {verdict['max_abs_deviation']:.4f}, "
+          f"{'PASS' if verdict['pass'] else 'FAIL'}")
+    return 0 if verdict["pass"] else 2
 
 
 def _build_parser() -> argparse.ArgumentParser:

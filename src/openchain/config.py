@@ -8,9 +8,11 @@ convention used throughout the docs); internally they map to qubits
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 
 from .model import ChainSpec
+from .state import MAX_QUBITS
 from .trajectory import ContactSpec, RunConfig, fermi_dirac, validate_contacts
 
 MODES = ("closed", "open", "lindblad-check", "compare")
@@ -42,38 +44,74 @@ class ScenarioConfig:
     output_path: str | None = None
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _number(value, path: str, errors: list[str]) -> float | None:
+    """`value` as a float if it is a finite JSON number, else None with
+    the error recorded under `path`."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            if math.isfinite(value):
+                return float(value)
+        except OverflowError:  # an integer beyond the float range
+            pass
+    errors.append(f"{path}: must be a finite number, got {value!r}")
+    return None
+
+
+def _count(value, path: str, errors: list[str]) -> int | None:
+    """`value` as an int if it is a whole JSON number, else None with
+    the error recorded under `path`."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if not _is_int(value):
+        errors.append(f"{path}: must be an integer, got {value!r}")
+        return None
+    return value
+
+
 def _contact_from_dict(entry: dict, L: int, dt: float, path: str, errors: list[str]):
     site = entry.get("site")
-    if not isinstance(site, int) or not 1 <= site <= L:
+    if not _is_int(site) or not 1 <= site <= L:
         errors.append(f"{path}.site: must be an integer in [1, {L}], got {site!r}")
         return None
     if "f" in entry:
-        f = entry["f"]
-        if not isinstance(f, (int, float)) or not 0.0 <= f <= 1.0:
+        f = _number(entry["f"], f"{path}.f", errors)
+        if f is None:
+            return None
+        if not 0.0 <= f <= 1.0:
             errors.append(f"{path}.f: must be in [0, 1], got {f!r}")
             return None
-        f = float(f)
     elif all(k in entry for k in ("eps_meV", "mu_meV", "kT_meV")):
+        eps, mu, kT = (_number(entry[k], f"{path}.{k}", errors)
+                       for k in ("eps_meV", "mu_meV", "kT_meV"))
+        if None in (eps, mu, kT):
+            return None
         try:
-            f = fermi_dirac(entry["eps_meV"], entry["mu_meV"], entry["kT_meV"])
-        except (TypeError, ValueError) as exc:
+            f = fermi_dirac(eps, mu, kT)
+        except ValueError as exc:
             errors.append(f"{path}: bad Fermi-Dirac parameters ({exc})")
             return None
     else:
         errors.append(f"{path}: needs either 'f' or (eps_meV, mu_meV, kT_meV)")
         return None
     if "Gamma_meV" in entry:
-        gamma = entry["Gamma_meV"]
+        gamma = _number(entry["Gamma_meV"], f"{path}.Gamma_meV", errors)
     elif "eta" in entry:
         # alternate reading: a dimensionless per-step probability
-        gamma = entry["eta"] / dt
+        eta = _number(entry["eta"], f"{path}.eta", errors)
+        gamma = None if eta is None else eta / dt
     else:
         errors.append(f"{path}: needs either 'Gamma_meV' or 'eta'")
         return None
-    if not isinstance(gamma, (int, float)) or gamma < 0:
+    if gamma is None:
+        return None
+    if not (gamma >= 0 and math.isfinite(gamma)):
         errors.append(f"{path}.Gamma_meV: must be >= 0, got {gamma!r}")
         return None
-    return ContactSpec(q=site - 1, Gamma=float(gamma), f=f, label=str(entry.get("label", "")))
+    return ContactSpec(q=site - 1, Gamma=gamma, f=f, label=str(entry.get("label", "")))
 
 
 def parse_config(text: str) -> ScenarioConfig:
@@ -94,28 +132,27 @@ def parse_config(text: str) -> ScenarioConfig:
     if mode not in MODES:
         errors.append(f"mode: must be one of {MODES}, got {mode!r}")
 
+    # checked before anything is sized by L: the state vector has 2^L amplitudes
     L = raw.get("L")
-    if not isinstance(L, int) or L < 1:
-        errors.append(f"L: must be an integer >= 1, got {L!r}")
+    if not _is_int(L) or not 1 <= L <= MAX_QUBITS:
+        errors.append(f"L: must be an integer in [1, {MAX_QUBITS}], got {L!r}")
         raise ConfigError(errors)
 
-    chain = None
-    try:
-        chain = ChainSpec(L, float(raw.get("gamma_meV", 0.0)), float(raw.get("v_meV", 0.0)))
-    except (TypeError, ValueError) as exc:
-        errors.append(f"chain: {exc}")
+    gamma = _number(raw.get("gamma_meV", 0.0), "gamma_meV", errors)
+    v = _number(raw.get("v_meV", 0.0), "v_meV", errors)
+    chain = None if None in (gamma, v) else ChainSpec(L, gamma, v)
 
+    t_final = _number(raw.get("t_final", 0.0), "t_final", errors)
+    counts = {key: _count(raw.get(key, default), key, errors)
+              for key, default in (("N_t", 0), ("N_traj", 1), ("seed", 0), ("record_every", 1))}
+    if counts["seed"] is not None and counts["seed"] < 0:
+        errors.append(f"seed: must be >= 0, got {counts['seed']}")
     run = None
-    try:
-        run = RunConfig(
-            t_final=float(raw.get("t_final", 0.0)),
-            N_t=int(raw.get("N_t", 0)),
-            N_traj=int(raw.get("N_traj", 1)),
-            seed=int(raw.get("seed", 0)),
-            record_every=int(raw.get("record_every", 1)),
-        )
-    except (TypeError, ValueError) as exc:
-        errors.append(f"run: {exc}")
+    if t_final is not None and None not in counts.values():
+        try:
+            run = RunConfig(t_final=t_final, **counts)
+        except ValueError as exc:
+            errors.append(f"run: {exc}")
 
     contacts: list[ContactSpec] = []
     raw_contacts = raw.get("contacts", [])
@@ -138,12 +175,16 @@ def parse_config(text: str) -> ScenarioConfig:
         errors.append("init_sites: must be a list of site numbers")
     else:
         for s in init_sites:
-            if not isinstance(s, int) or not 1 <= s <= L:
+            if not _is_int(s) or not 1 <= s <= L:
                 errors.append(f"init_sites: site {s!r} out of range [1, {L}]")
             elif s - 1 in init:
                 errors.append(f"init_sites: site {s} listed twice")
             else:
                 init.append(s - 1)
+
+    output = raw.get("output")
+    if output is not None and not isinstance(output, str):
+        errors.append(f"output: must be a string, got {output!r}")
 
     if mode == "closed" and contacts:
         errors.append("mode=closed requires an empty contact list")
@@ -163,7 +204,7 @@ def parse_config(text: str) -> ScenarioConfig:
         init_occupations=tuple(sorted(init)),
         include_depolarizing=bool(raw.get("include_depolarizing", True)),
         emit_heatmap=bool(raw.get("emit_heatmap", False)),
-        output_path=raw.get("output"),
+        output_path=output,
     )
 
 
@@ -258,16 +299,8 @@ PRESETS = {
     "compare-l3": lambda: _preset_compare(3),
 }
 
-# fig2 at the full 30-site width needs 2^30 amplitudes; deliberately not
-# provided (the ballistic-front physics is scale-invariant at L=12).
-UNSUPPORTED_PRESETS = {
-    "fig2-l30": "requires 2^30 amplitudes; use fig2 (L=12) instead",
-}
-
 
 def get_preset(name: str, seed: int | None = None, n_traj: int | None = None) -> ScenarioConfig:
-    if name in UNSUPPORTED_PRESETS:
-        raise ConfigError([f"preset {name!r} is unsupported: {UNSUPPORTED_PRESETS[name]}"])
     if name not in PRESETS:
         known = ", ".join(sorted(PRESETS))
         raise ConfigError([f"unknown preset {name!r}; available: {known}"])

@@ -17,12 +17,11 @@ matrix, with Hermiticity restored by symmetrization each step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .model import fermion_lowering
-from .state import StateVector
 
 MAX_LINDBLAD_QUBITS = 8
 STABILITY_LIMIT = 0.1
@@ -205,17 +204,3 @@ def integrate(
         min_eigenvalue=min_eig,
     )
 
-
-def trajectory_average_dm(states: list[StateVector]) -> DensityMatrix:
-    """(1/N) sum |phi_k><phi_k| -- the mixture the trajectory ensemble
-    realizes."""
-    if not states:
-        raise ValueError("need at least one state")
-    L = states[0].L
-    dim = 1 << L
-    rho = np.zeros((dim, dim), dtype=complex)
-    for s in states:
-        if s.L != L:
-            raise ValueError("all states must share the register size")
-        rho += np.outer(s.amps, s.amps.conj())
-    return DensityMatrix(L, rho / len(states))

@@ -98,16 +98,6 @@ class PauliHamiltonian:
             H += t.to_matrix()
         return H
 
-    def __add__(self, other: "PauliHamiltonian") -> "PauliHamiltonian":
-        if other.L != self.L:
-            raise ValueError("register size mismatch")
-        merged: dict[str, float] = {}
-        for t in self.terms + other.terms:
-            merged[t.letters] = merged.get(t.letters, 0.0) + t.coeff
-        return PauliHamiltonian(
-            self.L, tuple(PauliTerm(c, s) for s, c in merged.items())
-        )
-
 
 class _TermAccumulator:
     """Order-preserving merge of Pauli strings."""
@@ -160,13 +150,6 @@ def number_operator(q: int, L: int) -> PauliHamiltonian:
     acc.add(0.5, {})
     acc.add(-0.5, {q: "Z"})
     return acc.build()
-
-
-def total_number_operator(L: int) -> PauliHamiltonian:
-    out = number_operator(0, L)
-    for q in range(1, L):
-        out = out + number_operator(q, L)
-    return out
 
 
 def _check_dense_size(L: int) -> None:

@@ -45,6 +45,25 @@ COMPARE_CONFIG = {
 }
 
 
+OPEN_CONFIG = dict(COMPARE_CONFIG, mode="open", N_traj=20)
+TRAJ_FILES = {"density.csv", "events.csv"}
+SINGLE_FILES = {"single_density.csv", "single_events.csv", "single_heatmap.svg"}
+
+# (config, --single, the exact set of files written); --single only
+# applies to open mode
+SCENARIO_FILES = {
+    "closed": (CLOSED_CONFIG, False, TRAJ_FILES | {"heatmap.svg"}),
+    "closed-single": (dict(CLOSED_CONFIG, emit_heatmap=False), True, TRAJ_FILES),
+    "open": (OPEN_CONFIG, False, TRAJ_FILES),
+    "open-single": (OPEN_CONFIG, True, TRAJ_FILES | SINGLE_FILES),
+    "open-single-heatmap": (dict(OPEN_CONFIG, emit_heatmap=True), True,
+                            TRAJ_FILES | SINGLE_FILES | {"heatmap.svg"}),
+    "lindblad-check": (dict(COMPARE_CONFIG, mode="lindblad-check"), True, {"density.csv"}),
+    "compare": (dict(COMPARE_CONFIG, N_traj=20), True,
+                TRAJ_FILES | {"lindblad.csv", "verdict.json"}),
+}
+
+
 def one_point_result(densities, stderr=None, events=()):
     dens = np.atleast_2d(np.asarray(densities, dtype=float))
     se = np.zeros_like(dens) if stderr is None else np.atleast_2d(stderr)
@@ -210,6 +229,23 @@ def test_open_single_trajectory_outputs(tmp_path):
     assert run_scenario(cfg, tmp_path, workers=1, single=True) == 0
     assert (tmp_path / "single_density.csv").exists()
     assert (tmp_path / "single_heatmap.svg").exists()
+
+
+@pytest.mark.parametrize("raw, single, files", SCENARIO_FILES.values(),
+                         ids=SCENARIO_FILES.keys())
+def test_scenario_writes_exact_file_set(tmp_path, raw, single, files):
+    cfg = parse_config(json.dumps(raw))
+    run_scenario(cfg, tmp_path, workers=1, single=single)
+    assert {p.name for p in tmp_path.iterdir()} == files
+
+
+def test_single_outputs_equal_a_one_trajectory_run(tmp_path):
+    raw = dict(OPEN_CONFIG, emit_heatmap=True)
+    run_scenario(parse_config(json.dumps(raw)), tmp_path / "ens", workers=1, single=True)
+    run_scenario(parse_config(json.dumps(dict(raw, N_traj=1))), tmp_path / "one", workers=1)
+    for name in ("density.csv", "events.csv", "heatmap.svg"):
+        single = (tmp_path / "ens" / f"single_{name}").read_bytes()
+        assert single == (tmp_path / "one" / name).read_bytes()
 
 
 def test_verdict_includes_oracle_health():

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from openchain.cli import main
 from openchain.config import (
     ConfigError,
     PRESETS,
@@ -21,6 +22,31 @@ MINIMAL_CLOSED = {
     "N_t": 2,
     "seed": 7,
     "init_sites": [1],
+}
+
+MINIMAL_OPEN = dict(MINIMAL_CLOSED, mode="open",
+                    contacts=[{"site": 1, "Gamma_meV": 0.5, "f": 1.0}])
+
+# (key path in the error, override of MINIMAL_OPEN)
+MALFORMED = {
+    "eta-string": ("contacts[0].eta", {"contacts": [{"site": 1, "eta": "x", "f": 1.0}]}),
+    "L-bool": ("L", {"L": True}),
+    "L-too-large": ("L", {"L": 40}),
+    "Gamma-nan": ("contacts[0].Gamma_meV",
+                  {"contacts": [{"site": 1, "Gamma_meV": float("nan"), "f": 1.0}]}),
+    "N_t-fraction": ("N_t", {"N_t": 4.7}),
+    "N_traj-fraction": ("N_traj", {"N_traj": 2.9}),
+    "seed-fraction": ("seed", {"seed": 1.5}),
+    "seed-negative": ("seed", {"seed": -1}),
+    "record_every-fraction": ("record_every", {"record_every": 1.5}),
+    "f-bool": ("contacts[0].f", {"contacts": [{"site": 1, "Gamma_meV": 0.5, "f": True}]}),
+    "site-bool": ("contacts[0].site", {"contacts": [{"site": True, "Gamma_meV": 0.5, "f": 1.0}]}),
+    "init_sites-bool": ("init_sites", {"init_sites": [True]}),
+    "t_final-string": ("t_final", {"t_final": "10"}),
+    "gamma-overflow": ("gamma_meV", {"gamma_meV": 10**400}),
+    "kT-nan": ("contacts[0].kT_meV", {"contacts": [
+        {"site": 1, "Gamma_meV": 0.5, "eps_meV": 0, "mu_meV": 0, "kT_meV": float("nan")}]}),
+    "output-number": ("output", {"output": 5}),
 }
 
 
@@ -131,11 +157,20 @@ def test_fermi_dirac_contact_entry():
 def test_unknown_and_unsupported_presets():
     with pytest.raises(ConfigError):
         get_preset("nope")
-    with pytest.raises(ConfigError) as exc:
+    with pytest.raises(ConfigError):
         get_preset("fig2-l30")
-    assert "unsupported" in str(exc.value)
 
 
 def test_preset_overrides():
     cfg = get_preset("fig3a", seed=99, n_traj=10)
     assert cfg.run.seed == 99 and cfg.run.N_traj == 10
+
+
+@pytest.mark.parametrize("key, override", MALFORMED.values(), ids=MALFORMED.keys())
+def test_main_rejects_malformed_value(tmp_path, capsys, key, override):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(dict(MINIMAL_OPEN, **override)))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert f"config error: {key}: " in capsys.readouterr().err
+    assert not out.exists()  # rejected before anything ran

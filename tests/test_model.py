@@ -13,7 +13,6 @@ from openchain.model import (
     fermion_lowering,
     fock_matrix_oracle,
     number_operator,
-    total_number_operator,
 )
 
 
@@ -91,7 +90,7 @@ def test_hamiltonian_is_hermitian(L, gamma, v):
 @pytest.mark.parametrize("L", [2, 4, 6])
 def test_commutes_with_total_number(L):
     H = build_chain_hamiltonian(ChainSpec(L=L, gamma=3.0, v=10.0)).to_matrix()
-    N = total_number_operator(L).to_matrix()
+    N = sum(number_operator(q, L).to_matrix() for q in range(L))
     assert np.linalg.norm(H @ N - N @ H) <= 1e-12
 
 
@@ -115,13 +114,6 @@ def test_pauliterm_validation():
 def test_hamiltonian_rejects_duplicate_strings():
     with pytest.raises(ValueError):
         PauliHamiltonian(2, (PauliTerm(0.5, "XX"), PauliTerm(0.25, "XX")))
-
-
-def test_hamiltonian_add_merges_coefficients():
-    a = PauliHamiltonian(2, (PauliTerm(0.5, "XX"),))
-    b = PauliHamiltonian(2, (PauliTerm(0.25, "XX"), PauliTerm(1.0, "ZI")))
-    merged = {t.letters: t.coeff for t in (a + b).terms}
-    assert merged == {"XX": 0.75, "ZI": 1.0}
 
 
 def test_number_operator_expectations():
