@@ -12,7 +12,6 @@ from .model import (
 from .state import (
     RngStream,
     StateVector,
-    apply_pauli_rotation,
     expectation_number,
     flip_qubit,
     init_basis_state,
@@ -39,7 +38,6 @@ __all__ = [
     "number_operator",
     "RngStream",
     "StateVector",
-    "apply_pauli_rotation",
     "expectation_number",
     "flip_qubit",
     "init_basis_state",

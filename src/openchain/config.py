@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, replace
 
 from .model import ChainSpec
@@ -70,6 +71,39 @@ def _count(value, path: str, errors: list[str]) -> int | None:
         errors.append(f"{path}: must be an integer, got {value!r}")
         return None
     return value
+
+
+def _flag(raw: dict, key: str, default: bool, errors: list[str]) -> bool:
+    """`raw[key]` if it is a JSON boolean, else the error under `key`."""
+    value = raw.get(key, default)
+    if not isinstance(value, bool):
+        errors.append(f"{key}: must be true or false, got {value!r}")
+    return value is True
+
+
+def _physical_memory() -> int:
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def _check_memory(mode: str, L: int, run: RunConfig, errors: list[str]) -> None:
+    """Reject a run whose estimated peak memory exceeds physical memory,
+    under the key of its largest factor, before anything is allocated."""
+    # state vector, phase vector and step temporaries, 16 B per amplitude each
+    state = 3 * 16 << L
+    rows = run.N_t // run.record_every + 1
+    n_traj = {"closed": 1, "lindblad-check": 0}.get(mode, run.N_traj)
+    # every trajectory's records, their ensemble stack and the reduction temporary
+    records = 3 * n_traj * rows * L * 8
+    if mode in ("compare", "lindblad-check") and L <= 8:
+        records += rows * 16 << 2 * L  # the oracle's density matrices
+    need, have = state + records, _physical_memory()
+    if need > have:
+        key = "L" if state >= records else "N_traj" if n_traj > rows else "N_t"
+        errors.append(
+            f"{key}: L={L}, N_t={run.N_t}, record_every={run.record_every}, "
+            f"N_traj={run.N_traj} needs ~{need / 2**30:.3g} GiB, more than the "
+            f"{have / 2**30:.3g} GiB of physical memory"
+        )
 
 
 def _contact_from_dict(entry: dict, L: int, dt: float, path: str, errors: list[str]):
@@ -153,6 +187,13 @@ def parse_config(text: str) -> ScenarioConfig:
             run = RunConfig(t_final=t_final, **counts)
         except ValueError as exc:
             errors.append(f"run: {exc}")
+    if run is not None:
+        if mode in ("compare", "lindblad-check") and run.N_t % run.record_every:
+            errors.append(
+                f"record_every: mode={mode} needs N_t divisible by record_every, "
+                f"got N_t={run.N_t}, record_every={run.record_every}"
+            )
+        _check_memory(mode, L, run, errors)
 
     contacts: list[ContactSpec] = []
     raw_contacts = raw.get("contacts", [])
@@ -193,6 +234,9 @@ def parse_config(text: str) -> ScenarioConfig:
     if mode in ("compare", "lindblad-check") and L > 8:
         errors.append(f"mode={mode} requires L <= 8 (dense oracle), got L={L}")
 
+    include_depolarizing = _flag(raw, "include_depolarizing", True, errors)
+    emit_heatmap = _flag(raw, "emit_heatmap", False, errors)
+
     if errors or chain is None or run is None:
         raise ConfigError(errors)
 
@@ -202,8 +246,8 @@ def parse_config(text: str) -> ScenarioConfig:
         contacts=tuple(contacts),
         run=run,
         init_occupations=tuple(sorted(init)),
-        include_depolarizing=bool(raw.get("include_depolarizing", True)),
-        emit_heatmap=bool(raw.get("emit_heatmap", False)),
+        include_depolarizing=include_depolarizing,
+        emit_heatmap=emit_heatmap,
         output_path=output,
     )
 

@@ -1,5 +1,6 @@
-"""State-vector engine: Pauli-string rotations, Born-rule measurement,
-and the measure-then-conditionally-flip reset primitive.
+"""State-vector engine: basis-state preparation, exact site densities,
+Born-rule measurement and the measure-then-conditionally-flip reset
+primitive.  The unitary step acts on the amplitudes in trotter.py.
 
 A StateVector is confined to one trajectory worker at a time; nothing in
 here shares mutable state between instances.
@@ -10,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .model import PauliTerm
 
 MAX_QUBITS = 26
 
@@ -46,9 +45,6 @@ class StateVector:
     def norm(self) -> float:
         return float(np.sqrt(np.sum(np.abs(self.amps) ** 2, dtype=np.longdouble)))
 
-    def copy(self) -> "StateVector":
-        return StateVector(self.L, self.amps.copy())
-
 
 @dataclass(frozen=True)
 class ResetEvent:
@@ -72,47 +68,6 @@ def init_basis_state(L: int, occupations) -> StateVector:
     amps = np.zeros(1 << L, dtype=complex)
     amps[index] = 1.0
     return StateVector(L, amps)
-
-
-def pauli_action(letters: str):
-    """Permutation/coefficient form of a unit Pauli string.
-
-    Returns (perm, coef) such that (P psi)[k] = coef[k] * psi[perm[k]].
-    """
-    L = len(letters)
-    mask_flip = 0
-    mask_yz = 0
-    n_y = 0
-    for q, c in enumerate(letters):
-        if c == "X":
-            mask_flip |= 1 << q
-        elif c == "Y":
-            mask_flip |= 1 << q
-            mask_yz |= 1 << q
-            n_y += 1
-        elif c == "Z":
-            mask_yz |= 1 << q
-    idx = np.arange(1 << L, dtype=np.uint32)
-    perm = idx ^ np.uint32(mask_flip)
-    parity = np.bitwise_count(perm & np.uint32(mask_yz)) & 1
-    coef = (1j ** (n_y % 4)) * np.where(parity, -1.0, 1.0)
-    return perm, coef.astype(complex)
-
-
-def _rotate(amps: np.ndarray, theta: float, perm: np.ndarray, coef: np.ndarray) -> None:
-    # exp(-i theta P) = cos(theta) I - i sin(theta) P since P^2 = I
-    amps[:] = np.cos(theta) * amps - 1j * np.sin(theta) * (coef * amps[perm])
-
-
-def apply_pauli_rotation(state: StateVector, term: PauliTerm, angle: float) -> StateVector:
-    """Apply exp(-i * angle * P) in place, P the unit-coefficient string
-    of `term` (its coefficient is ignored here; the caller folds it into
-    the angle)."""
-    if term.L != state.L:
-        raise ValueError(f"term length {term.L} != register size {state.L}")
-    perm, coef = pauli_action(term.letters)
-    _rotate(state.amps, angle, perm, coef)
-    return state
 
 
 def expectation_number(state: StateVector, q: int) -> float:

@@ -1,48 +1,84 @@
-"""First-order Trotter step for a Pauli-sum Hamiltonian, plus an exact
-dense propagator used as an independent oracle."""
+"""First-order Trotter step of the chain Hamiltonian as bond-local gates,
+plus an exact dense propagator used as an independent oracle.
+
+A step is prod_s exp(-i theta_s P_s), theta_s = coeff_s * dt, in term
+order.  Consecutive XX and YY terms on one bond commute and fuse into one
+bond gate; each run of consecutive I/Z strings commutes and fuses into
+one diagonal phase vector, identity strings included, so (step)^N matches
+exp(-i H t) with its global phase.  Any other string is rejected: Pauli
+strings are the verification format (`PauliTerm.to_matrix`) only.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .model import MAX_DENSE_QUBITS, PauliHamiltonian, PauliTerm
-from .state import StateVector, _rotate, pauli_action
+from .model import MAX_DENSE_QUBITS, PauliHamiltonian
+from .state import StateVector
+
+
+class BondGate(NamedTuple):
+    """exp(-i a XX) exp(-i b YY) on qubits (q, q+1): a rotation by
+    hop = a+b on the |01>,|10> pair and by pair = a-b on |00>,|11>."""
+
+    q: int
+    hop: float
+    pair: float
 
 
 @dataclass(frozen=True)
 class TrotterPlan:
-    """One application of prod_s exp(-i theta_s P_s) with theta_s =
-    coeff_s * dt, in the Hamiltonian's deterministic term order.
-    Identity strings are dropped (global phase only)."""
+    """The step as bond gates and phase vectors, applied in order."""
 
     L: int
     dt: float
-    rotations: tuple[tuple[PauliTerm, float], ...]
-    # accumulated angle of the identity (constant) strings; applied as a
-    # global phase so (step)^N matches exp(-i H t) including phase,
-    # which the dense-oracle checks rely on
-    identity_angle: float = 0.0
-    # precomputed (perm, coef, theta) per rotation, shared read-only
-    # across trajectory workers
-    _kernels: tuple = field(default=(), repr=False, compare=False)
+    gates: tuple[BondGate | np.ndarray, ...]
 
 
 def build_step(h: PauliHamiltonian, dt: float) -> TrotterPlan:
     if not (dt > 0.0 and np.isfinite(dt)):
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
-    rotations = tuple(
-        (term, term.coeff * dt) for term in h.terms if not term.is_identity
+    # [q, a, b] for a bond, {Z mask: angle} for a run of I/Z strings
+    ops: list = []
+    for term in h.terms:
+        letters, theta = term.letters, term.coeff * dt
+        support = [q for q, c in enumerate(letters) if c != "I"]
+        if all(letters[q] == "Z" for q in support):
+            if not (ops and isinstance(ops[-1], dict)):
+                ops.append({})
+            ops[-1][sum(1 << q for q in support)] = theta
+        elif len(support) == 2 and letters[support[0]:support[1] + 1] in ("XX", "YY"):
+            q = support[0]
+            if not (ops and isinstance(ops[-1], list) and ops[-1][0] == q):
+                ops.append([q, 0.0, 0.0])
+            ops[-1][1 if letters[q] == "X" else 2] += theta
+        else:
+            raise ValueError(f"Pauli string {letters!r} is neither XX/YY on a bond nor I/Z only")
+    gates = tuple(
+        BondGate(op[0], op[1] + op[2], op[1] - op[2]) if isinstance(op, list)
+        else _phase_vector(op, h.L) for op in ops
     )
-    identity_angle = sum(t.coeff * dt for t in h.terms if t.is_identity)
-    kernels = tuple(
-        (*pauli_action(term.letters), theta) for term, theta in rotations
-    )
-    return TrotterPlan(
-        L=h.L, dt=dt, rotations=rotations,
-        identity_angle=identity_angle, _kernels=kernels,
-    )
+    return TrotterPlan(L=h.L, dt=dt, gates=gates)
+
+
+def _phase_vector(angles: dict[int, float], L: int) -> np.ndarray:
+    # a Z string has eigenvalue (-1)^popcount(k & mask) on basis state k
+    k = np.arange(1 << L, dtype=np.uint32)
+    phi = np.zeros(1 << L)
+    for mask, theta in angles.items():
+        phi += np.where(np.bitwise_count(k & np.uint32(mask)) & 1, -theta, theta)
+    return np.exp(-1j * phi)
+
+
+def _mix(pair: np.ndarray, theta: float) -> None:
+    # pair[:, 0], pair[:, 1] <- cos * each - i sin * the other, in place
+    swapped = pair[:, ::-1] * (-1j * math.sin(theta))
+    pair *= math.cos(theta)
+    pair += swapped
 
 
 def apply_step(state: StateVector, plan: TrotterPlan) -> StateVector:
@@ -50,16 +86,21 @@ def apply_step(state: StateVector, plan: TrotterPlan) -> StateVector:
     if plan.L != state.L:
         raise ValueError(f"plan size {plan.L} != register size {state.L}")
     amps = state.amps
-    for perm, coef, theta in plan._kernels:
-        _rotate(amps, theta, perm, coef)
-    if plan.identity_angle != 0.0:
-        amps *= np.exp(-1j * plan.identity_angle)
+    for g in plan.gates:
+        if isinstance(g, BondGate):
+            # axis 1 holds bits (q+1, q): 1 is |01>, 2 is |10>, 0 and 3 are |00>, |11>
+            v = amps.reshape(-1, 4, 1 << g.q)
+            _mix(v[:, 1:3], g.hop)
+            if g.pair != 0.0:
+                _mix(v[:, ::3], g.pair)
+        else:
+            amps *= g
     return state
 
 
 def exact_propagator_oracle(h: PauliHamiltonian, t: float) -> np.ndarray:
     """exp(-i H t) by Hermitian eigendecomposition of the dense matrix.
-    Verification oracle only; independent of the rotation kernel."""
+    Verification oracle only; independent of the bond-gate kernel."""
     if h.L > MAX_DENSE_QUBITS:
         raise ValueError(f"dense propagator limited to L <= {MAX_DENSE_QUBITS}")
     H = h.to_matrix()

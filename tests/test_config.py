@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from openchain import config
 from openchain.cli import main
 from openchain.config import (
     ConfigError,
@@ -47,6 +48,11 @@ MALFORMED = {
     "kT-nan": ("contacts[0].kT_meV", {"contacts": [
         {"site": 1, "Gamma_meV": 0.5, "eps_meV": 0, "mu_meV": 0, "kT_meV": float("nan")}]}),
     "output-number": ("output", {"output": 5}),
+    "emit_heatmap-string": ("emit_heatmap", {"emit_heatmap": "false"}),
+    "include_depolarizing-number": ("include_depolarizing", {"include_depolarizing": 0}),
+    "compare-off-grid": ("record_every", {"mode": "compare", "N_t": 40, "record_every": 3}),
+    "N_t-beyond-memory": ("N_t", {"N_t": 10**12}),
+    "N_traj-beyond-memory": ("N_traj", {"N_traj": 10**12}),
 }
 
 
@@ -174,3 +180,15 @@ def test_main_rejects_malformed_value(tmp_path, capsys, key, override):
     assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
     assert f"config error: {key}: " in capsys.readouterr().err
     assert not out.exists()  # rejected before anything ran
+
+
+def test_main_rejects_state_beyond_physical_memory(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(config, "_physical_memory", lambda: 2**20)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(dict(MINIMAL_OPEN, L=16)))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    # state, phase vector and temporaries: 3 * 16 B * 2^16 = 0.00293 GiB
+    assert "config error: L: " in err and "needs ~0.00293 GiB" in err
+    assert not out.exists()

@@ -1,24 +1,22 @@
-"""State-vector engine: rotations, measurement, flip and reset."""
+"""State-vector engine: rotations of the Trotter kernel, measurement,
+flip and reset."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from openchain.model import PauliTerm
+from openchain.model import ChainSpec, PauliHamiltonian, PauliTerm, build_chain_hamiltonian
 from openchain.state import (
     RngStream,
-    apply_pauli_rotation,
     all_densities,
     expectation_number,
     flip_qubit,
     init_basis_state,
     measure_qubit,
-    pauli_action,
     reset_to,
 )
-
-letters_strategy = st.text(alphabet="IXYZ", min_size=1, max_size=4)
+from openchain.trotter import apply_step, build_step
 
 
 def random_state(L, seed):
@@ -50,59 +48,48 @@ def test_init_rejects_out_of_range():
         init_basis_state(0, ())
 
 
-@settings(max_examples=60, deadline=None)
-@given(letters=letters_strategy)
-def test_pauli_action_matches_dense_matrix(letters):
-    perm, coef = pauli_action(letters)
-    dim = 1 << len(letters)
-    M = np.zeros((dim, dim), dtype=complex)
-    M[np.arange(dim), perm] = coef
-    assert np.max(np.abs(M - PauliTerm(1.0, letters).to_matrix())) <= 1e-14
-
-
 def test_rotation_zero_angle_is_identity():
-    s = init_basis_state(2, (0,))
-    before = s.amps.copy()
-    apply_pauli_rotation(s, PauliTerm(1.0, "XY"), 0.0)
-    assert np.array_equal(s.amps, before)
+    h = PauliHamiltonian(2, (PauliTerm(0.0, "XX"), PauliTerm(0.0, "YY")))
+    s, amps = random_state(2, 3)
+    s.amps[:] = amps
+    apply_step(s, build_step(h, 1.0))
+    assert np.array_equal(s.amps, amps)
 
 
 def test_x_rotation_half_pi():
-    s = init_basis_state(1, ())
-    apply_pauli_rotation(s, PauliTerm(1.0, "X"), np.pi / 2)
-    # exp(-i (pi/2) X)|0> = -i|1>
-    assert abs(s.amps[0]) <= 1e-15
-    assert abs(s.amps[1] + 1j) <= 1e-15
+    # hop angle pi/2 on the |01>,|10> pair: exp(-i (pi/2) X)|01> = -i|10>
+    h = PauliHamiltonian(2, (PauliTerm(0.5, "XX"), PauliTerm(0.5, "YY")))
+    s = init_basis_state(2, (0,))
+    apply_step(s, build_step(h, np.pi / 2))
+    assert np.max(np.abs(s.amps - [0, 0, -1j, 0])) <= 1e-15
 
 
 def test_z_rotation_preserves_probabilities():
     s = init_basis_state(1, ())
     s.amps[:] = [1 / np.sqrt(2), 1 / np.sqrt(2)]
-    apply_pauli_rotation(s, PauliTerm(1.0, "Z"), np.pi / 4)
+    apply_step(s, build_step(PauliHamiltonian(1, (PauliTerm(1.0, "Z"),)), np.pi / 4))
     assert np.abs(s.amps[0]) ** 2 == pytest.approx(0.5, abs=1e-12)
     assert np.abs(s.amps[1]) ** 2 == pytest.approx(0.5, abs=1e-12)
 
 
-def test_rotation_rejects_length_mismatch():
-    s = init_basis_state(2, ())
-    with pytest.raises(ValueError):
-        apply_pauli_rotation(s, PauliTerm(1.0, "X"), 0.1)
-
-
 @settings(max_examples=60, deadline=None)
 @given(
-    letters=letters_strategy,
-    theta=st.floats(min_value=-5, max_value=5, allow_nan=False),
+    L=st.integers(min_value=2, max_value=4),
+    gamma=st.floats(min_value=-5, max_value=5),
+    v=st.floats(min_value=-10, max_value=10),
+    dt=st.floats(min_value=1e-3, max_value=2),
     seed=st.integers(min_value=0, max_value=999),
 )
-def test_rotation_reversible_and_norm_preserving(letters, theta, seed):
-    L = len(letters)
+def test_rotation_reversible_and_norm_preserving(L, gamma, v, dt, seed):
+    # the inverse of a product formula is the reversed product of the
+    # negated rotations
+    h = build_chain_hamiltonian(ChainSpec(L=L, gamma=gamma, v=v))
+    back = PauliHamiltonian(L, tuple(PauliTerm(-t.coeff, t.letters) for t in reversed(h.terms)))
     s, amps = random_state(L, seed)
     s.amps[:] = amps
-    term = PauliTerm(1.0, letters)
-    apply_pauli_rotation(s, term, theta)
+    apply_step(s, build_step(h, dt))
     assert s.norm() == pytest.approx(1.0, abs=1e-12)
-    apply_pauli_rotation(s, term, -theta)
+    apply_step(s, build_step(back, dt))
     assert np.max(np.abs(s.amps - amps)) <= 1e-12
 
 
@@ -152,7 +139,7 @@ def test_measure_after_small_x_rotation():
     rng = RngStream(13)
     for _ in range(n):
         s = init_basis_state(1, ())
-        apply_pauli_rotation(s, PauliTerm(1.0, "X"), 0.3)
+        s.amps[:] = [np.cos(0.3), -1j * np.sin(0.3)]
         ones += measure_qubit(s, 0, rng)
     sigma = np.sqrt(p_expected * (1 - p_expected) / n)
     assert abs(ones / n - p_expected) <= 4 * sigma

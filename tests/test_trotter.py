@@ -1,11 +1,15 @@
 """Trotter step construction, application, and the dense propagator oracle."""
 
+import pickle
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from openchain.model import ChainSpec, PauliHamiltonian, PauliTerm, build_chain_hamiltonian
 from openchain.state import init_basis_state
-from openchain.trotter import apply_step, build_step, exact_propagator_oracle
+from openchain.trotter import BondGate, apply_step, build_step, exact_propagator_oracle
 
 
 def evolve(state, plan, n):
@@ -17,23 +21,34 @@ def evolve(state, plan, n):
 def test_build_step_single_term():
     h = PauliHamiltonian(2, (PauliTerm(0.5, "XX"),))
     plan = build_step(h, 0.1)
-    assert len(plan.rotations) == 1
-    term, theta = plan.rotations[0]
-    assert term.letters == "XX" and theta == pytest.approx(0.05)
+    assert plan.gates == (BondGate(q=0, hop=pytest.approx(0.05), pair=pytest.approx(0.05)),)
 
 
 def test_build_step_identity_only_hamiltonian():
     h = PauliHamiltonian(2, (PauliTerm(3.0, "II"),))
     plan = build_step(h, 0.5)
-    assert plan.rotations == ()
-    assert plan.identity_angle == pytest.approx(1.5)
+    (phase,) = plan.gates
+    assert np.allclose(phase, np.exp(-1.5j), rtol=0, atol=1e-15)
 
 
 def test_build_step_two_site_chain():
+    # XX and YY on one bond fuse into one gate; equal angles cancel on |00>,|11>
     h = build_chain_hamiltonian(ChainSpec(L=2, gamma=1.0, v=0.0))
     plan = build_step(h, 0.5)
-    assert [t.letters for t, _ in plan.rotations] == ["XX", "YY"]
-    assert all(theta == pytest.approx(0.25) for _, theta in plan.rotations)
+    assert plan.gates == (BondGate(q=0, hop=0.5, pair=0.0),)
+
+
+def test_build_step_fuses_chain_into_bonds_then_one_phase_vector():
+    plan = build_step(build_chain_hamiltonian(ChainSpec(L=5, gamma=1.0, v=2.0)), 0.1)
+    assert [g.q for g in plan.gates[:-1]] == [0, 1, 2, 3]
+    assert isinstance(plan.gates[-1], np.ndarray) and plan.gates[-1].shape == (32,)
+
+
+@pytest.mark.parametrize("letters", ["XZ", "XIX", "IXI", "XYI", "ZZX"])
+def test_build_step_rejects_unsupported_strings(letters):
+    h = PauliHamiltonian(len(letters), (PauliTerm(0.8, letters),))
+    with pytest.raises(ValueError, match=repr(letters)):
+        build_step(h, 0.1)
 
 
 def test_build_step_rejects_bad_dt():
@@ -58,7 +73,8 @@ def test_apply_step_rejects_size_mismatch():
 
 
 def test_single_term_plan_is_exact():
-    h = PauliHamiltonian(2, (PauliTerm(0.8, "XZ"),))
+    # XX alone also rotates the |00>,|11> pair
+    h = PauliHamiltonian(2, (PauliTerm(0.8, "XX"),))
     plan = build_step(h, 0.1)
     s = init_basis_state(2, (0,))
     evolve(s, plan, 7)
@@ -129,3 +145,37 @@ def test_plan_conserves_particle_number():
     for _ in range(50):
         apply_step(s, plan)
         assert np.sum(all_densities(s)) == pytest.approx(2.0, abs=1e-9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    L=st.integers(min_value=2, max_value=6),
+    gamma=st.floats(min_value=-5, max_value=5),
+    v=st.floats(min_value=-10, max_value=10),
+    dt=st.floats(min_value=1e-3, max_value=1),
+    seed=st.integers(min_value=0, max_value=999),
+    shuffle=st.booleans(),
+)
+def test_step_equals_dense_product_of_rotations(L, gamma, v, dt, seed, shuffle):
+    # oracle: prod_s (cos theta_s I - i sin theta_s P_s) in term order,
+    # from the dense Pauli matrices; a shuffled order splits the fused runs
+    h = build_chain_hamiltonian(ChainSpec(L=L, gamma=gamma, v=v))
+    gen = np.random.default_rng(seed)
+    terms = [h.terms[i] for i in gen.permutation(len(h.terms))] if shuffle else h.terms
+    h = PauliHamiltonian(L, tuple(terms))
+    amps = gen.normal(size=1 << L) + 1j * gen.normal(size=1 << L)
+    amps /= np.linalg.norm(amps)
+    expected = amps.copy()
+    for t in h.terms:
+        P = PauliTerm(1.0, t.letters).to_matrix()
+        expected = np.cos(t.coeff * dt) * expected - 1j * np.sin(t.coeff * dt) * (P @ expected)
+    s = init_basis_state(L, ())
+    s.amps[:] = amps
+    apply_step(s, build_step(h, dt))
+    assert np.max(np.abs(s.amps - expected)) <= 1e-12
+
+
+def test_plan_size_is_one_state_vector():
+    # guards against per-term 2^L tables: at L = 16 those were 76 MiB
+    plan = build_step(build_chain_hamiltonian(ChainSpec(L=16, gamma=5.0, v=10.0)), 0.5)
+    assert len(pickle.dumps(plan, pickle.HIGHEST_PROTOCOL)) < 2 * 2**20
