@@ -12,7 +12,6 @@ from .model import (
 from .state import (
     RngStream,
     StateVector,
-    expectation_number,
     flip_qubit,
     init_basis_state,
     measure_qubit,
@@ -38,7 +37,6 @@ __all__ = [
     "number_operator",
     "RngStream",
     "StateVector",
-    "expectation_number",
     "flip_qubit",
     "init_basis_state",
     "measure_qubit",

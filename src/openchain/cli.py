@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -25,38 +24,24 @@ from .config import (
     get_preset,
     parse_config,
 )
-from .lindblad import (
-    DensityMatrix,
-    build_jump_operators,
-    integrate,
-    stability_bound,
-)
-from .model import build_chain_hamiltonian
+from .lindblad import build_jump_operators, integrate
+from .model import PauliHamiltonian, build_chain_hamiltonian
 from .output import emit_csv, emit_events_csv, emit_heatmap
 from .state import init_basis_state
 from .trajectory import EnsembleResult, run_ensemble
 from .trotter import build_step
 
 
-def _lindblad_run(cfg: ScenarioConfig):
+def _lindblad_run(cfg: ScenarioConfig, ham: PauliHamiltonian):
     """Integrate the master-equation oracle on the trajectory recording
     grid."""
-    H = build_chain_hamiltonian(cfg.chain).to_matrix()
-    jumps = build_jump_operators(
+    J = build_jump_operators(
         cfg.contacts, cfg.chain.L, include_depolarizing=cfg.include_depolarizing
     )
-    rho0_state = init_basis_state(cfg.chain.L, cfg.init_occupations)
-    rho0 = DensityMatrix(cfg.chain.L, np.outer(rho0_state.amps, rho0_state.amps.conj()))
-    dt = cfg.run.dt
-    substeps = max(1, math.ceil(stability_bound(H, jumps) * dt / 0.09))
-    return integrate(
-        rho0,
-        H,
-        jumps,
-        t_final=cfg.run.t_final,
-        steps=cfg.run.N_t * substeps,
-        record_every=substeps * cfg.run.record_every,
-    )
+    psi = init_basis_state(cfg.chain.L, cfg.init_occupations).amps
+    run = cfg.run
+    return integrate(np.outer(psi, psi.conj()), ham.to_matrix(), J,
+                     run.t_final, run.N_t, run.record_every)
 
 
 def compare_verdict(ens: EnsembleResult, lind) -> dict:
@@ -107,7 +92,7 @@ def run_scenario(
             writes.append((solo, "single_density.csv", "single_events.csv", "single_heatmap.svg"))
 
     if cfg.mode in ("lindblad-check", "compare"):
-        lind = _lindblad_run(cfg)
+        lind = _lindblad_run(cfg, ham)
         oracle = EnsembleResult(lind.times, lind.densities, np.zeros_like(lind.densities), [], 0)
         name = "lindblad.csv" if cfg.mode == "compare" else "density.csv"
         writes.append((oracle, name, None, None))

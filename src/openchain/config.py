@@ -24,6 +24,13 @@ MODES = ("closed", "open", "lindblad-check", "compare")
 SIGMA_FACTOR = 3.0
 ABS_BUDGET = 0.05
 
+CONFIG_KEYS = frozenset((
+    "mode", "L", "gamma_meV", "v_meV", "contacts", "t_final", "N_t", "N_traj", "seed",
+    "record_every", "init_sites", "include_depolarizing", "emit_heatmap", "output",
+))
+CONTACT_KEYS = frozenset(("site", "f", "eps_meV", "mu_meV", "kT_meV", "Gamma_meV", "eta", "label"))
+FERMI_DIRAC_KEYS = ("eps_meV", "mu_meV", "kT_meV")
+
 
 class ConfigError(ValueError):
     """All validation problems of a config, collected."""
@@ -85,17 +92,19 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def _check_memory(mode: str, L: int, run: RunConfig, errors: list[str]) -> None:
+def _check_memory(mode: str, L: int, run: RunConfig, n_ops: int, errors: list[str]) -> None:
     """Reject a run whose estimated peak memory exceeds physical memory,
     under the key of its largest factor, before anything is allocated."""
     # state vector, phase vector and step temporaries, 16 B per amplitude each
     state = 3 * 16 << L
+    if mode in ("compare", "lindblad-check") and L <= 8:
+        # the oracle's jump stack, its adjoint and the two J rho J^dag
+        # temporaries, plus about ten density matrices for the RK4 stages
+        state += (4 * n_ops + 10) * 16 << 2 * L
     rows = run.N_t // run.record_every + 1
     n_traj = {"closed": 1, "lindblad-check": 0}.get(mode, run.N_traj)
     # every trajectory's records, their ensemble stack and the reduction temporary
     records = 3 * n_traj * rows * L * 8
-    if mode in ("compare", "lindblad-check") and L <= 8:
-        records += rows * 16 << 2 * L  # the oracle's density matrices
     need, have = state + records, _physical_memory()
     if need > have:
         key = "L" if state >= records else "N_traj" if n_traj > rows else "N_t"
@@ -107,6 +116,13 @@ def _check_memory(mode: str, L: int, run: RunConfig, errors: list[str]) -> None:
 
 
 def _contact_from_dict(entry: dict, L: int, dt: float, path: str, errors: list[str]):
+    errors.extend(f"{path}.{k}: unknown key" for k in entry if k not in CONTACT_KEYS)
+    if "f" in entry and any(k in entry for k in FERMI_DIRAC_KEYS):
+        errors.append(f"{path}.f: give either 'f' or (eps_meV, mu_meV, kT_meV), not both")
+        return None
+    if "Gamma_meV" in entry and "eta" in entry:
+        errors.append(f"{path}.eta: give either 'Gamma_meV' or 'eta', not both")
+        return None
     site = entry.get("site")
     if not _is_int(site) or not 1 <= site <= L:
         errors.append(f"{path}.site: must be an integer in [1, {L}], got {site!r}")
@@ -118,9 +134,8 @@ def _contact_from_dict(entry: dict, L: int, dt: float, path: str, errors: list[s
         if not 0.0 <= f <= 1.0:
             errors.append(f"{path}.f: must be in [0, 1], got {f!r}")
             return None
-    elif all(k in entry for k in ("eps_meV", "mu_meV", "kT_meV")):
-        eps, mu, kT = (_number(entry[k], f"{path}.{k}", errors)
-                       for k in ("eps_meV", "mu_meV", "kT_meV"))
+    elif all(k in entry for k in FERMI_DIRAC_KEYS):
+        eps, mu, kT = (_number(entry[k], f"{path}.{k}", errors) for k in FERMI_DIRAC_KEYS)
         if None in (eps, mu, kT):
             return None
         try:
@@ -160,7 +175,7 @@ def parse_config(text: str) -> ScenarioConfig:
     if not isinstance(raw, dict):
         raise ConfigError(["top-level value must be a JSON object"])
 
-    errors: list[str] = []
+    errors = [f"{k}: unknown key" for k in raw if k not in CONFIG_KEYS]
 
     mode = raw.get("mode")
     if mode not in MODES:
@@ -193,7 +208,6 @@ def parse_config(text: str) -> ScenarioConfig:
                 f"record_every: mode={mode} needs N_t divisible by record_every, "
                 f"got N_t={run.N_t}, record_every={run.record_every}"
             )
-        _check_memory(mode, L, run, errors)
 
     contacts: list[ContactSpec] = []
     raw_contacts = raw.get("contacts", [])
@@ -209,6 +223,11 @@ def parse_config(text: str) -> ScenarioConfig:
             if c is not None:
                 contacts.append(c)
         errors.extend(validate_contacts(contacts, L, run.dt))
+
+    include_depolarizing = _flag(raw, "include_depolarizing", True, errors)
+    emit_heatmap = _flag(raw, "emit_heatmap", False, errors)
+    if run is not None:
+        _check_memory(mode, L, run, len(contacts) * (4 if include_depolarizing else 2), errors)
 
     init_sites = raw.get("init_sites", [])
     init: list[int] = []
@@ -233,9 +252,6 @@ def parse_config(text: str) -> ScenarioConfig:
         errors.append("mode=open requires at least one contact")
     if mode in ("compare", "lindblad-check") and L > 8:
         errors.append(f"mode={mode} requires L <= 8 (dense oracle), got L={L}")
-
-    include_depolarizing = _flag(raw, "include_depolarizing", True, errors)
-    emit_heatmap = _flag(raw, "emit_heatmap", False, errors)
 
     if errors or chain is None or run is None:
         raise ConfigError(errors)

@@ -65,10 +65,6 @@ class PauliTerm:
     def L(self) -> int:
         return len(self.letters)
 
-    @property
-    def is_identity(self) -> bool:
-        return set(self.letters) == {"I"}
-
     def to_matrix(self) -> np.ndarray:
         # letters[q] acts on bit q, so bit 0 is the last Kronecker factor
         mats = [PAULI_1Q[c] for c in reversed(self.letters)]

@@ -48,11 +48,10 @@ def event_action(ev: ContactEvent) -> str:
 
 
 def emit_events_csv(events: list[ContactEvent], path) -> None:
-    """Write `traj,step,site,action` (site 1-based)."""
-    lines = ["traj,step,site,action"]
-    for ev in events:
-        lines.append(f"{ev.traj},{ev.step},{ev.q + 1},{event_action(ev)}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    """Write `traj,step,site,action` (site 1-based), row by row."""
+    with open(path, "w") as fh:
+        fh.write("traj,step,site,action\n")
+        fh.writelines(f"{ev.traj},{ev.step},{ev.q + 1},{event_action(ev)}\n" for ev in events)
 
 
 def emit_heatmap(

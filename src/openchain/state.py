@@ -1,6 +1,7 @@
 """State-vector engine: basis-state preparation, exact site densities,
 Born-rule measurement and the measure-then-conditionally-flip reset
-primitive.  The unitary step acts on the amplitudes in trotter.py.
+primitive, whose flip is the fermionic c_q + c_q^dag.  The unitary
+step acts on the amplitudes in trotter.py.
 
 A StateVector is confined to one trajectory worker at a time; nothing in
 here shares mutable state between instances.
@@ -8,6 +9,7 @@ here shares mutable state between instances.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,15 +72,6 @@ def init_basis_state(L: int, occupations) -> StateVector:
     return StateVector(L, amps)
 
 
-def expectation_number(state: StateVector, q: int) -> float:
-    """<n_q> = sum of |amp|^2 over indices with bit q set.  Exact, no
-    sampling."""
-    if not 0 <= q < state.L:
-        raise ValueError(f"qubit index {q} out of range")
-    block = state.amps.reshape(-1, 2, 1 << q)
-    return float(np.sum(np.abs(block[:, 1, :]) ** 2, dtype=np.longdouble))
-
-
 def all_densities(state: StateVector) -> np.ndarray:
     """<n_q> for every qubit, as a length-L float array."""
     probs = np.abs(state.amps) ** 2
@@ -88,13 +81,24 @@ def all_densities(state: StateVector) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def _jw_signs(q: int) -> np.ndarray:
+    """(-1)^(number of set bits) for every index below 2^q, read-only."""
+    signs = np.where(np.bitwise_count(np.arange(1 << q)) & 1, -1, 1).astype(np.int8)
+    signs.flags.writeable = False
+    return signs
+
+
 def flip_qubit(state: StateVector, q: int) -> StateVector:
-    """Pauli-X on qubit q: swap amplitude pairs differing in bit q."""
+    """The contact flip c_q + c_q^dag: swap the amplitude pairs that
+    differ in bit q, with the Jordan-Wigner sign (-1)^(occupied qubits
+    below q)."""
     if not 0 <= q < state.L:
         raise ValueError(f"qubit index {q} out of range")
     block = state.amps.reshape(-1, 2, 1 << q)
-    tmp = block[:, 0, :].copy()
-    block[:, 0, :] = block[:, 1, :]
+    signs = _jw_signs(q)
+    tmp = block[:, 0, :] * signs
+    np.multiply(block[:, 1, :], signs, out=block[:, 0, :])
     block[:, 1, :] = tmp
     return state
 

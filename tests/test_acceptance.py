@@ -50,9 +50,10 @@ def compare_runs():
     runs = {}
     for L in (2, 3):
         cfg = get_preset(f"compare-l{L}")
-        plan = build_step(build_chain_hamiltonian(cfg.chain), cfg.run.dt)
+        ham = build_chain_hamiltonian(cfg.chain)
+        plan = build_step(ham, cfg.run.dt)
         ens = run_ensemble(plan, cfg.contacts, cfg.run, cfg.init_occupations, workers=8)
-        runs[L] = (cfg, ens, _lindblad_run(cfg))
+        runs[L] = (cfg, ens, _lindblad_run(cfg, ham))
     return runs
 
 

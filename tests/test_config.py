@@ -53,6 +53,15 @@ MALFORMED = {
     "compare-off-grid": ("record_every", {"mode": "compare", "N_t": 40, "record_every": 3}),
     "N_t-beyond-memory": ("N_t", {"N_t": 10**12}),
     "N_traj-beyond-memory": ("N_traj", {"N_traj": 10**12}),
+    "unknown-N_trajs": ("N_trajs", {"N_trajs": 500}),
+    "unknown-record_evry": ("record_evry", {"record_evry": 10}),
+    "unknown-include_depolarising": ("include_depolarising", {"include_depolarising": False}),
+    "unknown-contact-key": ("contacts[0].Gamma", {"contacts": [
+        {"site": 1, "Gamma_meV": 0.5, "f": 1.0, "Gamma": 0.1}]}),
+    "contact-f-and-fermi-dirac": ("contacts[0].f", {"contacts": [
+        {"site": 1, "Gamma_meV": 0.5, "f": 1.0, "eps_meV": 0, "mu_meV": 0, "kT_meV": 1}]}),
+    "contact-Gamma-and-eta": ("contacts[0].eta", {"contacts": [
+        {"site": 1, "Gamma_meV": 0.5, "eta": 0.1, "f": 1.0}]}),
 }
 
 

@@ -4,52 +4,93 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from openchain.lindblad import (
-    ContactJumps,
-    DensityMatrix,
-    JumpOperatorSet,
+    build_generator,
     build_jump_operators,
     integrate,
     lindblad_rhs,
-    site_density,
     stability_bound,
 )
-from openchain.model import ChainSpec, build_chain_hamiltonian
+from openchain.model import ChainSpec, build_chain_hamiltonian, fermion_lowering
 from openchain.state import init_basis_state
 from openchain.trajectory import ContactSpec
 from openchain.trotter import exact_propagator_oracle
 
-NO_JUMPS = JumpOperatorSet(1, (), True)
+
+def no_jumps(L):
+    return build_jump_operators([], L)
 
 
 def pure_dm(state):
-    return DensityMatrix(state.L, np.outer(state.amps, state.amps.conj()))
+    return np.outer(state.amps, state.amps.conj())
+
+
+def rhs(rho, H, J):
+    return lindblad_rhs(rho, *build_generator(H, J))
 
 
 def test_zero_gamma_gives_zero_operators():
     jumps = build_jump_operators([ContactSpec(0, 0.0, 1.0)], 1)
-    assert all(np.all(op == 0) for op in jumps.all_ops())
+    assert jumps.shape == (4, 2, 2) and np.all(jumps == 0)
 
 
 def test_full_source_has_no_removal_channels():
-    jumps = build_jump_operators([ContactSpec(0, 0.5, 1.0)], 2)
-    c = jumps.contacts[0]
-    assert np.all(c.L1 == 0) and np.all(c.L3 == 0)
-    assert np.any(c.L0 != 0) and np.any(c.L2 != 0)
+    L0, L1, L2, L3 = build_jump_operators([ContactSpec(0, 0.5, 1.0)], 2)
+    assert np.all(L1 == 0) and np.all(L3 == 0)
+    assert np.any(L0 != 0) and np.any(L2 != 0)
 
 
 def test_single_site_creation_operator():
     jumps = build_jump_operators([ContactSpec(0, 0.5, 1.0)], 1)
     expected = math.sqrt(0.5) * np.array([[0, 0], [1, 0]], dtype=complex)
-    assert np.max(np.abs(jumps.contacts[0].L0 - expected)) <= 1e-15
+    assert np.max(np.abs(jumps[0] - expected)) <= 1e-15
 
 
 def test_depolarizing_flag_off():
-    jumps = build_jump_operators([ContactSpec(0, 0.5, 0.5)], 2, include_depolarizing=False)
-    c = jumps.contacts[0]
-    assert c.L2 is None and c.L3 is None
-    assert len(jumps.all_ops()) == 2
+    contacts = [ContactSpec(0, 0.5, 0.5), ContactSpec(1, 0.3, 0.2)]
+    without = build_jump_operators(contacts, 2, include_depolarizing=False)
+    with_dep = build_jump_operators(contacts, 2)
+    assert without.shape == (4, 4, 4) and with_dep.shape == (8, 4, 4)
+    # the same L0, L1 per contact, without that contact's L2, L3
+    assert np.array_equal(without, with_dep[[0, 1, 4, 5]])
+
+
+def textbook_rhs(rho, H, contacts, L, include_depolarizing):
+    """-i[H, rho] + sum_a (L_a rho L_a^dag - 1/2 {L_a^dag L_a, rho}), with
+    the jump operators built here from the fermionic matrices."""
+    out = -1j * (H @ rho - rho @ H)
+    for c in contacts:
+        low = fermion_lowering(c.q, L)
+        high = low.conj().T
+        ops = [math.sqrt(c.Gamma * c.f) * high, math.sqrt(c.Gamma * (1 - c.f)) * low]
+        if include_depolarizing:
+            ops += [math.sqrt(c.Gamma * c.f) * high @ low,
+                    math.sqrt(c.Gamma * (1 - c.f)) * low @ high]
+        for op in ops:
+            op_dag = op.conj().T
+            out += op @ rho @ op_dag - 0.5 * (op_dag @ op @ rho + rho @ op_dag @ op)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(L=st.integers(1, 4), seed=st.integers(0, 2**32 - 1), depolarizing=st.booleans())
+def test_rhs_equals_textbook_generator(L, seed, depolarizing):
+    gen = np.random.default_rng(seed)
+    dim = 1 << L
+
+    def hermitian():
+        M = gen.normal(size=(dim, dim)) + 1j * gen.normal(size=(dim, dim))
+        return M + M.conj().T
+
+    rho, H = hermitian(), hermitian()
+    sites = gen.choice(L, size=gen.integers(0, L + 1), replace=False)
+    contacts = [ContactSpec(int(q), float(gen.uniform(0, 2)), float(gen.uniform(0, 1)))
+                for q in sites]
+    J = build_jump_operators(contacts, L, include_depolarizing=depolarizing)
+    expected = textbook_rhs(rho, H, contacts, L, depolarizing)
+    assert np.max(np.abs(rhs(rho, H, J) - expected)) <= 1e-12
 
 
 def test_rejects_large_register():
@@ -60,7 +101,7 @@ def test_rejects_large_register():
 def test_rhs_vanishes_for_identity_state():
     rho = np.eye(4) / 4.0
     H = np.diag([0.0, 1.0, 2.0, 3.0]).astype(complex)
-    out = lindblad_rhs(rho, H, JumpOperatorSet(2, (), True))
+    out = rhs(rho, H, no_jumps(2))
     assert np.max(np.abs(out)) <= 1e-14
 
 
@@ -70,28 +111,28 @@ def test_rhs_is_traceless():
     rho = M + M.conj().T
     H = build_chain_hamiltonian(ChainSpec(L=2, gamma=3.0, v=10.0)).to_matrix()
     jumps = build_jump_operators([ContactSpec(0, 0.5, 1.0), ContactSpec(1, 0.5, 0.0)], 2)
-    assert abs(np.trace(lindblad_rhs(rho, H, jumps))) <= 1e-12
+    assert abs(np.trace(rhs(rho, H, jumps))) <= 1e-12
 
 
 def test_rhs_source_filling_rate():
     # L=1, H=0, rho=|0><0|: d<n>/dt = r_in
     jumps = build_jump_operators([ContactSpec(0, 0.5, 1.0)], 1)
     rho = np.diag([1.0, 0.0]).astype(complex)
-    out = lindblad_rhs(rho, np.zeros((2, 2)), jumps)
+    out = rhs(rho, np.zeros((2, 2)), jumps)
     assert out[1, 1].real == pytest.approx(0.5, abs=1e-14)
 
 
 def test_integrate_commuting_stationary_state():
     H = np.diag([0.0, 2.0]).astype(complex)
-    rho0 = DensityMatrix(1, np.diag([0.3, 0.7]).astype(complex))
-    res = integrate(rho0, H, NO_JUMPS, t_final=1.0, steps=100)
-    assert np.max(np.abs(res.rhos[-1].rho - rho0.rho)) <= 1e-12
+    rho0 = np.diag([0.3, 0.7]).astype(complex)
+    res = integrate(rho0, H, no_jumps(1), t_final=1.0, N_t=100)
+    assert np.max(np.abs(res.rho - rho0)) <= 1e-12
 
 
 def test_integrate_analytic_relaxation():
     jumps = build_jump_operators([ContactSpec(0, 0.5, 1.0)], 1)
-    rho0 = DensityMatrix(1, np.diag([1.0, 0.0]).astype(complex))
-    res = integrate(rho0, np.zeros((2, 2)), jumps, t_final=10.0, steps=10_000,
+    rho0 = np.diag([1.0, 0.0]).astype(complex)
+    res = integrate(rho0, np.zeros((2, 2)), jumps, t_final=10.0, N_t=10_000,
                     record_every=1000)
     for t, dens in zip(res.times, res.densities):
         assert abs(dens[0] - (1.0 - math.exp(-0.5 * t))) <= 1e-6
@@ -100,42 +141,55 @@ def test_integrate_analytic_relaxation():
 def test_integrate_preserves_purity_without_jumps():
     H = build_chain_hamiltonian(ChainSpec(L=2, gamma=3.0, v=10.0)).to_matrix()
     rho0 = pure_dm(init_basis_state(2, (0,)))
-    res = integrate(rho0, H, JumpOperatorSet(2, (), True), t_final=2.0, steps=2000)
-    for dm in res.rhos:
-        assert dm.purity() == pytest.approx(1.0, abs=1e-8)
+    for t_final in (0.5, 1.0, 2.0):
+        res = integrate(rho0, H, no_jumps(2), t_final=t_final, N_t=round(1000 * t_final))
+        assert np.trace(res.rho @ res.rho).real == pytest.approx(1.0, abs=1e-8)
 
 
-def test_integrate_rejects_unstable_step():
+def test_integrate_coarse_grid_picks_its_own_substeps():
+    # one record every 5 time units, bound * dt = 2 * 5 = 10: integrate
+    # splits each grid step into RK4 substeps on its own
     jumps = build_jump_operators([ContactSpec(0, 0.5, 1.0)], 1)
-    rho0 = DensityMatrix(1, np.diag([1.0, 0.0]).astype(complex))
-    with pytest.raises(ValueError):
-        integrate(rho0, 50.0 * np.eye(2), jumps, t_final=10.0, steps=10)
+    rho0 = np.diag([1.0, 0.0]).astype(complex)
+    assert stability_bound(np.zeros((2, 2)), jumps) * 5.0 == pytest.approx(10.0)
+    res = integrate(rho0, np.zeros((2, 2)), jumps, t_final=10.0, N_t=2)
+    assert res.times == pytest.approx([0.0, 5.0, 10.0], abs=1e-12)
+    for t, dens in zip(res.times, res.densities):
+        assert abs(dens[0] - (1.0 - math.exp(-0.5 * t))) <= 1e-6
 
 
 def test_integrate_grid_alignment_guard():
-    rho0 = DensityMatrix(1, np.diag([1.0, 0.0]).astype(complex))
+    rho0 = np.diag([1.0, 0.0]).astype(complex)
     with pytest.raises(ValueError):
-        integrate(rho0, np.zeros((2, 2)), NO_JUMPS, t_final=1.0, steps=10, record_every=3)
+        integrate(rho0, np.zeros((2, 2)), no_jumps(1), t_final=1.0, N_t=10, record_every=3)
 
 
 def test_site_density_examples():
-    assert site_density(DensityMatrix(1, np.diag([0.0, 1.0]).astype(complex)), 0) == 1.0
-    assert site_density(DensityMatrix(1, np.eye(2, dtype=complex) / 2.0), 0) == 0.5
+    for rho0, expected in [
+        (np.diag([0.0, 1.0]), [1.0]),
+        (np.eye(2) / 2.0, [0.5]),
+        (np.diag([0.0, 1.0, 0.0, 0.0]), [1.0, 0.0]),  # index 1: qubit 0 occupied
+        (np.diag([0.0, 0.0, 0.25, 0.75]), [0.75, 1.0]),
+    ]:
+        dim = rho0.shape[0]
+        res = integrate(rho0.astype(complex), np.zeros((dim, dim)),
+                        no_jumps(dim.bit_length() - 1), t_final=1.0, N_t=1)
+        assert np.array_equal(res.densities, [expected, expected])
 
 
 def test_site_density_relaxation_value():
     # at t = 2/Gamma the analytic occupation is 1 - e^-2
     jumps = build_jump_operators([ContactSpec(0, 0.5, 1.0)], 1)
-    rho0 = DensityMatrix(1, np.diag([1.0, 0.0]).astype(complex))
-    res = integrate(rho0, np.zeros((2, 2)), jumps, t_final=4.0, steps=4000)
-    assert site_density(res.rhos[-1], 0) == pytest.approx(1.0 - math.exp(-2.0), abs=1e-6)
+    rho0 = np.diag([1.0, 0.0]).astype(complex)
+    res = integrate(rho0, np.zeros((2, 2)), jumps, t_final=4.0, N_t=4000)
+    assert res.densities[-1, 0] == pytest.approx(1.0 - math.exp(-2.0), abs=1e-6)
 
 
 def test_oracle_health_monitoring():
     H = build_chain_hamiltonian(ChainSpec(L=2, gamma=3.0, v=10.0)).to_matrix()
     jumps = build_jump_operators([ContactSpec(0, 0.5, 1.0), ContactSpec(1, 0.5, 0.0)], 2)
     rho0 = pure_dm(init_basis_state(2, (0,)))
-    res = integrate(rho0, H, jumps, t_final=5.0, steps=2000)
+    res = integrate(rho0, H, jumps, t_final=5.0, N_t=2000)
     assert res.max_trace_drift <= 1e-8
     assert res.max_hermiticity_defect <= 1e-10
     assert res.min_eigenvalue >= -1e-7
@@ -149,8 +203,8 @@ def test_depolarizing_channels_leave_diagonal_densities_unchanged():
     with_dep = build_jump_operators(contacts, 2, include_depolarizing=True)
     without = build_jump_operators(contacts, 2, include_depolarizing=False)
     H = np.zeros((4, 4), dtype=complex)
-    d_with = np.diag(lindblad_rhs(rho, H, with_dep)).real
-    d_without = np.diag(lindblad_rhs(rho, H, without)).real
+    d_with = np.diag(rhs(rho, H, with_dep)).real
+    d_without = np.diag(rhs(rho, H, without)).real
     assert np.max(np.abs(d_with - d_without)) <= 1e-12
 
 
@@ -165,20 +219,16 @@ def test_jw_strings_do_not_affect_site_densities():
     eye = np.eye(2, dtype=complex)
     bare_low = np.kron(lower, np.kron(eye, eye))  # qubit 2 is the top factor
     bare_raise = bare_low.conj().T
-    bare = JumpOperatorSet(L, (ContactJumps(
-        q=2,
-        L0=math.sqrt(spec.Gamma * spec.f) * bare_raise,
-        L1=math.sqrt(spec.Gamma * (1 - spec.f)) * bare_low,
-        L2=stringed.contacts[0].L2,
-        L3=stringed.contacts[0].L3,
-    ),), True)
+    bare = stringed.copy()  # L2, L3 carry no string
+    bare[0] = math.sqrt(spec.Gamma * spec.f) * bare_raise
+    bare[1] = math.sqrt(spec.Gamma * (1 - spec.f)) * bare_low
 
     h = build_chain_hamiltonian(ChainSpec(L=L, gamma=3.0, v=10.0))
     psi = exact_propagator_oracle(h, 0.7) @ init_basis_state(L, (0,)).amps
-    rho0 = DensityMatrix(L, np.outer(psi, psi.conj()))
+    rho0 = np.outer(psi, psi.conj())
     H = h.to_matrix()
-    a = integrate(rho0, H, stringed, t_final=1.0, steps=500)
-    b = integrate(rho0, H, bare, t_final=1.0, steps=500)
+    a = integrate(rho0, H, stringed, t_final=1.0, N_t=500)
+    b = integrate(rho0, H, bare, t_final=1.0, N_t=500)
     assert np.max(np.abs(a.densities - b.densities)) <= 1e-12
 
 

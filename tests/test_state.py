@@ -6,11 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from openchain.model import ChainSpec, PauliHamiltonian, PauliTerm, build_chain_hamiltonian
+from openchain.model import (
+    ChainSpec,
+    PauliHamiltonian,
+    PauliTerm,
+    build_chain_hamiltonian,
+    fermion_lowering,
+)
 from openchain.state import (
     RngStream,
     all_densities,
-    expectation_number,
     flip_qubit,
     init_basis_state,
     measure_qubit,
@@ -110,6 +115,19 @@ def test_flip_swaps_amplitudes():
     assert flipped.amps[1] == 1.0
 
 
+@settings(max_examples=40, deadline=None)
+@given(L=st.integers(min_value=1, max_value=4), seed=st.integers(min_value=0, max_value=999))
+def test_flip_is_fermionic_c_plus_c_dag(L, seed):
+    # the contact flip carries the Jordan-Wigner string of qubits below q
+    _, amps = random_state(L, seed)
+    for q in range(L):
+        c = fermion_lowering(q, L)
+        s = init_basis_state(L, ())
+        s.amps[:] = amps
+        flip_qubit(s, q)
+        assert np.max(np.abs(s.amps - (c + c.conj().T) @ amps)) <= 1e-15
+
+
 def test_measure_deterministic_skips_draw():
     # |00>: measuring q=1 is forced, so the stream must not advance
     s = init_basis_state(2, ())
@@ -151,7 +169,7 @@ def test_measure_collapses_and_renormalizes():
     rng = RngStream(0)
     outcome = measure_qubit(s, 1, rng)
     assert s.norm() == pytest.approx(1.0, abs=1e-12)
-    assert expectation_number(s, 1) == pytest.approx(float(outcome), abs=1e-12)
+    assert all_densities(s)[1] == pytest.approx(float(outcome), abs=1e-12)
 
 
 def test_reset_examples():
@@ -188,24 +206,26 @@ def test_reset_pins_expectation_exactly(seed, q, target):
     s, amps = random_state(3, seed)
     s.amps[:] = amps
     reset_to(s, q, target, RngStream(seed))
-    assert expectation_number(s, q) == pytest.approx(float(target), abs=1e-12)
+    assert all_densities(s)[q] == pytest.approx(float(target), abs=1e-12)
     assert s.norm() == pytest.approx(1.0, abs=1e-10)
 
 
 def test_expectation_examples():
-    assert expectation_number(init_basis_state(2, ()), 0) == 0.0
-    assert expectation_number(init_basis_state(2, (1,)), 1) == 1.0
+    assert np.array_equal(all_densities(init_basis_state(2, ())), [0.0, 0.0])
+    assert np.array_equal(all_densities(init_basis_state(2, (1,))), [0.0, 1.0])
     s = init_basis_state(1, ())
     s.amps[:] = [1 / np.sqrt(2), 1 / np.sqrt(2)]
-    assert expectation_number(s, 0) == pytest.approx(0.5, abs=1e-15)
+    assert all_densities(s)[0] == pytest.approx(0.5, abs=1e-15)
 
 
 def test_all_densities_matches_per_qubit():
     s, amps = random_state(4, 21)
     s.amps[:] = amps
     dens = all_densities(s)
+    probs = np.abs(amps) ** 2
     for q in range(4):
-        assert dens[q] == pytest.approx(expectation_number(s, q), abs=1e-14)
+        occupied = (np.arange(16) >> q) & 1 == 1
+        assert dens[q] == pytest.approx(probs[occupied].sum(), abs=1e-14)
 
 
 def test_rng_stream_reproducible_and_distinct():
