@@ -12,9 +12,7 @@ from .model import (
 from .state import (
     RngStream,
     StateVector,
-    flip_qubit,
     init_basis_state,
-    measure_qubit,
     reset_to,
 )
 from .trajectory import (
@@ -37,9 +35,7 @@ __all__ = [
     "number_operator",
     "RngStream",
     "StateVector",
-    "flip_qubit",
     "init_basis_state",
-    "measure_qubit",
     "reset_to",
     "ContactSpec",
     "EnsembleResult",

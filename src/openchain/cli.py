@@ -93,7 +93,8 @@ def run_scenario(
 
     if cfg.mode in ("lindblad-check", "compare"):
         lind = _lindblad_run(cfg, ham)
-        oracle = EnsembleResult(lind.times, lind.densities, np.zeros_like(lind.densities), [], 0)
+        oracle = EnsembleResult(lind.times, lind.densities, np.zeros_like(lind.densities),
+                                np.zeros((0, 5), dtype=np.int64), 0)
         name = "lindblad.csv" if cfg.mode == "compare" else "density.csv"
         writes.append((oracle, name, None, None))
 
@@ -145,6 +146,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    if args.workers is not None and args.workers < 1:
+        print("error: --workers must be >= 1", file=sys.stderr)
+        return 1
     try:
         if args.command == "preset":
             cfg = get_preset(args.name, seed=args.seed, n_traj=args.traj)

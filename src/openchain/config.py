@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .model import ChainSpec
 from .state import MAX_QUBITS
@@ -361,13 +361,14 @@ PRESETS = {
 
 
 def get_preset(name: str, seed: int | None = None, n_traj: int | None = None) -> ScenarioConfig:
+    """Preset `name`, with `seed` and `n_traj` overriding its own, checked
+    by parse_config like any config file."""
     if name not in PRESETS:
         known = ", ".join(sorted(PRESETS))
         raise ConfigError([f"unknown preset {name!r}; available: {known}"])
-    cfg = PRESETS[name]()
-    run = cfg.run
+    d = scenario_to_dict(PRESETS[name]())
     if seed is not None:
-        run = replace(run, seed=seed)
+        d["seed"] = seed
     if n_traj is not None:
-        run = replace(run, N_traj=n_traj)
-    return replace(cfg, run=run)
+        d["N_traj"] = n_traj
+    return parse_config(json.dumps(d))

@@ -19,7 +19,8 @@ generator is built once per integration in the standard form
     H_eff = H - (i/2) sum_a J_a^dag J_a.
 
 Integration is fixed-step RK4 on the dense density matrix, with
-Hermiticity restored by symmetrization each step.
+Hermiticity restored by symmetrization each step; the reported
+Hermiticity defect is that of the RK4 update before symmetrization.
 """
 
 from __future__ import annotations
@@ -120,11 +121,13 @@ def integrate(
         k3 = lindblad_rhs(rho + 0.5 * dt * k2, *gen)
         k4 = lindblad_rhs(rho + dt * k3, *gen)
         rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        record = step % every == 0
+        if record:  # the update's own defect, before symmetrization removes it
+            max_herm = max(max_herm, float(np.max(np.abs(rho - rho.conj().T))))
         rho = (rho + rho.conj().T) / 2.0  # exactly Hermitian, so its diagonal is real
-        if step % every == 0:
+        if record:
             diags[step // every] = rho.diagonal().real
             max_drift = max(max_drift, abs(np.trace(rho).real - 1.0))
-            max_herm = max(max_herm, float(np.max(np.abs(rho - rho.conj().T))))
             min_eig = min(min_eig, float(np.linalg.eigvalsh(rho)[0]))
 
     L = rho.shape[0].bit_length() - 1

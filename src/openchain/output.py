@@ -11,7 +11,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .trajectory import ContactEvent, EnsembleResult
+from .trajectory import EnsembleResult
+
+# the action label of an event row, indexed by 2 * target + changed
+ACTIONS = ("null_remove", "remove", "null_inject", "inject")
 
 
 def _fmt(x: float) -> str:
@@ -41,17 +44,15 @@ def parse_density_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return data[:, 0], data[:, 1 : 1 + L], data[:, 1 + L :]
 
 
-def event_action(ev: ContactEvent) -> str:
-    if ev.target == 1:
-        return "inject" if ev.changed else "null_inject"
-    return "remove" if ev.changed else "null_remove"
-
-
-def emit_events_csv(events: list[ContactEvent], path) -> None:
-    """Write `traj,step,site,action` (site 1-based), row by row."""
+def emit_events_csv(events: np.ndarray, path) -> None:
+    """Write the (E, 5) event rows as `traj,step,site,action` (site
+    1-based), row by row."""
     with open(path, "w") as fh:
         fh.write("traj,step,site,action\n")
-        fh.writelines(f"{ev.traj},{ev.step},{ev.q + 1},{event_action(ev)}\n" for ev in events)
+        fh.writelines(
+            f"{traj},{step},{q + 1},{ACTIONS[2 * target + changed]}\n"
+            for traj, step, q, target, changed in events.tolist()
+        )
 
 
 def emit_heatmap(
@@ -87,13 +88,12 @@ def emit_heatmap(
     # columns (column 0 is t=0)
     if n_steps is None:
         n_steps = T - 1 if T > 1 else 1
-    for ev in result.events:
-        if not ev.changed:
-            continue
-        x = margin + (ev.step / n_steps) * ((T - 1) * cell) + cell / 2.0
-        y = margin + ev.q * cell + cell / 2.0
+    events = result.events
+    for step, q, target in events[events[:, 4] == 1, 1:4].tolist():
+        x = margin + (step / n_steps) * ((T - 1) * cell) + cell / 2.0
+        y = margin + q * cell + cell / 2.0
         r = cell * 0.3
-        if ev.target == 1:
+        if target == 1:
             parts.append(
                 f'<circle cx="{x:.1f}" cy="{y:.1f}" r="{r:.1f}" fill="#000" stroke="#fff" stroke-width="1"/>'
             )

@@ -1,6 +1,6 @@
-"""State-vector engine: basis-state preparation, exact site densities,
-Born-rule measurement and the measure-then-conditionally-flip reset
-primitive, whose flip is the fermionic c_q + c_q^dag.  The unitary
+"""State-vector engine: basis-state preparation, exact site densities
+and the one contact kernel, `reset_to`: a Born-rule measurement and the
+conditional fermionic flip c_q + c_q^dag in a single pass.  The unitary
 step acts on the amplitudes in trotter.py.
 
 A StateVector is confined to one trajectory worker at a time; nothing in
@@ -89,50 +89,33 @@ def _jw_signs(q: int) -> np.ndarray:
     return signs
 
 
-def flip_qubit(state: StateVector, q: int) -> StateVector:
-    """The contact flip c_q + c_q^dag: swap the amplitude pairs that
-    differ in bit q, with the Jordan-Wigner sign (-1)^(occupied qubits
-    below q)."""
-    if not 0 <= q < state.L:
-        raise ValueError(f"qubit index {q} out of range")
-    block = state.amps.reshape(-1, 2, 1 << q)
-    signs = _jw_signs(q)
-    tmp = block[:, 0, :] * signs
-    np.multiply(block[:, 1, :], signs, out=block[:, 0, :])
-    block[:, 1, :] = tmp
-    return state
+def reset_to(state: StateVector, q: int, target: int, rng: RngStream) -> ResetEvent:
+    """The contact primitive: measure qubit q, then flip it with the
+    fermionic c_q + c_q^dag if the outcome differs from `target`.
 
-
-def measure_qubit(state: StateVector, q: int, rng: RngStream) -> int:
-    """Projective measurement of qubit q with collapse and
-    renormalization.  Consumes exactly one draw unless the outcome is
-    forced (p within DETERMINISTIC_EPS of 0 or 1)."""
+    One pass: the half of the amplitudes that survives the measurement
+    is written into the `target` half, scaled by 1/sqrt(p) and, on a
+    flip, multiplied by the Jordan-Wigner sign (-1)^(occupied qubits
+    below q); the other half is zeroed.  Afterwards <n_q> is exactly
+    `target`.  Consumes exactly one draw unless the outcome is forced
+    (p within DETERMINISTIC_EPS of 0 or 1)."""
+    if target not in (0, 1):
+        raise ValueError(f"target must be 0 or 1, got {target!r}")
     if not 0 <= q < state.L:
         raise ValueError(f"qubit index {q} out of range")
     block = state.amps.reshape(-1, 2, 1 << q)
     p1 = float(np.sum(np.abs(block[:, 1, :]) ** 2, dtype=np.longdouble))
     if p1 <= DETERMINISTIC_EPS:
-        outcome = 0
+        measured = 0
     elif p1 >= 1.0 - DETERMINISTIC_EPS:
-        outcome = 1
+        measured = 1
     else:
-        outcome = 1 if rng.uniform() < p1 else 0
-    block[:, 1 - outcome, :] = 0.0
-    surviving = float(np.sum(np.abs(block[:, outcome, :]) ** 2, dtype=np.longdouble))
-    block[:, outcome, :] /= np.sqrt(surviving)
-    return outcome
-
-
-def reset_to(state: StateVector, q: int, target: int, rng: RngStream) -> ResetEvent:
-    """Measure qubit q and flip it if the outcome differs from `target`.
-
-    Afterwards <n_q> is exactly `target`.  The `changed` flag records
-    whether the occupation moved (an effective injection/removal rather
-    than a null action)."""
-    if target not in (0, 1):
-        raise ValueError(f"target must be 0 or 1, got {target!r}")
-    measured = measure_qubit(state, q, rng)
+        measured = 1 if rng.uniform() < p1 else 0
+    kept, dst = block[:, measured, :], block[:, target, :]
+    p = p1 if measured else float(np.sum(np.abs(kept) ** 2, dtype=np.longdouble))
     changed = measured != target
     if changed:
-        flip_qubit(state, q)
+        np.multiply(kept, _jw_signs(q), out=dst)
+    dst /= np.sqrt(p)
+    block[:, 1 - target, :] = 0.0
     return ResetEvent(q=q, measured=measured, target=target, changed=changed)

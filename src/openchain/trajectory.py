@@ -1,6 +1,10 @@
 """Open-system trajectory loop: Trotter step, then per-contact random
 injection/removal via measure-and-reset, and ensemble aggregation.
 
+Contact events are one (E, 5) int64 array per trajectory, one row
+(traj, step, q, target, changed) per reset; the ensemble concatenates
+them in trajectory order.
+
 Draw discipline: each (contact, step) consumes exactly one uniform for
 the action choice, taken before any branch, and the measurement inside a
 reset consumes a further draw from the same per-trajectory stream unless
@@ -13,14 +17,12 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .state import RngStream, init_basis_state, all_densities, reset_to
 from .trotter import TrotterPlan, apply_step
-
-THREADS_ENV = "OPENCHAIN_THREADS"
 
 
 @dataclass(frozen=True)
@@ -63,26 +65,13 @@ class RunConfig:
         return self.t_final / self.N_t
 
 
-@dataclass(frozen=True)
-class ContactEvent:
-    """One attempted injection/removal, flattened for output."""
-
-    traj: int
-    step: int
-    q: int
-    target: int
-    measured: int
-    changed: bool
-
-
 @dataclass
 class DensityRecord:
-    """Site densities of one trajectory on the recording grid."""
+    """Site densities and contact events of one trajectory."""
 
-    traj: int
     times: np.ndarray  # (T,)
     density: np.ndarray  # (T, L)
-    events: list[ContactEvent] = field(default_factory=list)
+    events: np.ndarray  # (E, 5) int64 rows (traj, step, q, target, changed)
 
 
 @dataclass
@@ -90,7 +79,7 @@ class EnsembleResult:
     times: np.ndarray  # (T,)
     mean_density: np.ndarray  # (T, L)
     stderr: np.ndarray  # (T, L)
-    events: list[ContactEvent]
+    events: np.ndarray  # (E, 5) int64 rows (traj, step, q, target, changed)
     n_traj: int
 
 
@@ -164,10 +153,9 @@ def run_trajectory(
     order draw one uniform and inject (reset to |1>), remove (reset to
     |0>) or do nothing per the step probabilities.  Densities are the
     exact state-vector expectations, recorded after the contact actions.
+    The contacts are validated by run_ensemble; here eta > 1 is caught
+    by step_probabilities and a bad qubit by reset_to.
     """
-    errors = validate_contacts(contacts, plan.L, cfg.dt)
-    if errors:
-        raise ValueError("; ".join(errors))
     rng = RngStream(cfg.seed, traj_id)
     state = init_basis_state(plan.L, init)
     probs = [step_probabilities(c, cfg.dt) for c in contacts]
@@ -177,7 +165,7 @@ def run_trajectory(
     density = np.empty((n_records, plan.L))
     times[0] = 0.0
     density[0] = all_densities(state)
-    events: list[ContactEvent] = []
+    events = []
 
     row = 1
     for step in range(1, cfg.N_t + 1):
@@ -185,19 +173,18 @@ def run_trajectory(
         for c, (p_in, p_out, _) in zip(contacts, probs):
             u = rng.uniform()
             if u < p_in:
-                ev = reset_to(state, c.q, 1, rng)
+                target = 1
             elif u < p_in + p_out:
-                ev = reset_to(state, c.q, 0, rng)
+                target = 0
             else:
                 continue
-            events.append(
-                ContactEvent(traj_id, step, ev.q, ev.target, ev.measured, ev.changed)
-            )
+            ev = reset_to(state, c.q, target, rng)
+            events.append((traj_id, step, c.q, target, ev.changed))
         if step % cfg.record_every == 0:
             times[row] = step * cfg.dt
             density[row] = all_densities(state)
             row += 1
-    return DensityRecord(traj_id, times, density, events)
+    return DensityRecord(times, density, np.array(events, dtype=np.int64).reshape(-1, 5))
 
 
 # -- parallel ensemble -------------------------------------------------
@@ -214,16 +201,6 @@ def _run_one(traj_id: int) -> DensityRecord:
     return run_trajectory(plan, contacts, cfg, init, traj_id)
 
 
-def resolve_workers(workers: int | None = None) -> int:
-    if workers is None:
-        env = os.environ.get(THREADS_ENV)
-        if env is not None:
-            workers = int(env)
-        else:
-            workers = min(os.cpu_count() or 1, 8)
-    return max(1, workers)
-
-
 def run_ensemble(
     plan: TrotterPlan,
     contacts,
@@ -234,15 +211,19 @@ def run_ensemble(
     """Average cfg.N_traj independent trajectories.
 
     The reduction is ordered by trajectory id, so the result is
-    bit-identical for any worker count (workers defaults to the
-    OPENCHAIN_THREADS env var, else cpu count capped at 8).
+    bit-identical for any worker count.  `workers` defaults to the cpu
+    count capped at 8, and no more processes than trajectories start.
     """
     errors = validate_contacts(contacts, plan.L, cfg.dt)
     if errors:
         raise ValueError("; ".join(errors))
-    workers = resolve_workers(workers)
+    if workers is None:
+        workers = min(os.cpu_count() or 1, 8)
+    elif workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    workers = min(workers, cfg.N_traj)
     ids = range(cfg.N_traj)
-    if workers == 1 or cfg.N_traj == 1:
+    if workers == 1:
         records = [run_trajectory(plan, contacts, cfg, init, k) for k in ids]
     else:
         chunk = max(1, cfg.N_traj // (workers * 8))
@@ -262,11 +243,10 @@ def run_ensemble(
         stderr[stack.max(axis=0) == stack.min(axis=0)] = 0.0
     else:
         stderr = np.zeros_like(mean)
-    events = [ev for r in records for ev in r.events]
     return EnsembleResult(
         times=records[0].times,
         mean_density=mean,
         stderr=stderr,
-        events=events,
+        events=np.concatenate([r.events for r in records]),
         n_traj=cfg.N_traj,
     )

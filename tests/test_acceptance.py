@@ -20,7 +20,7 @@ from openchain.cli import _lindblad_run
 from openchain.config import ABS_BUDGET, SIGMA_FACTOR, get_preset
 from openchain.model import ChainSpec, PauliHamiltonian, build_chain_hamiltonian, fock_matrix_oracle
 from openchain.output import emit_csv
-from openchain.state import RngStream, StateVector, init_basis_state, measure_qubit
+from openchain.state import RngStream, StateVector, init_basis_state, reset_to
 from openchain.trajectory import ContactSpec, RunConfig, run_ensemble, run_trajectory
 from openchain.trotter import apply_step, build_step, exact_propagator_oracle
 
@@ -264,7 +264,7 @@ def test_criterion_9_measurement_statistics():
         ones = 0
         for _ in range(draws):
             s = StateVector(1, amps.copy())
-            ones += measure_qubit(s, 0, rng)
+            ones += reset_to(s, 0, 0, rng).measured
         z = (ones - draws * p1) / math.sqrt(draws * p1 * (1.0 - p1))
         worst_z = max(worst_z, abs(z))
         chi2 += z * z

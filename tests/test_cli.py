@@ -7,14 +7,8 @@ import pytest
 
 from openchain.cli import compare_verdict, main, run_scenario
 from openchain.config import get_preset, parse_config
-from openchain.output import (
-    emit_csv,
-    emit_events_csv,
-    emit_heatmap,
-    event_action,
-    parse_density_csv,
-)
-from openchain.trajectory import ContactEvent, EnsembleResult
+from openchain.output import ACTIONS, emit_csv, emit_events_csv, emit_heatmap, parse_density_csv
+from openchain.trajectory import EnsembleResult
 
 CLOSED_CONFIG = {
     "mode": "closed",
@@ -71,7 +65,7 @@ def one_point_result(densities, stderr=None, events=()):
         times=np.arange(dens.shape[0], dtype=float),
         mean_density=dens,
         stderr=se,
-        events=list(events),
+        events=np.array(events, dtype=np.int64).reshape(-1, 5),
         n_traj=1,
     )
 
@@ -102,12 +96,12 @@ def test_event_action_vocabulary():
         (0, False): "null_remove",
     }
     for (target, changed), expected in cases.items():
-        ev = ContactEvent(0, 1, 0, target, 1 - target if changed else target, changed)
-        assert event_action(ev) == expected
+        assert ACTIONS[2 * target + changed] == expected
 
 
 def test_emit_events_csv(tmp_path):
-    events = [ContactEvent(0, 3, 1, 1, 0, True), ContactEvent(2, 5, 0, 0, 0, False)]
+    # rows (traj, step, q, target, changed)
+    events = np.array([(0, 3, 1, 1, 1), (2, 5, 0, 0, 0)], dtype=np.int64)
     path = tmp_path / "events.csv"
     emit_events_csv(events, path)
     assert path.read_text().splitlines() == [
@@ -127,9 +121,9 @@ def test_heatmap_constant_density_is_mid_gray(tmp_path):
 
 def test_heatmap_event_overlay_count(tmp_path):
     events = [
-        ContactEvent(0, 1, 0, 1, 0, True),
-        ContactEvent(0, 2, 1, 0, 1, True),
-        ContactEvent(0, 3, 0, 1, 1, False),  # null action: no marker
+        (0, 1, 0, 1, 1),
+        (0, 2, 1, 0, 1),
+        (0, 3, 0, 1, 0),  # null action: no marker
     ]
     path = tmp_path / "heatmap.svg"
     emit_heatmap(one_point_result(np.zeros((4, 2)), events=events), path, n_steps=3)
@@ -214,6 +208,16 @@ def test_main_reports_validation_errors(tmp_path, capsys):
 def test_main_rejects_unknown_preset(capsys):
     assert main(["preset", "nope", "--out", "unused"]) == 1
     assert "unknown preset" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_main_rejects_worker_count_below_one(tmp_path, capsys, workers):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(CLOSED_CONFIG))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg_path), "--out", str(out), "--workers", workers]) == 1
+    assert "error: --workers must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_main_compare_requires_compare_mode(tmp_path, capsys):

@@ -181,6 +181,28 @@ def test_preset_overrides():
     assert cfg.run.seed == 99 and cfg.run.N_traj == 10
 
 
+def test_presets_parse_back_unchanged():
+    # get_preset goes through parse_config; that must not alter a preset
+    for name, build in PRESETS.items():
+        assert get_preset(name) == build()
+
+
+@pytest.mark.parametrize("args, keys, memory", [
+    (["--traj", "0"], ("run",), None),
+    (["--seed", "-1", "--traj", "10"], ("seed",), None),
+    # the records of 500 fig3a trajectories (1.8 MB) exceed 1 MiB
+    (["--traj", "500"], ("N_traj", "L"), 2**20),
+], ids=["traj-zero", "seed-negative", "memory"])
+def test_main_rejects_malformed_preset_override(tmp_path, capsys, monkeypatch, args, keys, memory):
+    if memory is not None:
+        monkeypatch.setattr(config, "_physical_memory", lambda: memory)
+    out = tmp_path / "out"
+    assert main(["preset", "fig3a", "--out", str(out), *args]) == 1
+    err = capsys.readouterr().err
+    assert any(f"config error: {key}: " in err for key in keys), err
+    assert not out.exists()  # rejected before anything ran
+
+
 @pytest.mark.parametrize("key, override", MALFORMED.values(), ids=MALFORMED.keys())
 def test_main_rejects_malformed_value(tmp_path, capsys, key, override):
     cfg_path = tmp_path / "cfg.json"

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from openchain import lindblad
 from openchain.lindblad import (
     build_generator,
     build_jump_operators,
@@ -193,6 +194,18 @@ def test_oracle_health_monitoring():
     assert res.max_trace_drift <= 1e-8
     assert res.max_hermiticity_defect <= 1e-10
     assert res.min_eigenvalue >= -1e-7
+
+
+def test_oracle_reports_a_non_hermitian_generator(monkeypatch):
+    # i*1e-3*I is anti-Hermitian: each RK4 update gains 2e-3*dt*i on the
+    # diagonal of rho - rho^dag, which the symmetrization then removes
+    real_rhs = lindblad.lindblad_rhs
+    monkeypatch.setattr(lindblad, "lindblad_rhs",
+                        lambda rho, *gen: real_rhs(rho, *gen) + 1e-3j * np.eye(rho.shape[0]))
+    H = build_chain_hamiltonian(ChainSpec(L=2, gamma=3.0, v=10.0)).to_matrix()
+    jumps = build_jump_operators([ContactSpec(0, 0.5, 1.0), ContactSpec(1, 0.5, 0.0)], 2)
+    res = integrate(pure_dm(init_basis_state(2, (0,))), H, jumps, t_final=1.0, N_t=10)
+    assert res.max_hermiticity_defect > 1e-6
 
 
 def test_depolarizing_channels_leave_diagonal_densities_unchanged():

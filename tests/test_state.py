@@ -1,5 +1,5 @@
-"""State-vector engine: rotations of the Trotter kernel, measurement,
-flip and reset."""
+"""State-vector engine: rotations of the Trotter kernel and the contact
+kernel reset_to (measurement, collapse and fermionic flip)."""
 
 import numpy as np
 import pytest
@@ -13,14 +13,7 @@ from openchain.model import (
     build_chain_hamiltonian,
     fermion_lowering,
 )
-from openchain.state import (
-    RngStream,
-    all_densities,
-    flip_qubit,
-    init_basis_state,
-    measure_qubit,
-    reset_to,
-)
+from openchain.state import RngStream, StateVector, all_densities, init_basis_state, reset_to
 from openchain.trotter import apply_step, build_step
 
 
@@ -99,41 +92,53 @@ def test_rotation_reversible_and_norm_preserving(L, gamma, v, dt, seed):
 
 
 def test_flip_is_involution():
+    # after a reset to t, resets to 1 - t and back to t are forced
+    # outcomes, i.e. two pure flips, and restore the amplitudes
     s, amps = random_state(3, 7)
     s.amps[:] = amps
-    flip_qubit(flip_qubit(s, 1), 1)
-    assert np.max(np.abs(s.amps - amps)) <= 1e-15
+    rng = RngStream(0)
+    reset_to(s, 1, 0, rng)
+    after = s.amps.copy()
+    assert reset_to(s, 1, 1, rng).changed and reset_to(s, 1, 0, rng).changed
+    assert np.max(np.abs(s.amps - after)) <= 1e-15
 
 
 def test_flip_swaps_amplitudes():
     s = init_basis_state(1, ())
-    s.amps[:] = [0.6, 0.8]
-    flip_qubit(s, 0)
-    assert np.array_equal(s.amps, [0.8, 0.6])
-    flipped = init_basis_state(1, ())
-    flip_qubit(flipped, 0)
-    assert flipped.amps[1] == 1.0
+    assert reset_to(s, 0, 1, RngStream(0)).changed
+    assert np.array_equal(s.amps, [0, 1])
+    # qubit 0 occupied: the flip of qubit 1 carries the sign -1
+    s = init_basis_state(2, (0,))
+    reset_to(s, 1, 1, RngStream(0))
+    assert np.array_equal(s.amps, [0, 0, 0, -1])
 
 
 @settings(max_examples=40, deadline=None)
 @given(L=st.integers(min_value=1, max_value=4), seed=st.integers(min_value=0, max_value=999))
 def test_flip_is_fermionic_c_plus_c_dag(L, seed):
-    # the contact flip carries the Jordan-Wigner string of qubits below q
+    # reset_to(q, t) with outcome m is (c_q + c_q^dag)^[m != t] P_m psi / |P_m psi|,
+    # the flip carrying the Jordan-Wigner string of the qubits below q
     _, amps = random_state(L, seed)
+    bits = np.arange(1 << L)
     for q in range(L):
         c = fermion_lowering(q, L)
-        s = init_basis_state(L, ())
-        s.amps[:] = amps
-        flip_qubit(s, q)
-        assert np.max(np.abs(s.amps - (c + c.conj().T) @ amps)) <= 1e-15
+        for target in (0, 1):
+            s = init_basis_state(L, ())
+            s.amps[:] = amps
+            ev = reset_to(s, q, target, RngStream(seed, q))
+            projected = np.where((bits >> q) & 1 == ev.measured, amps, 0.0)
+            expected = projected / np.linalg.norm(projected)
+            if ev.measured != target:
+                expected = (c + c.conj().T) @ expected
+            assert ev.changed == (ev.measured != target)
+            assert np.max(np.abs(s.amps - expected)) <= 1e-14
 
 
 def test_measure_deterministic_skips_draw():
     # |00>: measuring q=1 is forced, so the stream must not advance
     s = init_basis_state(2, ())
     rng = RngStream(5)
-    outcome = measure_qubit(s, 1, rng)
-    assert outcome == 0
+    assert reset_to(s, 1, 0, rng).measured == 0
     assert np.array_equal(s.amps, init_basis_state(2, ()).amps)
     assert rng.uniform() == RngStream(5).uniform()
 
@@ -145,7 +150,7 @@ def test_measure_born_statistics():
     for _ in range(n):
         s = init_basis_state(1, ())
         s.amps[:] = [1 / np.sqrt(2), 1 / np.sqrt(2)]
-        ones += measure_qubit(s, 0, rng)
+        ones += reset_to(s, 0, 0, rng).measured
     assert ones / n == pytest.approx(0.5, abs=0.02)
 
 
@@ -158,18 +163,20 @@ def test_measure_after_small_x_rotation():
     for _ in range(n):
         s = init_basis_state(1, ())
         s.amps[:] = [np.cos(0.3), -1j * np.sin(0.3)]
-        ones += measure_qubit(s, 0, rng)
+        ones += reset_to(s, 0, 0, rng).measured
     sigma = np.sqrt(p_expected * (1 - p_expected) / n)
     assert abs(ones / n - p_expected) <= 4 * sigma
 
 
 def test_measure_collapses_and_renormalizes():
+    # a reset to the measured outcome is the bare collapse
     s, amps = random_state(3, 3)
     s.amps[:] = amps
-    rng = RngStream(0)
-    outcome = measure_qubit(s, 1, rng)
+    measured = reset_to(StateVector(3, amps.copy()), 1, 0, RngStream(0)).measured
+    ev = reset_to(s, 1, measured, RngStream(0))
+    assert (ev.measured, ev.changed) == (measured, False)
     assert s.norm() == pytest.approx(1.0, abs=1e-12)
-    assert all_densities(s)[1] == pytest.approx(float(outcome), abs=1e-12)
+    assert all_densities(s)[1] == pytest.approx(float(measured), abs=1e-12)
 
 
 def test_reset_examples():
