@@ -7,7 +7,6 @@ from .model import (
     PauliTerm,
     build_chain_hamiltonian,
     fock_matrix_oracle,
-    number_operator,
 )
 from .state import (
     RngStream,
@@ -32,7 +31,6 @@ __all__ = [
     "PauliTerm",
     "build_chain_hamiltonian",
     "fock_matrix_oracle",
-    "number_operator",
     "RngStream",
     "StateVector",
     "init_basis_state",

@@ -17,7 +17,6 @@ import numpy as np
 
 from .config import (
     ABS_BUDGET,
-    MODES,
     SIGMA_FACTOR,
     ConfigError,
     ScenarioConfig,
@@ -70,33 +69,25 @@ def run_scenario(
 
     Every mode is a view of the same trajectory ensemble: closed runs
     one trajectory, open and compare run N_traj, `single` (open mode
-    only) adds trajectory 0 on its own, and the oracle modes add the
-    Lindblad densities.
+    only) adds trajectory 0 on its own, and compare adds the Lindblad
+    densities as `lindblad.csv` and the verdict.
     """
-    if cfg.mode not in MODES:
-        raise ConfigError([f"unknown mode {cfg.mode!r}"])
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     ham = build_chain_hamiltonian(cfg.chain)
+    plan = build_step(ham, cfg.run.dt)
+    run = replace(cfg.run, N_traj=1) if cfg.mode == "closed" else cfg.run
+    ens = run_ensemble(plan, cfg.contacts, run, cfg.init_occupations, workers=workers)
     # (result, density file, events file, heatmap file); None is not written
-    writes = []
-
-    if cfg.mode != "lindblad-check":
-        plan = build_step(ham, cfg.run.dt)
-        run = replace(cfg.run, N_traj=1) if cfg.mode == "closed" else cfg.run
-        ens = run_ensemble(plan, cfg.contacts, run, cfg.init_occupations, workers=workers)
-        writes.append((ens, "density.csv", "events.csv",
-                       "heatmap.svg" if cfg.emit_heatmap else None))
-        if single and cfg.mode == "open":
-            solo = run_ensemble(plan, cfg.contacts, replace(run, N_traj=1), cfg.init_occupations)
-            writes.append((solo, "single_density.csv", "single_events.csv", "single_heatmap.svg"))
-
-    if cfg.mode in ("lindblad-check", "compare"):
+    writes = [(ens, "density.csv", "events.csv", "heatmap.svg" if cfg.emit_heatmap else None)]
+    if single and cfg.mode == "open":
+        solo = run_ensemble(plan, cfg.contacts, replace(run, N_traj=1), cfg.init_occupations)
+        writes.append((solo, "single_density.csv", "single_events.csv", "single_heatmap.svg"))
+    if cfg.mode == "compare":
         lind = _lindblad_run(cfg, ham)
         oracle = EnsembleResult(lind.times, lind.densities, np.zeros_like(lind.densities),
                                 np.zeros((0, 5), dtype=np.int64), 0)
-        name = "lindblad.csv" if cfg.mode == "compare" else "density.csv"
-        writes.append((oracle, name, None, None))
+        writes.append((oracle, "lindblad.csv", None, None))
 
     for result, density, events, heatmap in writes:
         emit_csv(result, out / density)

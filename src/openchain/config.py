@@ -1,5 +1,9 @@
 """Scenario configuration: JSON ingestion, validation, presets.
 
+A scenario is one JSON document.  `parse_config` is the only thing that
+builds a `ScenarioConfig`; a preset is the dict that a config file would
+hold, checked by `parse_config` like any file.
+
 Sites are 1-based in config files and output (matching the physics
 convention used throughout the docs); internally they map to qubits
 0..L-1.
@@ -12,11 +16,12 @@ import math
 import os
 from dataclasses import dataclass
 
+from .lindblad import MAX_LINDBLAD_QUBITS
 from .model import ChainSpec
 from .state import MAX_QUBITS
 from .trajectory import ContactSpec, RunConfig, fermi_dirac, validate_contacts
 
-MODES = ("closed", "open", "lindblad-check", "compare")
+MODES = ("closed", "open", "compare")
 
 # Tolerance budget for the trajectory-vs-Lindblad comparison:
 # |n_traj - n_lindblad| <= SIGMA_FACTOR * stderr + ABS_BUDGET per
@@ -28,8 +33,16 @@ CONFIG_KEYS = frozenset((
     "mode", "L", "gamma_meV", "v_meV", "contacts", "t_final", "N_t", "N_traj", "seed",
     "record_every", "init_sites", "include_depolarizing", "emit_heatmap", "output",
 ))
+# "label" is a free-form annotation; nothing reads it
 CONTACT_KEYS = frozenset(("site", "f", "eps_meV", "mu_meV", "kT_meV", "Gamma_meV", "eta", "label"))
 FERMI_DIRAC_KEYS = ("eps_meV", "mu_meV", "kT_meV")
+
+# one (traj, step, q, target, changed) int64 event row
+EVENT_ROW_BYTES = 5 * 8
+# a running trajectory keeps its events as 5-tuples in a list until it
+# converts them to int64 rows; tracemalloc measured a peak of 185 B per
+# row (tuple, step int, list slot and the array row) over 10**6 rows
+RUNNING_EVENT_ROW_BYTES = 185
 
 
 class ConfigError(ValueError):
@@ -47,9 +60,9 @@ class ScenarioConfig:
     contacts: tuple[ContactSpec, ...]
     run: RunConfig
     init_occupations: tuple[int, ...]  # 0-based qubit indices
-    include_depolarizing: bool = True
-    emit_heatmap: bool = False
-    output_path: str | None = None
+    include_depolarizing: bool
+    emit_heatmap: bool
+    output_path: str | None
 
 
 def _is_int(value) -> bool:
@@ -92,22 +105,29 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def _check_memory(mode: str, L: int, run: RunConfig, n_ops: int, errors: list[str]) -> None:
+def _check_memory(mode: str, L: int, run: RunConfig, contacts, include_depolarizing: bool,
+                  errors: list[str]) -> None:
     """Reject a run whose estimated peak memory exceeds physical memory,
     under the key of its largest factor, before anything is allocated."""
     # state vector, phase vector and step temporaries, 16 B per amplitude each
     state = 3 * 16 << L
-    if mode in ("compare", "lindblad-check") and L <= 8:
+    if mode == "compare" and L <= MAX_LINDBLAD_QUBITS:
         # the oracle's jump stack, its adjoint and the two J rho J^dag
         # temporaries, plus about ten density matrices for the RK4 stages
+        n_ops = len(contacts) * (4 if include_depolarizing else 2)
         state += (4 * n_ops + 10) * 16 << 2 * L
     rows = run.N_t // run.record_every + 1
-    n_traj = {"closed": 1, "lindblad-check": 0}.get(mode, run.N_traj)
+    n_traj = 1 if mode == "closed" else run.N_traj
     # every trajectory's records, their ensemble stack and the reduction temporary
-    records = 3 * n_traj * rows * L * 8
-    need, have = state + records, _physical_memory()
+    held = 3 * n_traj * rows * L * 8
+    # the expected event rows of one trajectory, eta = Gamma * dt per contact
+    # and step: every trajectory's array and their concatenation, plus the
+    # trajectory still running
+    events = run.N_t * sum(c.Gamma * run.dt for c in contacts)
+    held += events * (2 * n_traj * EVENT_ROW_BYTES + RUNNING_EVENT_ROW_BYTES)
+    need, have = state + held, _physical_memory()
     if need > have:
-        key = "L" if state >= records else "N_traj" if n_traj > rows else "N_t"
+        key = "L" if state >= held else "N_traj" if n_traj > rows else "N_t"
         errors.append(
             f"{key}: L={L}, N_t={run.N_t}, record_every={run.record_every}, "
             f"N_traj={run.N_traj} needs ~{need / 2**30:.3g} GiB, more than the "
@@ -160,7 +180,7 @@ def _contact_from_dict(entry: dict, L: int, dt: float, path: str, errors: list[s
     if not (gamma >= 0 and math.isfinite(gamma)):
         errors.append(f"{path}.Gamma_meV: must be >= 0, got {gamma!r}")
         return None
-    return ContactSpec(q=site - 1, Gamma=gamma, f=f, label=str(entry.get("label", "")))
+    return ContactSpec(q=site - 1, Gamma=gamma, f=f)
 
 
 def parse_config(text: str) -> ScenarioConfig:
@@ -203,7 +223,7 @@ def parse_config(text: str) -> ScenarioConfig:
         except ValueError as exc:
             errors.append(f"run: {exc}")
     if run is not None:
-        if mode in ("compare", "lindblad-check") and run.N_t % run.record_every:
+        if mode == "compare" and run.N_t % run.record_every:
             errors.append(
                 f"record_every: mode={mode} needs N_t divisible by record_every, "
                 f"got N_t={run.N_t}, record_every={run.record_every}"
@@ -227,7 +247,7 @@ def parse_config(text: str) -> ScenarioConfig:
     include_depolarizing = _flag(raw, "include_depolarizing", True, errors)
     emit_heatmap = _flag(raw, "emit_heatmap", False, errors)
     if run is not None:
-        _check_memory(mode, L, run, len(contacts) * (4 if include_depolarizing else 2), errors)
+        _check_memory(mode, L, run, contacts, include_depolarizing, errors)
 
     init_sites = raw.get("init_sites", [])
     init: list[int] = []
@@ -250,8 +270,8 @@ def parse_config(text: str) -> ScenarioConfig:
         errors.append("mode=closed requires an empty contact list")
     if mode == "open" and not raw_contacts:
         errors.append("mode=open requires at least one contact")
-    if mode in ("compare", "lindblad-check") and L > 8:
-        errors.append(f"mode={mode} requires L <= 8 (dense oracle), got L={L}")
+    if mode == "compare" and L > MAX_LINDBLAD_QUBITS:
+        errors.append(f"mode={mode} requires L <= {MAX_LINDBLAD_QUBITS} (dense oracle), got L={L}")
 
     if errors or chain is None or run is None:
         raise ConfigError(errors)
@@ -268,95 +288,36 @@ def parse_config(text: str) -> ScenarioConfig:
     )
 
 
-def scenario_to_dict(cfg: ScenarioConfig) -> dict:
-    """Inverse of parse_config: parse(json.dumps(scenario_to_dict(c)))
-    recovers c field for field."""
-    d = {
-        "mode": cfg.mode,
-        "L": cfg.chain.L,
-        "gamma_meV": cfg.chain.gamma,
-        "v_meV": cfg.chain.v,
-        "contacts": [
-            {"site": c.q + 1, "Gamma_meV": c.Gamma, "f": c.f, "label": c.label}
-            for c in cfg.contacts
-        ],
-        "t_final": cfg.run.t_final,
-        "N_t": cfg.run.N_t,
-        "N_traj": cfg.run.N_traj,
-        "seed": cfg.run.seed,
-        "record_every": cfg.run.record_every,
-        "init_sites": [q + 1 for q in cfg.init_occupations],
-        "include_depolarizing": cfg.include_depolarizing,
-        "emit_heatmap": cfg.emit_heatmap,
-    }
-    if cfg.output_path is not None:
-        d["output"] = cfg.output_path
-    return d
-
-
 # -- presets -----------------------------------------------------------
 
-def _source_drain(L: int, Gamma: float = 0.5) -> tuple[ContactSpec, ContactSpec]:
-    return (
-        ContactSpec(q=0, Gamma=Gamma, f=1.0, label="S"),
-        ContactSpec(q=L - 1, Gamma=Gamma, f=0.0, label="D"),
-    )
+def _source_drain(L: int) -> list[dict]:
+    """A source (f = 1) on site 1 and a drain (f = 0) on site L."""
+    return [{"site": 1, "Gamma_meV": 0.5, "f": 1.0}, {"site": L, "Gamma_meV": 0.5, "f": 0.0}]
 
 
-def _preset_fig2() -> ScenarioConfig:
+def _transport(mode: str, L: int, gamma: float, t_final: float, N_t: int, N_traj: int) -> dict:
+    """The chain between a source and a drain, one electron on site 1."""
+    return {
+        "mode": mode, "L": L, "gamma_meV": gamma, "v_meV": 10.0, "contacts": _source_drain(L),
+        "t_final": t_final, "N_t": N_t, "N_traj": N_traj, "seed": 1, "init_sites": [1],
+    }
+
+
+PRESETS = {
     # single electron on a 12-site chain, recorded every 0.5 (31 rows).
     # It integrates at dt = 0.005: at dt = 0.5 the first-order bond sweep
     # carries the front across many bonds per step (density error 0.73,
     # front peak on site 12 at t = 5 instead of 7); at 0.005 the error
     # is below 0.02.
-    return ScenarioConfig(
-        mode="closed",
-        chain=ChainSpec(L=12, gamma=1.0, v=0.0),
-        contacts=(),
-        run=RunConfig(t_final=15.0, N_t=3000, N_traj=1, seed=1, record_every=100),
-        init_occupations=(0,),
-        emit_heatmap=True,
-    )
-
-
-def _preset_fig3(gamma: float) -> ScenarioConfig:
-    return ScenarioConfig(
-        mode="open",
-        chain=ChainSpec(L=7, gamma=gamma, v=10.0),
-        contacts=_source_drain(7),
-        run=RunConfig(t_final=10.0, N_t=20, N_traj=2000, seed=1),
-        init_occupations=(0,),
-    )
-
-
-def _preset_fig4() -> ScenarioConfig:
-    return ScenarioConfig(
-        mode="open",
-        chain=ChainSpec(L=12, gamma=5.0, v=10.0),
-        contacts=_source_drain(12),
-        run=RunConfig(t_final=15.0, N_t=30, N_traj=500, seed=1),
-        init_occupations=(0,),
-    )
-
-
-def _preset_compare(L: int) -> ScenarioConfig:
-    return ScenarioConfig(
-        mode="compare",
-        chain=ChainSpec(L=L, gamma=3.0, v=10.0),
-        contacts=_source_drain(L),
-        run=RunConfig(t_final=10.0, N_t=40, N_traj=8000, seed=1),
-        init_occupations=(0,),
-        include_depolarizing=True,
-    )
-
-
-PRESETS = {
-    "fig2": _preset_fig2,
-    "fig3a": lambda: _preset_fig3(3.0),
-    "fig3b": lambda: _preset_fig3(5.0),
-    "fig4-l12": _preset_fig4,
-    "compare-l2": lambda: _preset_compare(2),
-    "compare-l3": lambda: _preset_compare(3),
+    "fig2": {
+        "mode": "closed", "L": 12, "gamma_meV": 1.0, "v_meV": 0.0, "t_final": 15.0,
+        "N_t": 3000, "seed": 1, "record_every": 100, "init_sites": [1], "emit_heatmap": True,
+    },
+    "fig3a": _transport("open", 7, 3.0, 10.0, 20, 2000),
+    "fig3b": _transport("open", 7, 5.0, 10.0, 20, 2000),
+    "fig4-l12": _transport("open", 12, 5.0, 15.0, 30, 500),
+    "compare-l2": _transport("compare", 2, 3.0, 10.0, 40, 8000),
+    "compare-l3": _transport("compare", 3, 3.0, 10.0, 40, 8000),
 }
 
 
@@ -366,7 +327,7 @@ def get_preset(name: str, seed: int | None = None, n_traj: int | None = None) ->
     if name not in PRESETS:
         known = ", ".join(sorted(PRESETS))
         raise ConfigError([f"unknown preset {name!r}; available: {known}"])
-    d = scenario_to_dict(PRESETS[name]())
+    d = dict(PRESETS[name])
     if seed is not None:
         d["seed"] = seed
     if n_traj is not None:

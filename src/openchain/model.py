@@ -95,25 +95,6 @@ class PauliHamiltonian:
         return H
 
 
-class _TermAccumulator:
-    """Order-preserving merge of Pauli strings."""
-
-    def __init__(self, L: int):
-        self.L = L
-        self._coeffs: dict[str, float] = {}
-
-    def add(self, coeff: float, positions: dict[int, str]) -> None:
-        letters = ["I"] * self.L
-        for q, p in positions.items():
-            letters[q] = p
-        key = "".join(letters)
-        self._coeffs[key] = self._coeffs.get(key, 0.0) + coeff
-
-    def build(self) -> PauliHamiltonian:
-        terms = tuple(PauliTerm(c, s) for s, c in self._coeffs.items())
-        return PauliHamiltonian(self.L, terms)
-
-
 def build_chain_hamiltonian(spec: ChainSpec) -> PauliHamiltonian:
     """Jordan-Wigner image of the chain Hamiltonian.
 
@@ -124,28 +105,23 @@ def build_chain_hamiltonian(spec: ChainSpec) -> PauliHamiltonian:
     deterministic: hopping bonds ascending (XX before YY), then the
     interaction strings in first-appearance order.
     """
-    acc = _TermAccumulator(spec.L)
+    coeffs: dict[str, float] = {}  # insertion-ordered merge of equal strings
+
+    def add(coeff: float, positions: dict[int, str]) -> None:
+        key = "".join(positions.get(q, "I") for q in range(spec.L))
+        coeffs[key] = coeffs.get(key, 0.0) + coeff
+
     if spec.gamma != 0.0:
         for b in range(spec.L - 1):
-            acc.add(spec.gamma / 2.0, {b: "X", b + 1: "X"})
-            acc.add(spec.gamma / 2.0, {b: "Y", b + 1: "Y"})
+            add(spec.gamma / 2.0, {b: "X", b + 1: "X"})
+            add(spec.gamma / 2.0, {b: "Y", b + 1: "Y"})
     if spec.v != 0.0:
         for b in range(spec.L - 1):
-            acc.add(spec.v / 4.0, {})
-            acc.add(-spec.v / 4.0, {b: "Z"})
-            acc.add(-spec.v / 4.0, {b + 1: "Z"})
-            acc.add(spec.v / 4.0, {b: "Z", b + 1: "Z"})
-    return acc.build()
-
-
-def number_operator(q: int, L: int) -> PauliHamiltonian:
-    """Site occupation n_q = (I - Z_q)/2 as a Pauli sum."""
-    if not 0 <= q < L:
-        raise ValueError(f"qubit index {q} out of range for L={L}")
-    acc = _TermAccumulator(L)
-    acc.add(0.5, {})
-    acc.add(-0.5, {q: "Z"})
-    return acc.build()
+            add(spec.v / 4.0, {})
+            add(-spec.v / 4.0, {b: "Z"})
+            add(-spec.v / 4.0, {b + 1: "Z"})
+            add(spec.v / 4.0, {b: "Z", b + 1: "Z"})
+    return PauliHamiltonian(spec.L, tuple(PauliTerm(c, s) for s, c in coeffs.items()))
 
 
 def _check_dense_size(L: int) -> None:

@@ -15,6 +15,9 @@ from .trajectory import EnsembleResult
 
 # the action label of an event row, indexed by 2 * target + changed
 ACTIONS = ("null_remove", "remove", "null_inject", "inject")
+# event rows turned into Python objects at a time: tolist() holds about
+# 104 B per row, so the writer holds under 0.5 MiB for any E
+EVENTS_BLOCK = 4096
 
 
 def _fmt(x: float) -> str:
@@ -46,13 +49,14 @@ def parse_density_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def emit_events_csv(events: np.ndarray, path) -> None:
     """Write the (E, 5) event rows as `traj,step,site,action` (site
-    1-based), row by row."""
+    1-based), EVENTS_BLOCK rows at a time."""
     with open(path, "w") as fh:
         fh.write("traj,step,site,action\n")
-        fh.writelines(
-            f"{traj},{step},{q + 1},{ACTIONS[2 * target + changed]}\n"
-            for traj, step, q, target, changed in events.tolist()
-        )
+        for start in range(0, len(events), EVENTS_BLOCK):
+            fh.writelines(
+                f"{traj},{step},{q + 1},{ACTIONS[2 * target + changed]}\n"
+                for traj, step, q, target, changed in events[start:start + EVENTS_BLOCK].tolist()
+            )
 
 
 def emit_heatmap(

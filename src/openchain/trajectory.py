@@ -33,7 +33,6 @@ class ContactSpec:
     q: int
     Gamma: float
     f: float
-    label: str = ""
 
     def __post_init__(self) -> None:
         if not (self.Gamma >= 0.0 and math.isfinite(self.Gamma)):

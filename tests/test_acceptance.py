@@ -223,7 +223,7 @@ def test_criterion_7_fine_step_speed_ordering():
     for gamma in (3.0, 5.0):
         chain = ChainSpec(L=7, gamma=gamma, v=10.0)
         plan = build_step(build_chain_hamiltonian(chain), 0.05)
-        contacts = (ContactSpec(0, 0.5, 1.0, "S"), ContactSpec(6, 0.5, 0.0, "D"))
+        contacts = (ContactSpec(0, 0.5, 1.0), ContactSpec(6, 0.5, 0.0))
         cfg = RunConfig(t_final=10.0, N_t=200, N_traj=400, seed=1)
         ens = run_ensemble(plan, contacts, cfg, (0,), workers=8)
         arrivals[gamma] = arrival_time(ens, 6)

@@ -7,7 +7,14 @@ import pytest
 
 from openchain.cli import compare_verdict, main, run_scenario
 from openchain.config import get_preset, parse_config
-from openchain.output import ACTIONS, emit_csv, emit_events_csv, emit_heatmap, parse_density_csv
+from openchain.output import (
+    ACTIONS,
+    EVENTS_BLOCK,
+    emit_csv,
+    emit_events_csv,
+    emit_heatmap,
+    parse_density_csv,
+)
 from openchain.trajectory import EnsembleResult
 
 CLOSED_CONFIG = {
@@ -52,7 +59,6 @@ SCENARIO_FILES = {
     "open-single": (OPEN_CONFIG, True, TRAJ_FILES | SINGLE_FILES),
     "open-single-heatmap": (dict(OPEN_CONFIG, emit_heatmap=True), True,
                             TRAJ_FILES | SINGLE_FILES | {"heatmap.svg"}),
-    "lindblad-check": (dict(COMPARE_CONFIG, mode="lindblad-check"), True, {"density.csv"}),
     "compare": (dict(COMPARE_CONFIG, N_traj=20), True,
                 TRAJ_FILES | {"lindblad.csv", "verdict.json"}),
 }
@@ -109,6 +115,22 @@ def test_emit_events_csv(tmp_path):
         "0,3,2,inject",
         "2,5,1,null_remove",
     ]
+
+
+def test_emit_events_csv_in_blocks_matches_row_by_row(tmp_path):
+    gen = np.random.default_rng(5)
+    n = 2 * EVENTS_BLOCK + 17
+    events = np.column_stack([
+        np.arange(n) // 7, np.arange(n), gen.integers(0, 8, n),
+        gen.integers(0, 2, n), gen.integers(0, 2, n),
+    ]).astype(np.int64)
+    path = tmp_path / "events.csv"
+    emit_events_csv(events, path)
+    reference = "traj,step,site,action\n" + "".join(
+        f"{int(traj)},{int(step)},{int(q) + 1},{ACTIONS[2 * int(target) + int(changed)]}\n"
+        for traj, step, q, target, changed in events
+    )
+    assert path.read_text() == reference
 
 
 def test_heatmap_constant_density_is_mid_gray(tmp_path):
@@ -179,15 +201,6 @@ def test_compare_detects_gross_bias(tmp_path):
     code = run_scenario(cfg, tmp_path, workers=1)
     verdict = json.loads((tmp_path / "verdict.json").read_text())
     assert code == 2 and verdict["pass"] is False
-
-
-def test_lindblad_check_mode(tmp_path):
-    raw = dict(COMPARE_CONFIG, mode="lindblad-check", N_traj=1)
-    cfg = parse_config(json.dumps(raw))
-    assert run_scenario(cfg, tmp_path) == 0
-    times, mean, stderr = parse_density_csv(tmp_path / "density.csv")
-    assert times[-1] == 10.0
-    assert np.all(stderr == 0.0)
 
 
 def test_main_run_and_exit_codes(tmp_path):

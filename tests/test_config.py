@@ -11,7 +11,6 @@ from openchain.config import (
     PRESETS,
     get_preset,
     parse_config,
-    scenario_to_dict,
 )
 
 MINIMAL_CLOSED = {
@@ -53,6 +52,12 @@ MALFORMED = {
     "compare-off-grid": ("record_every", {"mode": "compare", "N_t": 40, "record_every": 3}),
     "N_t-beyond-memory": ("N_t", {"N_t": 10**12}),
     "N_traj-beyond-memory": ("N_traj", {"N_traj": 10**12}),
+    # eta = 0.5 on each of two contacts: one event row per step and
+    # trajectory, 10**11 rows in all, while the records are two rows each
+    "events-beyond-memory": ("N_traj", {
+        "t_final": 10**9, "N_t": 10**9, "record_every": 10**9, "N_traj": 100,
+        "contacts": [{"site": 1, "eta": 0.5, "f": 1.0}, {"site": 2, "eta": 0.5, "f": 0.0}]}),
+    "mode-lindblad-check": ("mode", {"mode": "lindblad-check"}),
     "unknown-N_trajs": ("N_trajs", {"N_trajs": 500}),
     "unknown-record_evry": ("record_evry", {"record_evry": 10}),
     "unknown-include_depolarising": ("include_depolarising", {"include_depolarising": False}),
@@ -88,12 +93,6 @@ def test_fig3a_preset_expansion():
     source, drain = cfg.contacts
     assert (source.q, source.Gamma, source.f) == (0, 0.5, 1.0)
     assert (drain.q, drain.Gamma, drain.f) == (6, 0.5, 0.0)
-
-
-def test_all_presets_validate_via_roundtrip():
-    for name in PRESETS:
-        cfg = get_preset(name)
-        assert parse_config(json.dumps(scenario_to_dict(cfg))) is not None
 
 
 def test_malformed_json_rejected():
@@ -143,17 +142,6 @@ def test_mode_constraints():
     assert any("L <= 8" in e for e in exc.value.errors)
 
 
-def test_roundtrip_is_identity():
-    cfg = get_preset("compare-l2")
-    again = parse_config(json.dumps(scenario_to_dict(cfg)))
-    assert again.mode == cfg.mode
-    assert again.chain == cfg.chain
-    assert again.contacts == cfg.contacts
-    assert again.run == cfg.run
-    assert again.init_occupations == cfg.init_occupations
-    assert again.include_depolarizing == cfg.include_depolarizing
-
-
 def test_eta_key_alternative():
     raw = dict(MINIMAL_CLOSED, mode="open", t_final=10, N_t=20,
                contacts=[{"site": 1, "eta": 0.5, "f": 1.0}])
@@ -179,12 +167,36 @@ def test_unknown_and_unsupported_presets():
 def test_preset_overrides():
     cfg = get_preset("fig3a", seed=99, n_traj=10)
     assert cfg.run.seed == 99 and cfg.run.N_traj == 10
+    # the overrides apply to a copy of the preset's dict
+    assert get_preset("fig3a").run.N_traj == 2000
 
 
-def test_presets_parse_back_unchanged():
-    # get_preset goes through parse_config; that must not alter a preset
-    for name, build in PRESETS.items():
-        assert get_preset(name) == build()
+def source_drain(L):
+    return (0, 0.5, 1.0), (L - 1, 0.5, 0.0)
+
+
+# name: (mode, L, gamma, v, (q, Gamma, f) per contact, t_final, N_t,
+#        N_traj, seed, record_every, initial qubits, emit_heatmap)
+PRESET_VALUES = {
+    "fig2": ("closed", 12, 1.0, 0.0, (), 15.0, 3000, 1, 1, 100, (0,), True),
+    "fig3a": ("open", 7, 3.0, 10.0, source_drain(7), 10.0, 20, 2000, 1, 1, (0,), False),
+    "fig3b": ("open", 7, 5.0, 10.0, source_drain(7), 10.0, 20, 2000, 1, 1, (0,), False),
+    "fig4-l12": ("open", 12, 5.0, 10.0, source_drain(12), 15.0, 30, 500, 1, 1, (0,), False),
+    "compare-l2": ("compare", 2, 3.0, 10.0, source_drain(2), 10.0, 40, 8000, 1, 1, (0,), False),
+    "compare-l3": ("compare", 3, 3.0, 10.0, source_drain(3), 10.0, 40, 8000, 1, 1, (0,), False),
+}
+
+
+@pytest.mark.parametrize("name", PRESETS)
+def test_preset_parses_to_pinned_values(name):
+    cfg = get_preset(name)
+    assert (
+        cfg.mode, cfg.chain.L, cfg.chain.gamma, cfg.chain.v,
+        tuple((c.q, c.Gamma, c.f) for c in cfg.contacts),
+        cfg.run.t_final, cfg.run.N_t, cfg.run.N_traj, cfg.run.seed, cfg.run.record_every,
+        cfg.init_occupations, cfg.emit_heatmap,
+    ) == PRESET_VALUES[name]
+    assert cfg.include_depolarizing is True and cfg.output_path is None
 
 
 @pytest.mark.parametrize("args, keys, memory", [

@@ -12,7 +12,6 @@ from openchain.model import (
     build_chain_hamiltonian,
     fermion_lowering,
     fock_matrix_oracle,
-    number_operator,
 )
 
 
@@ -90,7 +89,7 @@ def test_hamiltonian_is_hermitian(L, gamma, v):
 @pytest.mark.parametrize("L", [2, 4, 6])
 def test_commutes_with_total_number(L):
     H = build_chain_hamiltonian(ChainSpec(L=L, gamma=3.0, v=10.0)).to_matrix()
-    N = sum(number_operator(q, L).to_matrix() for q in range(L))
+    N = sum(c.conj().T @ c for c in (fermion_lowering(q, L) for q in range(L)))
     assert np.linalg.norm(H @ N - N @ H) <= 1e-12
 
 
@@ -114,21 +113,6 @@ def test_pauliterm_validation():
 def test_hamiltonian_rejects_duplicate_strings():
     with pytest.raises(ValueError):
         PauliHamiltonian(2, (PauliTerm(0.5, "XX"), PauliTerm(0.25, "XX")))
-
-
-def test_number_operator_expectations():
-    n = number_operator(0, 1).to_matrix()
-    occupied = np.array([0.0, 1.0])
-    empty = np.array([1.0, 0.0])
-    half = np.array([1.0, 1.0]) / np.sqrt(2)
-    assert occupied @ n @ occupied == pytest.approx(1.0)
-    assert empty @ n @ empty == pytest.approx(0.0)
-    assert half @ n @ half == pytest.approx(0.5)
-
-
-def test_number_operator_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        number_operator(2, 2)
 
 
 def test_lowering_operators_anticommute():
