@@ -75,13 +75,14 @@ def run_scenario(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     ham = build_chain_hamiltonian(cfg.chain)
-    plan = build_step(ham, cfg.run.dt)
+    plan = build_step(ham, cfg.run.dt, symmetric=cfg.step == "symmetric")
     run = replace(cfg.run, N_traj=1) if cfg.mode == "closed" else cfg.run
     ens = run_ensemble(plan, cfg.contacts, run, cfg.init_occupations, workers=workers)
     # (result, density file, events file, heatmap file); None is not written
     writes = [(ens, "density.csv", "events.csv", "heatmap.svg" if cfg.emit_heatmap else None)]
     if single and cfg.mode == "open":
-        solo = run_ensemble(plan, cfg.contacts, replace(run, N_traj=1), cfg.init_occupations)
+        solo = run_ensemble(plan, cfg.contacts, replace(run, N_traj=1), cfg.init_occupations,
+                            workers=1)
         writes.append((solo, "single_density.csv", "single_events.csv", "single_heatmap.svg"))
     if cfg.mode == "compare":
         lind = _lindblad_run(cfg, ham)

@@ -3,22 +3,31 @@ and the one contact kernel, `reset_to`: a Born-rule measurement and the
 conditional fermionic flip c_q + c_q^dag in a single pass.  The unitary
 step acts on the amplitudes in trotter.py.
 
-A StateVector is confined to one trajectory worker at a time; nothing in
-here shares mutable state between instances.
+The amplitudes of a StateVector have shape (2^L,) for one state or
+(B, 2^L) for a batch: row b is trajectory b of the batch, and every
+kernel here and in trotter.py acts on each row independently.
+
+The kernels draw no random numbers themselves.  The caller hands
+`reset_to` one measurement uniform per row, from each trajectory's own
+RngStream; trajectory.py fixes the layout of those draws.  A
+StateVector is confined to one worker at a time; nothing in here shares
+mutable state between instances.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 MAX_QUBITS = 26
 
-# Probabilities this close to 0 or 1 are treated as deterministic and do
-# not consume a random draw (keeps draw counts reproducible).
-DETERMINISTIC_EPS = 1e-12
+# A Born probability this close to 0 or 1 takes the forced outcome
+# whatever the uniform, so no row is divided by the root of a
+# round-off residue.  The uniform is consumed either way.
+FORCED_EPS = 1e-12
 
 
 class RngStream:
@@ -31,15 +40,19 @@ class RngStream:
         self.seed = seed
         self.stream = stream
 
-    def uniform(self) -> float:
-        """One draw from U[0, 1)."""
-        return float(self._gen.random())
+    def uniform(self, shape=None):
+        """One draw from U[0, 1), or an array of draws of `shape` in C
+        order.  Draws taken in several calls are the same numbers as
+        in one call, so a block of steps can be drawn at a time."""
+        if shape is None:
+            return float(self._gen.random())
+        return self._gen.random(shape)
 
 
 @dataclass
 class StateVector:
-    """2^L complex amplitudes; bit q of the index is the occupation of
-    qubit q."""
+    """Complex amplitudes of shape (2^L,) or (B, 2^L); bit q of the last
+    index is the occupation of qubit q."""
 
     L: int
     amps: np.ndarray
@@ -48,15 +61,11 @@ class StateVector:
         return float(np.sqrt(np.sum(np.abs(self.amps) ** 2, dtype=np.longdouble)))
 
 
-@dataclass(frozen=True)
-class ResetEvent:
-    """Outcome of one reset: which qubit, what was measured, what it was
-    forced to, and whether the occupation actually changed."""
+class Resets(NamedTuple):
+    """Outcome of one `reset_to` call."""
 
-    q: int
-    measured: int
-    target: int
-    changed: bool
+    measured: np.ndarray  # outcome per row, shaped like target; -1 where the row took no action
+    changed: int  # how many rows the flip changed
 
 
 def init_basis_state(L: int, occupations) -> StateVector:
@@ -72,50 +81,108 @@ def init_basis_state(L: int, occupations) -> StateVector:
     return StateVector(L, amps)
 
 
-def all_densities(state: StateVector) -> np.ndarray:
-    """<n_q> for every qubit, as a length-L float array."""
-    probs = np.abs(state.amps) ** 2
-    out = np.empty(state.L)
-    for q in range(state.L):
-        out[q] = np.sum(probs.reshape(-1, 2, 1 << q)[:, 1, :], dtype=np.longdouble)
+@functools.lru_cache(maxsize=None)
+def _bits(n: int) -> np.ndarray:
+    """(2^n, n) matrix whose row k holds the bits of k, read-only."""
+    bits = ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).astype(np.float64)
+    bits.flags.writeable = False
+    return bits
+
+
+@functools.lru_cache(maxsize=None)
+def _outcomes(n: int, j: int) -> np.ndarray:
+    """(2^n, 2) matrix selecting the indices with bit j clear, then set."""
+    b = _bits(n)[:, j]
+    out = np.stack([1.0 - b, b], axis=1)
+    out.flags.writeable = False
     return out
+
+
+def _planes(rows: np.ndarray, L: int) -> tuple[np.ndarray, int]:
+    """The real and imaginary parts of (R, 2^L) amplitudes viewed as
+    (R, 2^(L-K), 2^(K+1)), K = L // 2: qubit q < K is bit q + 1 of the
+    last axis (bit 0 tells re from im), qubit q >= K bit q - K of the
+    middle one."""
+    K = L // 2
+    return rows.view(np.float64).reshape(len(rows), 1 << (L - K), 2 << K), K
+
+
+def all_densities(state: StateVector) -> np.ndarray:
+    """<n_q> for every qubit: shape (L,) for one state, (B, L) for a batch.
+
+    Two passes over |a|^2 in the `_planes` view: its sums over the
+    middle axis give the low K qubits and its sums over the last axis
+    the high L - K, each through a small bit matrix; neither a (2^L, L)
+    matrix nor a copy of |a|^2 is built."""
+    L = state.L
+    x, K = _planes(state.amps.reshape(-1, 1 << L), L)
+    low = np.einsum("rhk,rhk->rk", x, x) @ _bits(K + 1)[:, 1:]
+    high = np.einsum("rhk,rhk->rh", x, x) @ _bits(L - K)
+    return np.concatenate([low, high], axis=1).reshape(state.amps.shape[:-1] + (L,))
 
 
 @functools.lru_cache(maxsize=None)
 def _jw_signs(q: int) -> np.ndarray:
     """(-1)^(number of set bits) for every index below 2^q, read-only."""
-    signs = np.where(np.bitwise_count(np.arange(1 << q)) & 1, -1, 1).astype(np.int8)
+    signs = np.where(np.bitwise_count(np.arange(1 << q)) & 1, -1.0, 1.0)
     signs.flags.writeable = False
     return signs
 
 
-def reset_to(state: StateVector, q: int, target: int, rng: RngStream) -> ResetEvent:
-    """The contact primitive: measure qubit q, then flip it with the
-    fermionic c_q + c_q^dag if the outcome differs from `target`.
+def reset_to(state: StateVector, q: int, target, u) -> Resets:
+    """The contact primitive, row by row: measure qubit q, then flip it
+    with the fermionic c_q + c_q^dag if the outcome differs from the
+    row's target.
 
-    One pass: the half of the amplitudes that survives the measurement
-    is written into the `target` half, scaled by 1/sqrt(p) and, on a
-    flip, multiplied by the Jordan-Wigner sign (-1)^(occupied qubits
-    below q); the other half is zeroed.  Afterwards <n_q> is exactly
-    `target`.  Consumes exactly one draw unless the outcome is forced
-    (p within DETERMINISTIC_EPS of 0 or 1)."""
-    if target not in (0, 1):
-        raise ValueError(f"target must be 0 or 1, got {target!r}")
+    `target` and `u` hold one entry per row (scalars for one state):
+    the target 0 or 1, or -1 to leave the row alone, and the uniform
+    that decides the measurement, outcome 1 if u < p1.  Each acting row
+    becomes (c_q + c_q^dag)^[m != t] P_m psi / |P_m psi|: the half of
+    its amplitudes that survives the measurement is scaled by
+    1/sqrt(p_m) and the other half zeroed; on a flip the halves swap
+    and take the Jordan-Wigner sign (-1)^(occupied qubits below q).
+    Afterwards <n_q> is exactly the target."""
     if not 0 <= q < state.L:
         raise ValueError(f"qubit index {q} out of range")
-    block = state.amps.reshape(-1, 2, 1 << q)
-    p1 = float(np.sum(np.abs(block[:, 1, :]) ** 2, dtype=np.longdouble))
-    if p1 <= DETERMINISTIC_EPS:
-        measured = 0
-    elif p1 >= 1.0 - DETERMINISTIC_EPS:
-        measured = 1
+    shape = state.amps.shape[:-1]
+    if np.shape(target) != shape or np.shape(u) != shape:
+        raise ValueError(f"target and u must have the row shape {shape}")
+    t = np.asarray(target).reshape(-1)
+    if np.any((t < -1) | (t > 1)):
+        raise ValueError(f"target must be 0, 1 or -1, got {target!r}")
+    L = state.L
+    amps = state.amps.reshape(-1, 1 << L)
+    acting = np.flatnonzero(t >= 0)
+    measured = np.full(len(amps), -1, dtype=np.int8)
+    if acting.size == 0:
+        return Resets(measured.reshape(shape), 0)
+    whole = acting.size == len(amps)
+    sub = amps if whole else amps[acting]
+    x, K = _planes(sub, L)
+    if q < K:
+        p = np.einsum("rhk,rhk->rk", x, x) @ _outcomes(K + 1, q + 1)
     else:
-        measured = 1 if rng.uniform() < p1 else 0
-    kept, dst = block[:, measured, :], block[:, target, :]
-    p = p1 if measured else float(np.sum(np.abs(kept) ** 2, dtype=np.longdouble))
-    changed = measured != target
-    if changed:
-        np.multiply(kept, _jw_signs(q), out=dst)
-    dst /= np.sqrt(p)
-    block[:, 1 - target, :] = 0.0
-    return ResetEvent(q=q, measured=measured, target=target, changed=changed)
+        p = np.einsum("rhk,rhk->rh", x, x) @ _outcomes(L - K, q - K)
+    p1 = p[:, 1]
+    u = np.asarray(u).reshape(-1)[acting]
+    m = np.where(p1 <= FORCED_EPS, 0, np.where(p1 >= 1.0 - FORCED_EPS, 1, u < p1))
+    # the measured half scaled by 1/sqrt(p_m), the other zeroed
+    scale = 1.0 / np.sqrt(p[np.arange(acting.size), m])
+    block = sub.reshape(acting.size, -1, 2, 1 << q)
+    block[:, :, 0, :] *= np.where(m == 0, scale, 0.0)[:, None, None]
+    block[:, :, 1, :] *= np.where(m == 1, scale, 0.0)[:, None, None]
+    flip = np.flatnonzero(m != t[acting])
+    if flip.size:
+        # c_q + c_q^dag on the projected rows: swap the halves, JW sign
+        g = block if flip.size == acting.size else block[flip]
+        if q:
+            g *= _jw_signs(q)
+        h0 = g[:, :, 0, :].copy()
+        g[:, :, 0, :] = g[:, :, 1, :]
+        g[:, :, 1, :] = h0
+        if g is not block:
+            block[flip] = g
+    if not whole:
+        amps[acting] = sub
+    measured[acting] = m
+    return Resets(measured.reshape(shape), flip.size)

@@ -1,15 +1,25 @@
-"""Open-system trajectory loop: Trotter step, then per-contact random
-injection/removal via measure-and-reset, and ensemble aggregation.
+"""Open-system trajectory engine: per step the Trotter step (for a
+symmetric plan, its two halves around the contacts), per-contact random
+injection/removal via measure-and-reset, and the ensemble average.
 
-Contact events are one (E, 5) int64 array per trajectory, one row
-(traj, step, q, target, changed) per reset; the ensemble concatenates
-them in trajectory order.
+Batches.  Trajectories run in batches, each the rows of one (B, 2^L)
+state with B * 2^L about BATCH_AMPS amplitudes; `batches(L, N_traj)`
+cuts 0 .. N_traj - 1 into the fewest such batches, their sizes as equal
+as possible.  The partition depends only on L and N_traj, the pool hands
+out whole batches, and the reduction is ordered by trajectory id, so the
+result is byte-identical for any worker count.
 
-Draw discipline: each (contact, step) consumes exactly one uniform for
-the action choice, taken before any branch, and the measurement inside a
-reset consumes a further draw from the same per-trajectory stream unless
-the outcome is forced.  Trajectory k uses the stream (seed, k), so
-results are independent of how trajectories are scheduled onto workers.
+Draw discipline.  Trajectory k draws from its own stream (seed, k).
+Every (step, contact) takes exactly two uniforms from it, the action
+first and then the measurement, whether the contact acts, does nothing
+or meets a forced outcome.  A batch draws DRAW_CHUNK uniforms at a time
+as (rows, steps, contacts, 2) blocks, one block per row from that row's
+stream; consecutive blocks are the numbers one long draw would give, so
+the chunk size changes nothing.
+
+Contact events are one (E, 5) int64 array per batch, one row
+(traj, step, q, target, changed) per acting contact, in trajectory
+order; the ensemble concatenates the batches.
 """
 
 from __future__ import annotations
@@ -21,8 +31,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .state import RngStream, init_basis_state, all_densities, reset_to
+from .state import RngStream, StateVector, all_densities, init_basis_state, reset_to
 from .trotter import TrotterPlan, apply_step
+
+# amplitudes per batch, B * 2^L: 256 KiB of state, so B = 64 at L = 8
+# and B = 1 from L = 14 up
+BATCH_AMPS = 1 << 14
+# uniforms a batch draws at a time (128 KiB), so the draws take bounded
+# memory for any N_t
+DRAW_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -66,10 +83,10 @@ class RunConfig:
 
 @dataclass
 class DensityRecord:
-    """Site densities and contact events of one trajectory."""
+    """Site densities and contact events of one batch of trajectories."""
 
     times: np.ndarray  # (T,)
-    density: np.ndarray  # (T, L)
+    density: np.ndarray  # (B, T, L)
     events: np.ndarray  # (E, 5) int64 rows (traj, step, q, target, changed)
 
 
@@ -139,51 +156,87 @@ def validate_contacts(contacts, L: int, dt: float) -> list[str]:
     return errors
 
 
+def batch_count(L: int, n_traj: int) -> int:
+    """The fewest batches of at most BATCH_AMPS >> L trajectories."""
+    return -(-n_traj // max(1, BATCH_AMPS >> L))
+
+
+def batches(L: int, n_traj: int) -> list[tuple[int, int]]:
+    """(first id, count) of every batch, their sizes as equal as
+    possible.  Depends on nothing but L and n_traj."""
+    n = batch_count(L, n_traj)
+    size, extra = divmod(n_traj, n)
+    counts = [size + 1] * extra + [size] * (n - extra)
+    firsts = np.cumsum([0] + counts[:-1]).tolist()
+    return list(zip(firsts, counts))
+
+
+def chunk_steps(count: int, n_contacts: int) -> int:
+    """Steps whose uniforms a batch of `count` draws at a time."""
+    return max(1, DRAW_CHUNK // (2 * count * max(1, n_contacts)))
+
+
 def run_trajectory(
     plan: TrotterPlan,
     contacts,
     cfg: RunConfig,
     init,
     traj_id: int = 0,
+    count: int = 1,
 ) -> DensityRecord:
-    """One stochastic trajectory.
+    """Trajectories traj_id .. traj_id + count - 1, evolved together as
+    the rows of one (count, 2^L) state.
 
     Per step: apply the Trotter step, then for each contact in list
-    order draw one uniform and inject (reset to |1>), remove (reset to
-    |0>) or do nothing per the step probabilities.  Densities are the
-    exact state-vector expectations, recorded after the contact actions.
-    The contacts are validated by run_ensemble; here eta > 1 is caught
-    by step_probabilities and a bad qubit by reset_to.
+    order inject (reset to |1>), remove (reset to |0>) or do nothing per
+    the step probabilities, every row by its own draws; a symmetric
+    plan applies its half step once more after the contacts.  Densities
+    are the exact state-vector expectations, recorded at the end of the
+    step.  The contacts are validated by run_ensemble; here eta > 1 is
+    caught by step_probabilities and a bad qubit by reset_to.
     """
-    rng = RngStream(cfg.seed, traj_id)
-    state = init_basis_state(plan.L, init)
-    probs = [step_probabilities(c, cfg.dt) for c in contacts]
+    streams = [RngStream(cfg.seed, k) for k in range(traj_id, traj_id + count)]
+    state = StateVector(plan.L, np.tile(init_basis_state(plan.L, init).amps, (count, 1)))
+    n_c = len(contacts)
+    probs = np.array([step_probabilities(c, cfg.dt) for c in contacts]).reshape(n_c, 3)
+    p_in, p_act = probs[:, 0], probs[:, 0] + probs[:, 1]
+    qs = np.array([c.q for c in contacts], dtype=np.int64)
 
     n_records = cfg.N_t // cfg.record_every + 1
-    times = np.empty(n_records)
-    density = np.empty((n_records, plan.L))
-    times[0] = 0.0
-    density[0] = all_densities(state)
-    events = []
+    times = np.arange(n_records) * cfg.record_every * cfg.dt
+    density = np.empty((count, n_records, plan.L))
+    density[:, 0] = all_densities(state)
+    blocks = []
 
     row = 1
-    for step in range(1, cfg.N_t + 1):
-        apply_step(state, plan)
-        for c, (p_in, p_out, _) in zip(contacts, probs):
-            u = rng.uniform()
-            if u < p_in:
-                target = 1
-            elif u < p_in + p_out:
-                target = 0
-            else:
-                continue
-            ev = reset_to(state, c.q, target, rng)
-            events.append((traj_id, step, c.q, target, ev.changed))
-        if step % cfg.record_every == 0:
-            times[row] = step * cfg.dt
-            density[row] = all_densities(state)
-            row += 1
-    return DensityRecord(times, density, np.array(events, dtype=np.int64).reshape(-1, 5))
+    chunk = chunk_steps(count, n_c)
+    for start in range(0, cfg.N_t, chunk):
+        n = min(chunk, cfg.N_t - start)
+        # (count, n, contacts, {action, measurement}), from each row's stream
+        u = np.stack([s.uniform((n, n_c, 2)) for s in streams])
+        target = np.where(u[..., 0] < p_in, 1, np.where(u[..., 0] < p_act, 0, -1)).astype(np.int8)
+        measured = np.full_like(target, -1)
+        acts = (target >= 0).any(axis=0).tolist()
+        for j in range(n):
+            step = start + j + 1
+            apply_step(state, plan)
+            for i, c in enumerate(contacts):
+                if acts[j][i]:
+                    measured[:, j, i] = reset_to(state, c.q, target[:, j, i], u[:, j, i, 1]).measured
+            if plan.symmetric:
+                apply_step(state, plan)
+            if step % cfg.record_every == 0:
+                density[:, row] = all_densities(state)
+                row += 1
+        b, j, i = np.nonzero(target >= 0)
+        t = target[b, j, i]
+        blocks.append(np.column_stack(
+            (b + traj_id, j + (start + 1), qs[i], t, measured[b, j, i] != t)).astype(np.int64, copy=False))
+    events = np.concatenate(blocks)  # N_t >= 1, so there is at least one chunk
+    if count > 1 and len(blocks) > 1:
+        # each block is in (trajectory, step, contact) order; merge them
+        events = events[np.argsort(events[:, 0], kind="stable")]
+    return DensityRecord(times, density, events)
 
 
 # -- parallel ensemble -------------------------------------------------
@@ -195,9 +248,18 @@ def _init_worker(plan, contacts, cfg, init):
     _WORKER["args"] = (plan, contacts, cfg, init)
 
 
-def _run_one(traj_id: int) -> DensityRecord:
-    plan, contacts, cfg, init = _WORKER["args"]
-    return run_trajectory(plan, contacts, cfg, init, traj_id)
+def _run_batch(batch: tuple[int, int]) -> DensityRecord:
+    return run_trajectory(*_WORKER["args"], *batch)
+
+
+def default_workers() -> int:
+    """The CPUs this process may run on (its affinity mask where the
+    platform has one), capped at 8."""
+    if hasattr(os, "sched_getaffinity"):
+        n = len(os.sched_getaffinity(0))
+    else:
+        n = os.cpu_count() or 1
+    return min(n, 8)
 
 
 def run_ensemble(
@@ -209,31 +271,34 @@ def run_ensemble(
 ) -> EnsembleResult:
     """Average cfg.N_traj independent trajectories.
 
-    The reduction is ordered by trajectory id, so the result is
-    bit-identical for any worker count.  `workers` defaults to the cpu
-    count capped at 8, and no more processes than trajectories start.
+    The trajectories run in the batches of `batches(L, N_traj)`, which
+    no worker count changes, and the reduction is ordered by trajectory
+    id, so the result is bit-identical for any worker count.  With
+    `workers` 1 the batches run in this process; otherwise a pool of
+    min(workers, batches) processes runs them, at most one per batch.
+    `workers` defaults to default_workers().
     """
     errors = validate_contacts(contacts, plan.L, cfg.dt)
     if errors:
         raise ValueError("; ".join(errors))
     if workers is None:
-        workers = min(os.cpu_count() or 1, 8)
+        workers = default_workers()
     elif workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    workers = min(workers, cfg.N_traj)
-    ids = range(cfg.N_traj)
+    todo = batches(plan.L, cfg.N_traj)
     if workers == 1:
-        records = [run_trajectory(plan, contacts, cfg, init, k) for k in ids]
+        records = [run_trajectory(plan, contacts, cfg, init, *b) for b in todo]
     else:
-        chunk = max(1, cfg.N_traj // (workers * 8))
+        # even one batch goes to a worker: the calling process keeps only
+        # the reduction, not the engine's RNG modules and temporaries
         with ProcessPoolExecutor(
-            max_workers=workers,
+            max_workers=min(workers, len(todo)),
             initializer=_init_worker,
             initargs=(plan, contacts, cfg, init),
         ) as pool:
-            records = list(pool.map(_run_one, ids, chunksize=chunk))
+            records = list(pool.map(_run_batch, todo, chunksize=1))
 
-    stack = np.stack([r.density for r in records])  # (N, T, L)
+    stack = np.concatenate([r.density for r in records])  # (N, T, L)
     mean = stack.mean(axis=0)
     if cfg.N_traj > 1:
         stderr = stack.std(axis=0, ddof=1) / math.sqrt(cfg.N_traj)

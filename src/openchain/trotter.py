@@ -1,12 +1,21 @@
-"""First-order Trotter step of the chain Hamiltonian as bond-local gates,
-plus an exact dense propagator used as an independent oracle.
+"""Trotter step of the chain Hamiltonian as bond-local gates, plus an
+exact dense propagator used as an independent oracle.
 
-A step is prod_s exp(-i theta_s P_s), theta_s = coeff_s * dt, in term
-order.  Consecutive XX and YY terms on one bond commute and fuse into one
-bond gate; each run of consecutive I/Z strings commutes and fuses into
-one diagonal phase vector, identity strings included, so (step)^N matches
-exp(-i H t) with its global phase.  Any other string is rejected: Pauli
-strings are the verification format (`PauliTerm.to_matrix`) only.
+The first-order step is prod_s exp(-i theta_s P_s), theta_s = coeff_s *
+dt, in term order.  Consecutive XX and YY terms on one bond commute and
+fuse into one bond gate; each run of consecutive I/Z strings commutes and
+fuses into one diagonal phase vector, identity strings included, so
+(step)^N matches exp(-i H t) with its global phase.  Any other string is
+rejected: Pauli strings are the verification format
+(`PauliTerm.to_matrix`) only.
+
+The symmetric step splits dt into two halves S(dt/2) around the contact
+actions, with S(tau) the term-order sweep at tau/2 followed by the
+reversed sweep at tau/2, the two middle gates merged: second order in
+dt, for the unitary and for its splitting from the contacts.
+
+The kernel acts on amplitudes of shape (2^L,) or (B, 2^L) alike: a
+gate reshapes them to (-1, 4, 2^q), which runs over the rows of a batch.
 """
 
 from __future__ import annotations
@@ -32,20 +41,24 @@ class BondGate(NamedTuple):
 
 @dataclass(frozen=True)
 class TrotterPlan:
-    """The step as bond gates and phase vectors, applied in order."""
+    """The step as bond gates and phase vectors, applied in order.  A
+    symmetric plan holds the half step S(dt/2), applied once before and
+    once after the contact actions."""
 
     L: int
     dt: float
     gates: tuple[BondGate | np.ndarray, ...]
+    symmetric: bool = False
 
 
-def build_step(h: PauliHamiltonian, dt: float) -> TrotterPlan:
+def build_step(h: PauliHamiltonian, dt: float, symmetric: bool = False) -> TrotterPlan:
     if not (dt > 0.0 and np.isfinite(dt)):
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
     # [q, a, b] for a bond, {Z mask: angle} for a run of I/Z strings
     ops: list = []
+    tau = dt / 4 if symmetric else dt
     for term in h.terms:
-        letters, theta = term.letters, term.coeff * dt
+        letters, theta = term.letters, term.coeff * tau
         support = [q for q, c in enumerate(letters) if c != "I"]
         if all(letters[q] == "Z" for q in support):
             if not (ops and isinstance(ops[-1], dict)):
@@ -58,11 +71,17 @@ def build_step(h: PauliHamiltonian, dt: float) -> TrotterPlan:
             ops[-1][1 if letters[q] == "X" else 2] += theta
         else:
             raise ValueError(f"Pauli string {letters!r} is neither XX/YY on a bond nor I/Z only")
+    if symmetric and ops:
+        # the sweep, its middle op at twice the angle, then the sweep reversed
+        mid = ops[-1]
+        mid = [mid[0], 2 * mid[1], 2 * mid[2]] if isinstance(mid, list) else {
+            k: 2 * v for k, v in mid.items()}
+        ops = ops[:-1] + [mid] + ops[-2::-1]
     gates = tuple(
         BondGate(op[0], op[1] + op[2], op[1] - op[2]) if isinstance(op, list)
         else _phase_vector(op, h.L) for op in ops
     )
-    return TrotterPlan(L=h.L, dt=dt, gates=gates)
+    return TrotterPlan(L=h.L, dt=dt, gates=gates, symmetric=symmetric)
 
 
 def _phase_vector(angles: dict[int, float], L: int) -> np.ndarray:
@@ -82,7 +101,8 @@ def _mix(pair: np.ndarray, theta: float) -> None:
 
 
 def apply_step(state: StateVector, plan: TrotterPlan) -> StateVector:
-    """Apply the Trotter step in place."""
+    """Apply the plan's gates in place: the whole step, or for a
+    symmetric plan one half of it."""
     if plan.L != state.L:
         raise ValueError(f"plan size {plan.L} != register size {state.L}")
     amps = state.amps

@@ -1,14 +1,14 @@
 """Acceptance gate: nine numbered end-to-end criteria.
 
-Each test prints one `CRITERION n: PASS/FAIL` line.  Criterion 7 and
-the L=3 half of criterion 5 fail at the coarse preset step
-dt = 0.25..0.5: the first-order product formula has O(dt) density error
-far above the stated budgets there, and the bond sweep together with
-the per-bond transfer probability sin^2(gamma*dt) inverts the gamma=5
-vs gamma=3 speed ordering.  They stay red until the program removes
-that bias; the companion `_fine_step` tests pin the same physics in the
-converged regime and stay green.  Criterion 3 runs the fig2 preset,
-which integrates at dt=0.005 and records every 0.5.
+Each test prints one `CRITERION n: PASS/FAIL` line.  The transport
+presets behind criteria 5 and 7 run the symmetric step: at their coarse
+dt = 0.25..0.5 the first-order product formula has O(dt) density error
+far above the stated budgets, and its bond sweep together with the
+per-bond transfer probability sin^2(gamma*dt) inverts the gamma=5 vs
+gamma=3 speed ordering.  The companion `_fine_step` tests pin the same
+physics with the first-order step in the converged regime.  Criterion
+3 runs the fig2 preset, which integrates at dt=0.005 and records every
+0.5.
 """
 
 import math
@@ -23,6 +23,12 @@ from openchain.output import emit_csv
 from openchain.state import RngStream, StateVector, init_basis_state, reset_to
 from openchain.trajectory import ContactSpec, RunConfig, run_ensemble, run_trajectory
 from openchain.trotter import apply_step, build_step, exact_propagator_oracle
+
+
+def preset_plan(cfg):
+    """The step of a preset, as `run_scenario` builds it."""
+    ham = build_chain_hamiltonian(cfg.chain)
+    return build_step(ham, cfg.run.dt, symmetric=cfg.step == "symmetric")
 
 
 def verdict(label, ok, detail):
@@ -50,10 +56,8 @@ def compare_runs():
     runs = {}
     for L in (2, 3):
         cfg = get_preset(f"compare-l{L}")
-        ham = build_chain_hamiltonian(cfg.chain)
-        plan = build_step(ham, cfg.run.dt)
-        ens = run_ensemble(plan, cfg.contacts, cfg.run, cfg.init_occupations, workers=8)
-        runs[L] = (cfg, ens, _lindblad_run(cfg, ham))
+        ens = run_ensemble(preset_plan(cfg), cfg.contacts, cfg.run, cfg.init_occupations, workers=8)
+        runs[L] = (cfg, ens, _lindblad_run(cfg, build_chain_hamiltonian(cfg.chain)))
     return runs
 
 
@@ -62,8 +66,7 @@ def fig3_runs():
     runs = {}
     for name in ("fig3a", "fig3b"):
         cfg = get_preset(name)
-        plan = build_step(build_chain_hamiltonian(cfg.chain), cfg.run.dt)
-        runs[name] = (cfg, run_ensemble(plan, cfg.contacts, cfg.run,
+        runs[name] = (cfg, run_ensemble(preset_plan(cfg), cfg.contacts, cfg.run,
                                         cfg.init_occupations, workers=8))
     return runs
 
@@ -100,10 +103,9 @@ def fig2_run():
     """The fig2 preset as the CLI runs it, with the exact oracle on its
     record grid."""
     cfg = get_preset("fig2")
-    plan = build_step(build_chain_hamiltonian(cfg.chain), cfg.run.dt)
-    rec = run_trajectory(plan, (), cfg.run, cfg.init_occupations)
+    rec = run_trajectory(preset_plan(cfg), (), cfg.run, cfg.init_occupations)
     oracle = single_particle_densities(cfg.chain.L, cfg.chain.gamma, rec.times)
-    return cfg, rec, oracle
+    return cfg, rec.times, rec.density[0], oracle
 
 
 def test_criterion_3a_closed_transport_accuracy(fig2_run):
@@ -112,10 +114,10 @@ def test_criterion_3a_closed_transport_accuracy(fig2_run):
     dt=0.5 itself gives ~0.73: the ascending bond sweep carries the
     front across many bonds in one step, so it peaks on site 12 at
     t=5 instead of t=7."""
-    cfg, rec, oracle = fig2_run
+    cfg, times, density, oracle = fig2_run
     record_dt = cfg.run.dt * cfg.run.record_every
-    assert np.allclose(np.diff(rec.times), 0.5), f"fig2 records every {record_dt:g}, not 0.5"
-    err = float(np.max(np.abs(rec.density - oracle)))
+    assert np.allclose(np.diff(times), 0.5), f"fig2 records every {record_dt:g}, not 0.5"
+    err = float(np.max(np.abs(density - oracle)))
     verdict("3a", err <= 0.02, f"max |n - oracle| = {err:.4f} at dt={cfg.run.dt:g}, "
                                f"recorded every {record_dt:g}")
 
@@ -125,15 +127,15 @@ def test_criterion_3b_front_arrival_window(fig2_run):
     time (L-1)/(2*gamma), which is 5.5 for the 12-site chain.  The exact
     dynamics cross 0.3 on site 12 at t=6.5 and peak at 0.74 at t=7; a
     front at half speed (gamma=0.5) reaches only 0.001 in the window."""
-    cfg, rec, oracle = fig2_run
+    cfg, times, density, oracle = fig2_run
     L, gamma = cfg.chain.L, cfg.chain.gamma
     t_lo = (L - 1) / (2.0 * gamma)
     t_hi = t_lo + 2.5
-    window = (rec.times >= t_lo - 1e-9) & (rec.times <= t_hi + 1e-9)
+    window = (times >= t_lo - 1e-9) & (times <= t_hi + 1e-9)
     exact_peak = float(np.max(oracle[window, L - 1]))
     assert exact_peak > 0.3, (
         f"window t=[{t_lo:g},{t_hi:g}] misses the exact front (peak {exact_peak:.4f})")
-    peak = float(np.max(rec.density[window, L - 1]))
+    peak = float(np.max(density[window, L - 1]))
     verdict("3b", peak > 0.3, f"max n_{L} in t=[{t_lo:g},{t_hi:g}] is {peak:.4f}")
 
 
@@ -144,9 +146,9 @@ def test_criterion_3_fine_step_transport():
     plan = build_step(build_chain_hamiltonian(ChainSpec(L=12, gamma=1.0, v=0.0)), 0.005)
     rec = run_trajectory(plan, (), RunConfig(t_final=15.0, N_t=3000, record_every=100), (0,))
     oracle = single_particle_densities(12, 1.0, rec.times)
-    err = float(np.max(np.abs(rec.density - oracle)))
+    err = float(np.max(np.abs(rec.density[0] - oracle)))
     assert err <= 0.02, f"fine-step error {err:.4f}"
-    crossing = rec.times[np.argmax(rec.density[:, 11] > 0.3)]
+    crossing = rec.times[np.argmax(rec.density[0, :, 11] > 0.3)]
     assert 5.0 <= crossing <= 8.0, f"front crossed 0.3 at t={crossing}"
 
 
@@ -172,14 +174,13 @@ def test_criterion_4_single_contact_relaxation():
 
 @pytest.mark.parametrize("L", [2, 3])
 def test_criterion_5_master_equation_equivalence(compare_runs, L):
-    """L=2 green; L=3 red from the method's O(dt) bias at dt=0.25 with
-    gamma=3, v=10.  The ensemble matches the exact discrete measurement
-    channel to Monte-Carlo noise ~0.013, but that channel sits 0.262
-    from the continuum Lindblad solution.  Most of it is first-order
-    Trotter error: with exp(-iH*dt), or >= 10 unitary sub-steps, the
-    channel sits 0.063 away, and the rest is the contact splitting with
-    eta = Gamma*dt.  L=2 has the same contact gap (0.0575) and passes
-    only on its 3*stderr slack."""
+    """The compare presets run the symmetric step.  Exact propagation of
+    the sampled process puts it 0.0148 (L=2) and 0.0263 (L=3) from the
+    continuum Lindblad solution; the first-order step sits 0.0575 and
+    0.262 away at dt=0.25 with gamma=3, v=10, above the budget.  At
+    L=2 all of that is the splitting of the contacts from the unitary
+    step, which is exact for two sites; at L=3 most of it is the
+    first-order unitary."""
     _, ens, lind = compare_runs[L]
     diff = np.abs(ens.mean_density - lind.densities)
     excess = float(np.max(diff - SIGMA_FACTOR * ens.stderr))
@@ -204,15 +205,14 @@ def arrival_time(ens, site, threshold=0.2):
 
 
 def test_criterion_7_fig3_speed_ordering(fig3_runs):
-    """Red at dt=0.5, from two effects of the first-order step.  At
-    gamma=3 the ascending bond sweep moves the particle across all six
-    bonds within the first step (sin^2(1.5) = 0.995 per bond), so it
-    "arrives" at site 7 at the first record, t=0.5.  At gamma=5 the
-    per-bond transfer sin^2(2.5) = 0.36 is past the pi/2 aliasing point,
-    and the front never arrives.  The exact-unitary mean gives the right
-    ordering (gamma=5 at t=1.0, gamma=3 at t=1.5); ten unitary sub-steps
-    still tie at t=1.0, and twenty give n_7(1.0) ~ 0.15 (gamma=3) vs
-    ~0.36 (gamma=5).  The fine-step companion restores the ordering."""
+    """fig3a/fig3b run the symmetric step: the gamma=5 front reaches
+    site 7 at t=1.0 and the gamma=3 front at t=1.5, the exact-unitary
+    ordering.  With the first-order step at dt=0.5 the ascending bond
+    sweep moves the gamma=3 particle across all six bonds within the
+    first step (sin^2(1.5) = 0.995 per bond), so it "arrives" at the
+    first record, t=0.5, while at gamma=5 the per-bond transfer
+    sin^2(2.5) = 0.36 is past the pi/2 aliasing point and the front
+    never arrives."""
     t3 = arrival_time(fig3_runs["fig3a"][1], 6)
     t5 = arrival_time(fig3_runs["fig3b"][1], 6)
     verdict(7, t5 < t3, f"arrival at site 7: gamma=5 at t={t5}, gamma=3 at t={t3}")
@@ -232,13 +232,11 @@ def test_criterion_7_fine_step_speed_ordering():
 
 def test_criterion_8_worker_determinism(tmp_path, compare_runs, fig3_runs):
     cfg5, ens5_parallel, _ = compare_runs[2]
-    plan5 = build_step(build_chain_hamiltonian(cfg5.chain), cfg5.run.dt)
-    ens5_serial = run_ensemble(plan5, cfg5.contacts, cfg5.run,
+    ens5_serial = run_ensemble(preset_plan(cfg5), cfg5.contacts, cfg5.run,
                                cfg5.init_occupations, workers=1)
 
     cfg7, ens7_parallel = fig3_runs["fig3a"]
-    plan7 = build_step(build_chain_hamiltonian(cfg7.chain), cfg7.run.dt)
-    ens7_serial = run_ensemble(plan7, cfg7.contacts, cfg7.run,
+    ens7_serial = run_ensemble(preset_plan(cfg7), cfg7.contacts, cfg7.run,
                                cfg7.init_occupations, workers=1)
 
     identical = True
@@ -260,11 +258,10 @@ def test_criterion_9_measurement_statistics():
         amps = gen.normal(size=2) + 1j * gen.normal(size=2)
         amps /= np.linalg.norm(amps)
         p1 = float(np.abs(amps[1]) ** 2)
-        rng = RngStream(900 + i)
-        ones = 0
-        for _ in range(draws):
-            s = StateVector(1, amps.copy())
-            ones += reset_to(s, 0, 0, rng).measured
+        # one row per draw, each measured once with the stream's next uniform
+        s = StateVector(1, np.tile(amps, (draws, 1)))
+        target = np.zeros(draws, dtype=np.int8)
+        ones = int(reset_to(s, 0, target, RngStream(900 + i).uniform(draws)).measured.sum())
         z = (ones - draws * p1) / math.sqrt(draws * p1 * (1.0 - p1))
         worst_z = max(worst_z, abs(z))
         chi2 += z * z

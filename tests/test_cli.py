@@ -265,6 +265,21 @@ def test_single_outputs_equal_a_one_trajectory_run(tmp_path):
         assert single == (tmp_path / "one" / name).read_bytes()
 
 
+def test_outputs_byte_identical_for_any_worker_count(tmp_path):
+    # at L = 8 a batch holds at most 64 trajectories: 150 are three batches of 50
+    raw = {"mode": "open", "L": 8, "gamma_meV": 3.0, "v_meV": 10.0,
+           "contacts": [{"site": s, "Gamma_meV": 0.9, "f": float(s % 2)} for s in (1, 4, 8)],
+           "t_final": 4.0, "N_t": 8, "N_traj": 150, "seed": 5, "init_sites": [1, 3]}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    for workers in ("1", "2", "8"):
+        out = tmp_path / workers
+        assert main(["run", "--config", str(cfg_path), "--out", str(out), "--workers", workers]) == 0
+    for name in ("density.csv", "events.csv"):
+        serial = (tmp_path / "1" / name).read_bytes()
+        assert serial == (tmp_path / "2" / name).read_bytes() == (tmp_path / "8" / name).read_bytes()
+
+
 def test_verdict_includes_oracle_health():
     class FakeLind:
         densities = np.zeros((2, 1))

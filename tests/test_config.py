@@ -58,6 +58,7 @@ MALFORMED = {
         "t_final": 10**9, "N_t": 10**9, "record_every": 10**9, "N_traj": 100,
         "contacts": [{"site": 1, "eta": 0.5, "f": 1.0}, {"site": 2, "eta": 0.5, "f": 0.0}]}),
     "mode-lindblad-check": ("mode", {"mode": "lindblad-check"}),
+    "step-unknown": ("step", {"step": "second-order"}),
     "unknown-N_trajs": ("N_trajs", {"N_trajs": 500}),
     "unknown-record_evry": ("record_evry", {"record_evry": 10}),
     "unknown-include_depolarising": ("include_depolarising", {"include_depolarising": False}),
@@ -76,6 +77,7 @@ def test_minimal_closed_config_parses():
     assert cfg.chain.L == 2 and cfg.chain.gamma == 1.0
     assert cfg.run.seed == 7
     assert cfg.init_occupations == (0,)
+    assert cfg.step == "first-order"
 
 
 def test_eta_above_one_rejected():
@@ -197,6 +199,7 @@ def test_preset_parses_to_pinned_values(name):
         cfg.init_occupations, cfg.emit_heatmap,
     ) == PRESET_VALUES[name]
     assert cfg.include_depolarizing is True and cfg.output_path is None
+    assert cfg.step == ("first-order" if name == "fig2" else "symmetric")
 
 
 @pytest.mark.parametrize("args, keys, memory", [

@@ -254,10 +254,8 @@ def test_trajectory_average_discrete_relaxation():
     plan = build_step(PauliHamiltonian(1, ()), 0.5)
     cfg = RunConfig(t_final=2.0, N_t=4, seed=0)
     k, eta = 4, 0.25
-    mean = np.mean([
-        run_trajectory(plan, (ContactSpec(0, 0.5, 1.0),), cfg, (), traj).density[k, 0]
-        for traj in range(2000)
-    ])
+    rec = run_trajectory(plan, (ContactSpec(0, 0.5, 1.0),), cfg, (), traj_id=0, count=2000)
+    mean = np.mean(rec.density[:, k, 0])
     assert mean == pytest.approx(1.0 - (1.0 - eta) ** k, abs=0.04)
 
 

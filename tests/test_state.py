@@ -1,5 +1,6 @@
-"""State-vector engine: rotations of the Trotter kernel and the contact
-kernel reset_to (measurement, collapse and fermionic flip)."""
+"""State-vector engine: rotations of the Trotter kernel, the site
+densities and the contact kernel reset_to (measurement, collapse and
+fermionic flip), on one state and on a batch of rows."""
 
 import numpy as np
 import pytest
@@ -97,19 +98,19 @@ def test_flip_is_involution():
     s, amps = random_state(3, 7)
     s.amps[:] = amps
     rng = RngStream(0)
-    reset_to(s, 1, 0, rng)
+    reset_to(s, 1, 0, rng.uniform())
     after = s.amps.copy()
-    assert reset_to(s, 1, 1, rng).changed and reset_to(s, 1, 0, rng).changed
+    assert reset_to(s, 1, 1, rng.uniform()).changed and reset_to(s, 1, 0, rng.uniform()).changed
     assert np.max(np.abs(s.amps - after)) <= 1e-15
 
 
 def test_flip_swaps_amplitudes():
     s = init_basis_state(1, ())
-    assert reset_to(s, 0, 1, RngStream(0)).changed
+    assert reset_to(s, 0, 1, 0.5).changed
     assert np.array_equal(s.amps, [0, 1])
     # qubit 0 occupied: the flip of qubit 1 carries the sign -1
     s = init_basis_state(2, (0,))
-    reset_to(s, 1, 1, RngStream(0))
+    reset_to(s, 1, 1, 0.5)
     assert np.array_equal(s.amps, [0, 0, 0, -1])
 
 
@@ -125,7 +126,7 @@ def test_flip_is_fermionic_c_plus_c_dag(L, seed):
         for target in (0, 1):
             s = init_basis_state(L, ())
             s.amps[:] = amps
-            ev = reset_to(s, q, target, RngStream(seed, q))
+            ev = reset_to(s, q, target, RngStream(seed, q).uniform())
             projected = np.where((bits >> q) & 1 == ev.measured, amps, 0.0)
             expected = projected / np.linalg.norm(projected)
             if ev.measured != target:
@@ -134,36 +135,58 @@ def test_flip_is_fermionic_c_plus_c_dag(L, seed):
             assert np.max(np.abs(s.amps - expected)) <= 1e-14
 
 
-def test_measure_deterministic_skips_draw():
-    # |00>: measuring q=1 is forced, so the stream must not advance
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=999))
+def test_batched_reset_is_the_dense_formula_row_by_row(seed):
+    # a batch that mixes the targets 0 and 1, both outcomes and rows
+    # that take no action (target -1, left alone); u = 0 forces the
+    # outcome 1 and u just below 1 the outcome 0 on these random rows
+    target = np.array([0, 0, 1, 1, -1, -1], dtype=np.int8)
+    u = np.array([0.0, 1 - 1e-16, 0.0, 1 - 1e-16, 0.0, 0.5])
+    for L in range(1, 5):
+        gen = np.random.default_rng(seed)
+        amps = gen.normal(size=(6, 1 << L)) + 1j * gen.normal(size=(6, 1 << L))
+        amps /= np.linalg.norm(amps, axis=1)[:, None]
+        bits = np.arange(1 << L)
+        for q in range(L):
+            c = fermion_lowering(q, L)
+            s = StateVector(L, amps.copy())
+            res = reset_to(s, q, target, u)
+            assert res.measured.tolist() == [1, 0, 1, 0, -1, -1]
+            assert res.changed == 2
+            for row, (t, m) in enumerate(zip(target, res.measured)):
+                expected = amps[row]
+                if t >= 0:
+                    projected = np.where((bits >> q) & 1 == m, amps[row], 0.0)
+                    expected = projected / np.linalg.norm(projected)
+                    if m != t:
+                        expected = (c + c.conj().T) @ expected
+                assert np.max(np.abs(s.amps[row] - expected)) <= 1e-14
+
+
+def test_forced_outcome_ignores_the_uniform():
+    # |00>: q=1 reads 0 even for u = 0; |01>: q=0 reads 1 even for u -> 1
     s = init_basis_state(2, ())
-    rng = RngStream(5)
-    assert reset_to(s, 1, 0, rng).measured == 0
+    assert reset_to(s, 1, 0, 0.0).measured == 0
     assert np.array_equal(s.amps, init_basis_state(2, ()).amps)
-    assert rng.uniform() == RngStream(5).uniform()
+    s = init_basis_state(2, (0,))
+    assert reset_to(s, 0, 1, 1 - 1e-16).measured == 1
+    assert np.array_equal(s.amps, init_basis_state(2, (0,)).amps)
 
 
 def test_measure_born_statistics():
-    ones = 0
     n = 10_000
-    rng = RngStream(11)
-    for _ in range(n):
-        s = init_basis_state(1, ())
-        s.amps[:] = [1 / np.sqrt(2), 1 / np.sqrt(2)]
-        ones += reset_to(s, 0, 0, rng).measured
+    s = StateVector(1, np.tile([1 / np.sqrt(2), 1 / np.sqrt(2)], (n, 1)).astype(complex))
+    ones = reset_to(s, 0, np.zeros(n, dtype=np.int8), RngStream(11).uniform(n)).measured.sum()
     assert ones / n == pytest.approx(0.5, abs=0.02)
 
 
 def test_measure_after_small_x_rotation():
     # exp(-i 0.3 X)|0> has P(1) = sin^2(0.3)
     p_expected = np.sin(0.3) ** 2
-    ones = 0
     n = 10_000
-    rng = RngStream(13)
-    for _ in range(n):
-        s = init_basis_state(1, ())
-        s.amps[:] = [np.cos(0.3), -1j * np.sin(0.3)]
-        ones += reset_to(s, 0, 0, rng).measured
+    s = StateVector(1, np.tile([np.cos(0.3), -1j * np.sin(0.3)], (n, 1)))
+    ones = reset_to(s, 0, np.zeros(n, dtype=np.int8), RngStream(13).uniform(n)).measured.sum()
     sigma = np.sqrt(p_expected * (1 - p_expected) / n)
     assert abs(ones / n - p_expected) <= 4 * sigma
 
@@ -172,8 +195,8 @@ def test_measure_collapses_and_renormalizes():
     # a reset to the measured outcome is the bare collapse
     s, amps = random_state(3, 3)
     s.amps[:] = amps
-    measured = reset_to(StateVector(3, amps.copy()), 1, 0, RngStream(0)).measured
-    ev = reset_to(s, 1, measured, RngStream(0))
+    measured = reset_to(StateVector(3, amps.copy()), 1, 0, RngStream(0).uniform()).measured
+    ev = reset_to(s, 1, measured, RngStream(0).uniform())
     assert (ev.measured, ev.changed) == (measured, False)
     assert s.norm() == pytest.approx(1.0, abs=1e-12)
     assert all_densities(s)[1] == pytest.approx(float(measured), abs=1e-12)
@@ -182,25 +205,27 @@ def test_measure_collapses_and_renormalizes():
 def test_reset_examples():
     rng = RngStream(1)
     s = init_basis_state(1, (0,))
-    ev = reset_to(s, 0, 1, rng)
+    ev = reset_to(s, 0, 1, rng.uniform())
     assert (ev.measured, ev.changed) == (1, False)
     assert s.amps[1] == 1.0
 
     s = init_basis_state(1, ())
-    ev = reset_to(s, 0, 1, rng)
+    ev = reset_to(s, 0, 1, rng.uniform())
     assert (ev.measured, ev.changed) == (0, True)
     assert s.amps[1] == 1.0
 
     s = init_basis_state(1, ())
     s.amps[:] = [1 / np.sqrt(2), 1 / np.sqrt(2)]
-    ev = reset_to(s, 0, 0, rng)
+    ev = reset_to(s, 0, 0, rng.uniform())
     assert abs(s.amps[0]) == pytest.approx(1.0, abs=1e-12)
     assert ev.changed == (ev.measured == 1)
 
 
 def test_reset_rejects_bad_target():
     with pytest.raises(ValueError):
-        reset_to(init_basis_state(1, ()), 0, 2, RngStream(0))
+        reset_to(init_basis_state(1, ()), 0, 2, 0.5)
+    with pytest.raises(ValueError):
+        reset_to(init_basis_state(1, ()), 0, np.zeros(2, dtype=np.int8), np.zeros(2))
 
 
 @settings(max_examples=40, deadline=None)
@@ -212,7 +237,7 @@ def test_reset_rejects_bad_target():
 def test_reset_pins_expectation_exactly(seed, q, target):
     s, amps = random_state(3, seed)
     s.amps[:] = amps
-    reset_to(s, q, target, RngStream(seed))
+    reset_to(s, q, target, RngStream(seed).uniform())
     assert all_densities(s)[q] == pytest.approx(float(target), abs=1e-12)
     assert s.norm() == pytest.approx(1.0, abs=1e-10)
 
@@ -242,3 +267,24 @@ def test_rng_stream_reproducible_and_distinct():
     assert a == [b_stream.uniform() for _ in range(5)]
     assert len(set(a)) == 5
     assert RngStream(42, 0).uniform() != RngStream(42, 1).uniform()
+
+
+@pytest.mark.parametrize("L", [1, 2, 3, 6, 9])
+def test_batch_densities_match_per_qubit_sums(L):
+    # the two-pass densities of every row, for odd and even splits of L
+    gen = np.random.default_rng(L)
+    amps = gen.normal(size=(3, 1 << L)) + 1j * gen.normal(size=(3, 1 << L))
+    amps /= np.linalg.norm(amps, axis=1)[:, None]
+    dens = all_densities(StateVector(L, amps))
+    assert dens.shape == (3, L)
+    probs = np.abs(amps) ** 2
+    for q in range(L):
+        occupied = (np.arange(1 << L) >> q) & 1 == 1
+        assert np.max(np.abs(dens[:, q] - probs[:, occupied].sum(axis=1))) <= 1e-14
+
+
+def test_rng_block_draws_equal_single_draws():
+    # drawing a block of steps in several calls gives the single draws
+    a, b = RngStream(7, 2), RngStream(7, 2)
+    blocks = np.concatenate([a.uniform((3, 2, 2)).ravel(), a.uniform((1, 2, 2)).ravel()])
+    assert blocks.tolist() == [b.uniform() for _ in range(16)]

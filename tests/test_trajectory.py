@@ -1,6 +1,8 @@
 """Open-system trajectory loop and ensemble aggregation."""
 
 import math
+import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,17 +10,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from openchain import trajectory
-from openchain.model import ChainSpec, PauliHamiltonian, build_chain_hamiltonian
+from openchain.model import ChainSpec, PauliHamiltonian, build_chain_hamiltonian, fermion_lowering
+from openchain.state import RngStream, StateVector
 from openchain.trajectory import (
+    BATCH_AMPS,
     ContactSpec,
     RunConfig,
+    batches,
     fermi_dirac,
     run_ensemble,
     run_trajectory,
     step_probabilities,
     validate_contacts,
 )
-from openchain.trotter import build_step
+from openchain.trotter import apply_step, build_step
 
 EMPTY_L1 = build_step(PauliHamiltonian(1, ()), 0.5)
 
@@ -125,7 +130,7 @@ def test_absorbing_injection_with_frozen_hamiltonian():
     # H=0 and f=1: after the first successful injection n stays at 1
     cfg = RunConfig(t_final=10.0, N_t=20, seed=3)
     rec = run_trajectory(EMPTY_L1, (ContactSpec(0, 0.5, 1.0),), cfg, ())
-    n = rec.density[:, 0]
+    n = rec.density[0, :, 0]
     assert np.all((np.abs(n) <= 1e-12) | (np.abs(n - 1.0) <= 1e-12))
     first_one = int(np.argmax(n > 0.5))
     assert n[first_one:].min() >= 1.0 - 1e-12
@@ -139,7 +144,7 @@ def test_events_pin_density_to_target():
     for _, step, q, target, _ in rec.events:
         # recording happens after contact actions, so the recorded density
         # at the event step equals the reset target
-        assert rec.density[step, q] == pytest.approx(float(target), abs=1e-12)
+        assert rec.density[0, step, q] == pytest.approx(float(target), abs=1e-12)
 
 
 def test_discrete_step_relaxation_law():
@@ -157,7 +162,7 @@ def test_ensemble_single_trajectory():
     contacts = (ContactSpec(1, 0.5, 0.0),)
     ens = run_ensemble(plan, contacts, cfg, (0,), workers=1)
     rec = run_trajectory(plan, contacts, cfg, (0,), traj_id=0)
-    assert np.array_equal(ens.mean_density, rec.density)
+    assert np.array_equal(ens.mean_density, rec.density[0])
     assert np.all(ens.stderr == 0.0)
 
 
@@ -179,8 +184,8 @@ def test_worker_count_does_not_change_results():
     assert np.array_equal(serial.events, parallel.events)
 
 
-def test_no_more_workers_than_trajectories(monkeypatch):
-    started = []
+def test_no_more_workers_than_batches(monkeypatch):
+    started, handed = [], []
 
     class SerialPool:
         def __init__(self, max_workers, initializer, initargs):
@@ -193,16 +198,107 @@ def test_no_more_workers_than_trajectories(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, ids, chunksize):
-            return map(fn, ids)
+        def map(self, fn, todo, chunksize):
+            handed.extend(todo)
+            return map(fn, todo)
 
     monkeypatch.setattr(trajectory, "ProcessPoolExecutor", SerialPool)
+    # at most two trajectories of L = 2 per batch: 5 trajectories are 3 batches
+    monkeypatch.setattr(trajectory, "BATCH_AMPS", 8)
     plan = chain_plan(2, 1.0, 0.0, 0.5)
-    cfg = RunConfig(t_final=2.0, N_t=4, N_traj=3, seed=2)
+    cfg = RunConfig(t_final=2.0, N_t=4, N_traj=5, seed=2)
     pooled = run_ensemble(plan, (ContactSpec(1, 0.5, 0.0),), cfg, (0,), workers=64)
     assert started == [3]
+    assert handed == [(0, 2), (2, 2), (4, 1)]
     serial = run_ensemble(plan, (ContactSpec(1, 0.5, 0.0),), cfg, (0,), workers=1)
     assert np.array_equal(pooled.mean_density, serial.mean_density)
+    assert np.array_equal(pooled.events, serial.events)
+    # one batch: one worker; --workers 1: none
+    started.clear()
+    run_ensemble(plan, (ContactSpec(1, 0.5, 0.0),), replace(cfg, N_traj=2), (0,), workers=64)
+    run_ensemble(plan, (ContactSpec(1, 0.5, 0.0),), cfg, (0,), workers=1)
+    assert started == [1]
+
+
+@pytest.mark.parametrize("L, n_traj", [(8, 150), (8, 64), (3, 400), (2, 8000), (7, 2000),
+                                       (14, 3), (20, 1)])
+def test_batches_partition_the_trajectories(L, n_traj):
+    parts = batches(L, n_traj)
+    counts = [c for _, c in parts]
+    assert [f for f, _ in parts] == np.cumsum([0] + counts[:-1]).tolist()
+    assert sum(counts) == n_traj
+    limit = max(1, BATCH_AMPS >> L)
+    assert len(parts) == -(-n_traj // limit)
+    assert max(counts) <= limit and max(counts) - min(counts) <= 1
+
+
+def test_batch_sizes_follow_the_byte_budget():
+    assert batches(8, 64) == [(0, 64)]
+    assert batches(3, 400) == [(0, 400)]
+    assert batches(14, 3) == [(0, 1), (1, 1), (2, 1)]
+
+
+def test_default_workers_follow_the_affinity_mask(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert trajectory.default_workers() == 2
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(32)))
+    assert trajectory.default_workers() == 8
+
+
+def test_draw_layout_two_uniforms_per_contact_step(monkeypatch):
+    # trajectory k's uniforms are its (seed, k) stream in (step, contact,
+    # {action, measurement}) order, forced outcomes included, however
+    # many steps are drawn at a time: here 2 steps per chunk
+    monkeypatch.setattr(trajectory, "DRAW_CHUNK", 24)
+    steps, calls = [0], []
+    real_step, real_reset = trajectory.apply_step, trajectory.reset_to
+
+    def counting_step(state, plan):
+        steps[0] += 1
+        return real_step(state, plan)
+
+    def recording_reset(state, q, target, u):
+        calls.append((steps[0], q, target.tolist(), u.tolist()))
+        return real_reset(state, q, target, u)
+
+    monkeypatch.setattr(trajectory, "apply_step", counting_step)
+    monkeypatch.setattr(trajectory, "reset_to", recording_reset)
+    # H = 0: once a qubit is set its measurement is forced
+    plan = build_step(PauliHamiltonian(2, ()), 0.5)
+    contacts = (ContactSpec(0, 1.0, 1.0), ContactSpec(1, 0.6, 0.3))
+    cfg = RunConfig(t_final=5.0, N_t=10, seed=21)
+    rec = run_trajectory(plan, contacts, cfg, (0,), traj_id=5, count=3)
+
+    draws = np.stack([RngStream(21, k).uniform((10, 2, 2)) for k in (5, 6, 7)])
+    want = np.empty((3, 10, 2), dtype=int)
+    for i, c in enumerate(contacts):
+        p_in, p_out, _ = step_probabilities(c, cfg.dt)
+        a = draws[:, :, i, 0]
+        want[:, :, i] = np.where(a < p_in, 1, np.where(a < p_in + p_out, 0, -1))
+    called = set()
+    for step, q, target, u in calls:
+        assert target == want[:, step - 1, q].tolist()
+        assert u == draws[:, step - 1, q, 1].tolist()
+        called.add((step, q))
+    for step in range(1, 11):
+        for i in range(2):
+            if (step, i) not in called:
+                assert (want[:, step - 1, i] == -1).all()
+    acting = [[5 + b, s + 1, i, want[b, s, i]]
+              for b in range(3) for s in range(10) for i in range(2) if want[b, s, i] >= 0]
+    assert rec.events[:, :4].tolist() == acting
+
+
+def test_batch_rows_match_lone_trajectories():
+    plan = chain_plan(3, 3.0, 10.0, 0.5)
+    contacts = (ContactSpec(0, 0.5, 1.0), ContactSpec(1, 0.5, 0.5), ContactSpec(2, 0.5, 0.0))
+    cfg = RunConfig(t_final=5.0, N_t=10, seed=4)
+    batch = run_trajectory(plan, contacts, cfg, (0,), traj_id=2, count=4)
+    for b in range(4):
+        lone = run_trajectory(plan, contacts, cfg, (0,), traj_id=2 + b)
+        assert np.max(np.abs(batch.density[b] - lone.density[0])) <= 1e-14
+        assert np.array_equal(batch.events[batch.events[:, 0] == 2 + b], lone.events)
 
 
 def test_ensemble_rejects_worker_count_below_one():
@@ -224,3 +320,55 @@ def test_run_rejects_invalid_contacts():
     cfg = RunConfig(t_final=10.0, N_t=10)
     with pytest.raises(ValueError):
         run_trajectory(plan, (ContactSpec(0, 9.0, 1.0),), cfg, ())
+
+
+def exact_channel_densities(plan, contacts, cfg, init):
+    """Site densities of the process the trajectories sample, propagated
+    exactly as a density matrix: the unitary of the plan, then for each
+    contact rho -> p_none rho + p_in R_1(rho) + p_out R_0(rho), where
+    R_t sums (c + c^dag)^[m != t] P_m rho P_m (c + c^dag)^[m != t] over
+    the outcomes m."""
+    L = plan.L
+    U = np.eye(1 << L, dtype=complex)
+    apply_step(StateVector(L, U), plan)  # row k becomes U applied to basis state k
+    U = U.T
+    bits = np.arange(1 << L)
+    occupation = (bits[:, None] >> np.arange(L)) & 1
+    psi = np.zeros(1 << L)
+    psi[sum(1 << q for q in init)] = 1.0
+    rho = np.outer(psi, psi).astype(complex)
+
+    def reset(rho, q, t):
+        flip = fermion_lowering(q, L) + fermion_lowering(q, L).conj().T
+        out = np.zeros_like(rho)
+        for m in (0, 1):
+            K = np.diag(((bits >> q) & 1 == m).astype(float))
+            if m != t:
+                K = flip @ K
+            out += K @ rho @ K.conj().T
+        return out
+
+    densities = [np.real(np.diag(rho)) @ occupation]
+    for step in range(1, cfg.N_t + 1):
+        rho = U @ rho @ U.conj().T
+        for c in contacts:
+            p_in, p_out, p_none = step_probabilities(c, cfg.dt)
+            rho = p_none * rho + p_in * reset(rho, c.q, 1) + p_out * reset(rho, c.q, 0)
+        if plan.symmetric:
+            rho = U @ rho @ U.conj().T
+        if step % cfg.record_every == 0:
+            densities.append(np.real(np.diag(rho)) @ occupation)
+    return np.array(densities)
+
+
+@pytest.mark.parametrize("symmetric", [False, True], ids=["first-order", "symmetric"])
+def test_ensemble_realises_the_exact_discrete_channel(symmetric):
+    # contacts at both ends and an interior one; only Monte-Carlo noise
+    # separates the ensemble from the exact propagation of its process
+    plan = build_step(build_chain_hamiltonian(ChainSpec(L=3, gamma=3.0, v=10.0)), 0.5,
+                      symmetric=symmetric)
+    contacts = (ContactSpec(0, 0.5, 1.0), ContactSpec(1, 0.4, 0.5), ContactSpec(2, 0.5, 0.0))
+    cfg = RunConfig(t_final=6.0, N_t=12, N_traj=4000, seed=3)
+    ens = run_ensemble(plan, contacts, cfg, (0,), workers=1)
+    exact = exact_channel_densities(plan, contacts, cfg, (0,))
+    assert np.all(np.abs(ens.mean_density - exact) <= 4.5 * ens.stderr + 1e-12)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from openchain.model import ChainSpec, PauliHamiltonian, PauliTerm, build_chain_hamiltonian
-from openchain.state import init_basis_state
+from openchain.state import StateVector, init_basis_state
 from openchain.trotter import BondGate, apply_step, build_step, exact_propagator_oracle
 
 
@@ -134,6 +134,55 @@ def test_first_order_convergence():
         errors.append(np.linalg.norm(s.amps - exact))
     for coarse, fine in zip(errors, errors[1:]):
         assert 1.7 <= coarse / fine <= 2.3
+
+
+def test_symmetric_step_is_second_order():
+    # two symmetric half steps per step of length 2/n
+    h = build_chain_hamiltonian(ChainSpec(L=4, gamma=3.0, v=10.0))
+    psi0 = init_basis_state(4, (0, 1, 2)).amps
+    exact = exact_propagator_oracle(h, 2.0) @ psi0
+    errors = []
+    for n in (8, 16, 32, 64):
+        s = init_basis_state(4, (0, 1, 2))
+        evolve(s, build_step(h, 2.0 / n, symmetric=True), 2 * n)
+        errors.append(np.linalg.norm(s.amps - exact))
+    for coarse, fine in zip(errors, errors[1:]):
+        assert 3.6 <= coarse / fine <= 4.4
+
+
+@pytest.mark.parametrize("L", [1, 2, 4])
+def test_symmetric_half_step_is_sweep_then_reversed_sweep(L):
+    # S(dt/2): the term-order rotations at dt/4, then the reversed ones
+    h = build_chain_hamiltonian(ChainSpec(L=L, gamma=3.0, v=10.0))
+    dt = 0.3
+    gen = np.random.default_rng(L)
+    amps = gen.normal(size=1 << L) + 1j * gen.normal(size=1 << L)
+    amps /= np.linalg.norm(amps)
+    expected = amps.copy()
+    for t in h.terms + h.terms[::-1]:
+        P = PauliTerm(1.0, t.letters).to_matrix()
+        theta = t.coeff * dt / 4
+        expected = np.cos(theta) * expected - 1j * np.sin(theta) * (P @ expected)
+    s = init_basis_state(L, ())
+    s.amps[:] = amps
+    plan = build_step(h, dt, symmetric=True)
+    assert plan.symmetric and not build_step(h, dt).symmetric
+    apply_step(s, plan)
+    assert np.max(np.abs(s.amps - expected)) <= 1e-12
+
+
+def test_step_acts_on_every_row_of_a_batch():
+    h = build_chain_hamiltonian(ChainSpec(L=3, gamma=3.0, v=10.0))
+    plan = build_step(h, 0.4)
+    gen = np.random.default_rng(9)
+    rows = gen.normal(size=(5, 8)) + 1j * gen.normal(size=(5, 8))
+    batch = StateVector(3, rows.copy())
+    apply_step(batch, plan)
+    for row, amps in zip(batch.amps, rows):
+        s = init_basis_state(3, ())
+        s.amps[:] = amps
+        apply_step(s, plan)
+        assert np.array_equal(row, s.amps)
 
 
 def test_plan_conserves_particle_number():
