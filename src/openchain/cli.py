@@ -20,6 +20,7 @@ from .config import (
     SIGMA_FACTOR,
     ConfigError,
     ScenarioConfig,
+    check_memory,
     get_preset,
     parse_config,
 )
@@ -27,8 +28,8 @@ from .lindblad import build_jump_operators, integrate
 from .model import PauliHamiltonian, build_chain_hamiltonian
 from .output import emit_csv, emit_events_csv, emit_heatmap
 from .state import init_basis_state
-from .trajectory import EnsembleResult, run_ensemble
-from .trotter import build_step
+from .trajectory import EnsembleResult, default_workers, run_ensemble
+from .trotter import TrotterPlan, build_step
 
 
 def _lindblad_run(cfg: ScenarioConfig, ham: PauliHamiltonian):
@@ -41,6 +42,15 @@ def _lindblad_run(cfg: ScenarioConfig, ham: PauliHamiltonian):
     run = cfg.run
     return integrate(np.outer(psi, psi.conj()), ham.to_matrix(), J,
                      run.t_final, run.N_t, run.record_every)
+
+
+def scenario_step(cfg: ScenarioConfig, ham: PauliHamiltonian) -> TrotterPlan:
+    """The Trotter step a scenario runs.  Compare mode checks the
+    ensemble against the continuum master equation, so it splits the
+    step symmetrically around the contacts, second order in dt; closed
+    and open modes run the first-order step, the unitary and then the
+    contacts."""
+    return build_step(ham, cfg.run.dt, symmetric=cfg.mode == "compare")
 
 
 def compare_verdict(ens: EnsembleResult, lind) -> dict:
@@ -75,14 +85,13 @@ def run_scenario(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     ham = build_chain_hamiltonian(cfg.chain)
-    plan = build_step(ham, cfg.run.dt, symmetric=cfg.step == "symmetric")
+    plan = scenario_step(cfg, ham)
     run = replace(cfg.run, N_traj=1) if cfg.mode == "closed" else cfg.run
     ens = run_ensemble(plan, cfg.contacts, run, cfg.init_occupations, workers=workers)
     # (result, density file, events file, heatmap file); None is not written
     writes = [(ens, "density.csv", "events.csv", "heatmap.svg" if cfg.emit_heatmap else None)]
     if single and cfg.mode == "open":
-        solo = run_ensemble(plan, cfg.contacts, replace(run, N_traj=1), cfg.init_occupations,
-                            workers=1)
+        solo = run_ensemble(plan, cfg.contacts, replace(run, N_traj=1), cfg.init_occupations)
         writes.append((solo, "single_density.csv", "single_events.csv", "single_heatmap.svg"))
     if cfg.mode == "compare":
         lind = _lindblad_run(cfg, ham)
@@ -152,8 +161,10 @@ def main(argv=None) -> int:
                     [f"compare subcommand needs mode='compare', config has {cfg.mode!r}"]
                 )
             out = args.out or cfg.output_path or "out"
+        workers = default_workers() if args.workers is None else args.workers
+        check_memory(cfg, workers)
         single = getattr(args, "single", False)
-        return run_scenario(cfg, out, workers=args.workers, single=single)
+        return run_scenario(cfg, out, workers=workers, single=single)
     except ConfigError as exc:
         for e in exc.errors:
             print(f"config error: {e}", file=sys.stderr)

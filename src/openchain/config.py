@@ -24,14 +24,11 @@ from .trajectory import (
     RunConfig,
     batch_count,
     chunk_steps,
-    default_workers,
     fermi_dirac,
     validate_contacts,
 )
 
 MODES = ("closed", "open", "compare")
-# the Trotter step: first-order, or symmetric around the contacts (trotter.py)
-STEPS = ("first-order", "symmetric")
 
 # Tolerance budget for the trajectory-vs-Lindblad comparison:
 # |n_traj - n_lindblad| <= SIGMA_FACTOR * stderr + ABS_BUDGET per
@@ -41,7 +38,7 @@ ABS_BUDGET = 0.05
 
 CONFIG_KEYS = frozenset((
     "mode", "L", "gamma_meV", "v_meV", "contacts", "t_final", "N_t", "N_traj", "seed",
-    "record_every", "init_sites", "include_depolarizing", "emit_heatmap", "output", "step",
+    "record_every", "init_sites", "include_depolarizing", "emit_heatmap", "output",
 ))
 # "label" is a free-form annotation; nothing reads it
 CONTACT_KEYS = frozenset(("site", "f", "eps_meV", "mu_meV", "kT_meV", "Gamma_meV", "eta", "label"))
@@ -70,7 +67,6 @@ class ConfigError(ValueError):
 @dataclass(frozen=True)
 class ScenarioConfig:
     mode: str
-    step: str
     chain: ChainSpec
     contacts: tuple[ContactSpec, ...]
     run: RunConfig
@@ -121,15 +117,16 @@ def _physical_memory() -> int:
 
 
 def _check_memory(mode: str, L: int, run: RunConfig, contacts, include_depolarizing: bool,
-                  errors: list[str]) -> None:
+                  workers: int, errors: list[str]) -> None:
     """Reject a run whose estimated peak memory exceeds physical memory,
     under the key of its largest factor, before anything is allocated.
-    It counts a batch in flight on each worker of the default pool."""
+    It counts a batch in flight on each of min(workers, batches)
+    processes, as many as run_ensemble starts."""
     n_traj = 1 if mode == "closed" else run.N_traj
     n_batches = batch_count(L, n_traj)
     rows_per_batch = -(-n_traj // n_batches)
-    workers = min(default_workers(), n_batches)
-    # each worker: its batch's state, the phase vector and step temporaries,
+    workers = min(workers, n_batches)
+    # each process: its batch's state, the phase vector and step temporaries,
     # 16 B per amplitude each, and its draw chunk
     steps = min(run.N_t, chunk_steps(rows_per_batch, len(contacts)))
     draws = rows_per_batch * steps * len(contacts)
@@ -156,6 +153,16 @@ def _check_memory(mode: str, L: int, run: RunConfig, contacts, include_depolariz
             f"N_traj={run.N_traj} needs ~{need / 2**30:.3g} GiB, more than the "
             f"{have / 2**30:.3g} GiB of physical memory"
         )
+
+
+def check_memory(cfg: ScenarioConfig, workers: int) -> None:
+    """Raise ConfigError if `cfg` run on `workers` processes does not fit
+    in physical memory."""
+    errors: list[str] = []
+    _check_memory(cfg.mode, cfg.chain.L, cfg.run, cfg.contacts, cfg.include_depolarizing,
+                  workers, errors)
+    if errors:
+        raise ConfigError(errors)
 
 
 def _contact_from_dict(entry: dict, L: int, dt: float, path: str, errors: list[str]):
@@ -223,9 +230,6 @@ def parse_config(text: str) -> ScenarioConfig:
     mode = raw.get("mode")
     if mode not in MODES:
         errors.append(f"mode: must be one of {MODES}, got {mode!r}")
-    step = raw.get("step", STEPS[0])
-    if step not in STEPS:
-        errors.append(f"step: must be one of {STEPS}, got {step!r}")
 
     # checked before anything is sized by L: the state vector has 2^L amplitudes
     L = raw.get("L")
@@ -273,7 +277,9 @@ def parse_config(text: str) -> ScenarioConfig:
     include_depolarizing = _flag(raw, "include_depolarizing", True, errors)
     emit_heatmap = _flag(raw, "emit_heatmap", False, errors)
     if run is not None:
-        _check_memory(mode, L, run, contacts, include_depolarizing, errors)
+        # one batch in flight, as any run has; the CLI checks again with the
+        # worker count it resolves (check_memory)
+        _check_memory(mode, L, run, contacts, include_depolarizing, 1, errors)
 
     init_sites = raw.get("init_sites", [])
     init: list[int] = []
@@ -304,7 +310,6 @@ def parse_config(text: str) -> ScenarioConfig:
 
     return ScenarioConfig(
         mode=mode,
-        step=step,
         chain=chain,
         contacts=tuple(contacts),
         run=run,
@@ -323,14 +328,10 @@ def _source_drain(L: int) -> list[dict]:
 
 
 def _transport(mode: str, L: int, gamma: float, t_final: float, N_t: int, N_traj: int) -> dict:
-    """The chain between a source and a drain, one electron on site 1,
-    with the symmetric step: at these coarse steps the first-order one
-    sits 0.058 (L = 2) and 0.262 (L = 3) from the continuum master
-    equation, the symmetric one 0.015 and 0.026."""
+    """The chain between a source and a drain, one electron on site 1."""
     return {
-        "mode": mode, "step": "symmetric", "L": L, "gamma_meV": gamma, "v_meV": 10.0,
-        "contacts": _source_drain(L), "t_final": t_final, "N_t": N_t, "N_traj": N_traj,
-        "seed": 1, "init_sites": [1],
+        "mode": mode, "L": L, "gamma_meV": gamma, "v_meV": 10.0, "contacts": _source_drain(L),
+        "t_final": t_final, "N_t": N_t, "N_traj": N_traj, "seed": 1, "init_sites": [1],
     }
 
 

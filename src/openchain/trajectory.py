@@ -273,10 +273,10 @@ def run_ensemble(
 
     The trajectories run in the batches of `batches(L, N_traj)`, which
     no worker count changes, and the reduction is ordered by trajectory
-    id, so the result is bit-identical for any worker count.  With
-    `workers` 1 the batches run in this process; otherwise a pool of
-    min(workers, batches) processes runs them, at most one per batch.
-    `workers` defaults to default_workers().
+    id, so the result is bit-identical for any worker count.  With one
+    worker or one trajectory the batches run in this process; otherwise
+    a pool of min(workers, batches) processes runs them, at most one per
+    batch.  `workers` defaults to default_workers().
     """
     errors = validate_contacts(contacts, plan.L, cfg.dt)
     if errors:
@@ -286,11 +286,13 @@ def run_ensemble(
     elif workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     todo = batches(plan.L, cfg.N_traj)
-    if workers == 1:
+    if min(workers, cfg.N_traj) == 1:
         records = [run_trajectory(plan, contacts, cfg, init, *b) for b in todo]
     else:
-        # even one batch goes to a worker: the calling process keeps only
-        # the reduction, not the engine's RNG modules and temporaries
+        # a one-batch ensemble of many trajectories still runs in a worker:
+        # the calling process keeps the reduction and, in compare mode, the
+        # oracle, while numpy.random (6 MiB resident) and the engine's
+        # temporaries stay in the worker
         with ProcessPoolExecutor(
             max_workers=min(workers, len(todo)),
             initializer=_init_worker,

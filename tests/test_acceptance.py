@@ -1,14 +1,15 @@
 """Acceptance gate: nine numbered end-to-end criteria.
 
-Each test prints one `CRITERION n: PASS/FAIL` line.  The transport
-presets behind criteria 5 and 7 run the symmetric step: at their coarse
-dt = 0.25..0.5 the first-order product formula has O(dt) density error
-far above the stated budgets, and its bond sweep together with the
+Each test prints one `CRITERION n: PASS/FAIL` line.  Every fixture
+runs a preset with the step `scenario_step` gives it, as the CLI does:
+the compare presets behind criterion 5 run the symmetric step, the
+others the first-order one.  Criterion 7 fails at the coarse preset
+step dt = 0.5: there the first-order bond sweep together with the
 per-bond transfer probability sin^2(gamma*dt) inverts the gamma=5 vs
-gamma=3 speed ordering.  The companion `_fine_step` tests pin the same
-physics with the first-order step in the converged regime.  Criterion
-3 runs the fig2 preset, which integrates at dt=0.005 and records every
-0.5.
+gamma=3 speed ordering.  It stays red until the open mode removes that
+bias; the companion `_fine_step` tests pin the same physics in the
+converged regime and stay green.  Criterion 3 runs the fig2 preset,
+which integrates at dt=0.005 and records every 0.5.
 """
 
 import math
@@ -16,7 +17,7 @@ import math
 import numpy as np
 import pytest
 
-from openchain.cli import _lindblad_run
+from openchain.cli import _lindblad_run, scenario_step
 from openchain.config import ABS_BUDGET, SIGMA_FACTOR, get_preset
 from openchain.model import ChainSpec, PauliHamiltonian, build_chain_hamiltonian, fock_matrix_oracle
 from openchain.output import emit_csv
@@ -27,8 +28,7 @@ from openchain.trotter import apply_step, build_step, exact_propagator_oracle
 
 def preset_plan(cfg):
     """The step of a preset, as `run_scenario` builds it."""
-    ham = build_chain_hamiltonian(cfg.chain)
-    return build_step(ham, cfg.run.dt, symmetric=cfg.step == "symmetric")
+    return scenario_step(cfg, build_chain_hamiltonian(cfg.chain))
 
 
 def verdict(label, ok, detail):
@@ -174,8 +174,8 @@ def test_criterion_4_single_contact_relaxation():
 
 @pytest.mark.parametrize("L", [2, 3])
 def test_criterion_5_master_equation_equivalence(compare_runs, L):
-    """The compare presets run the symmetric step.  Exact propagation of
-    the sampled process puts it 0.0148 (L=2) and 0.0263 (L=3) from the
+    """Compare mode runs the symmetric step.  Exact propagation of the
+    sampled process puts it 0.0148 (L=2) and 0.0263 (L=3) from the
     continuum Lindblad solution; the first-order step sits 0.0575 and
     0.262 away at dt=0.25 with gamma=3, v=10, above the budget.  At
     L=2 all of that is the splitting of the contacts from the unitary
@@ -205,14 +205,15 @@ def arrival_time(ens, site, threshold=0.2):
 
 
 def test_criterion_7_fig3_speed_ordering(fig3_runs):
-    """fig3a/fig3b run the symmetric step: the gamma=5 front reaches
-    site 7 at t=1.0 and the gamma=3 front at t=1.5, the exact-unitary
-    ordering.  With the first-order step at dt=0.5 the ascending bond
-    sweep moves the gamma=3 particle across all six bonds within the
-    first step (sin^2(1.5) = 0.995 per bond), so it "arrives" at the
-    first record, t=0.5, while at gamma=5 the per-bond transfer
-    sin^2(2.5) = 0.36 is past the pi/2 aliasing point and the front
-    never arrives."""
+    """Red at dt=0.5, from two effects of the first-order step.  At
+    gamma=3 the ascending bond sweep moves the particle across all six
+    bonds within the first step (sin^2(1.5) = 0.995 per bond), so it
+    "arrives" at site 7 at the first record, t=0.5.  At gamma=5 the
+    per-bond transfer sin^2(2.5) = 0.36 is past the pi/2 aliasing point,
+    and the front never arrives.  The exact-unitary mean gives the right
+    ordering (gamma=5 at t=1.0, gamma=3 at t=1.5); ten unitary sub-steps
+    still tie at t=1.0, and twenty give n_7(1.0) ~ 0.15 (gamma=3) vs
+    ~0.36 (gamma=5).  The fine-step companion restores the ordering."""
     t3 = arrival_time(fig3_runs["fig3a"][1], 6)
     t5 = arrival_time(fig3_runs["fig3b"][1], 6)
     verdict(7, t5 < t3, f"arrival at site 7: gamma=5 at t={t5}, gamma=3 at t={t3}")

@@ -5,8 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from openchain.cli import compare_verdict, main, run_scenario
+from openchain.cli import compare_verdict, main, run_scenario, scenario_step
 from openchain.config import get_preset, parse_config
+from openchain.model import build_chain_hamiltonian
 from openchain.output import (
     ACTIONS,
     EVENTS_BLOCK,
@@ -181,6 +182,13 @@ def test_fig2_preset_front_moves_monotonically(tmp_path):
     turn = int(np.argmax(argmax))
     assert argmax[turn] == mean.shape[1] - 1
     assert np.all(np.diff(argmax[: turn + 1]) >= 0)
+
+
+@pytest.mark.parametrize("name, symmetric", [("fig2", False), ("fig3a", False),
+                                             ("compare-l2", True)])
+def test_scenario_step_is_symmetric_in_compare_mode_only(name, symmetric):
+    cfg = get_preset(name)
+    assert scenario_step(cfg, build_chain_hamiltonian(cfg.chain)).symmetric is symmetric
 
 
 def test_compare_scenario_small_l2(tmp_path):

@@ -58,7 +58,6 @@ MALFORMED = {
         "t_final": 10**9, "N_t": 10**9, "record_every": 10**9, "N_traj": 100,
         "contacts": [{"site": 1, "eta": 0.5, "f": 1.0}, {"site": 2, "eta": 0.5, "f": 0.0}]}),
     "mode-lindblad-check": ("mode", {"mode": "lindblad-check"}),
-    "step-unknown": ("step", {"step": "second-order"}),
     "unknown-N_trajs": ("N_trajs", {"N_trajs": 500}),
     "unknown-record_evry": ("record_evry", {"record_evry": 10}),
     "unknown-include_depolarising": ("include_depolarising", {"include_depolarising": False}),
@@ -77,7 +76,6 @@ def test_minimal_closed_config_parses():
     assert cfg.chain.L == 2 and cfg.chain.gamma == 1.0
     assert cfg.run.seed == 7
     assert cfg.init_occupations == (0,)
-    assert cfg.step == "first-order"
 
 
 def test_eta_above_one_rejected():
@@ -199,7 +197,6 @@ def test_preset_parses_to_pinned_values(name):
         cfg.init_occupations, cfg.emit_heatmap,
     ) == PRESET_VALUES[name]
     assert cfg.include_depolarizing is True and cfg.output_path is None
-    assert cfg.step == ("first-order" if name == "fig2" else "symmetric")
 
 
 @pytest.mark.parametrize("args, keys, memory", [
@@ -237,4 +234,23 @@ def test_main_rejects_state_beyond_physical_memory(tmp_path, capsys, monkeypatch
     err = capsys.readouterr().err
     # state, phase vector and temporaries: 3 * 16 B * 2^16 = 0.00293 GiB
     assert "config error: L: " in err and "needs ~0.00293 GiB" in err
+    assert not out.exists()
+
+
+def test_main_checks_memory_for_the_workers_it_starts(tmp_path, capsys, monkeypatch):
+    # at L = 16 a batch is one trajectory, and each process holds
+    # 3 * 16 B * 2^16 = 3 MiB of state and step temporaries
+    monkeypatch.setattr(config, "_physical_memory", lambda: 8 * 2**20)
+    raw = dict(MINIMAL_OPEN, L=16, N_traj=8)
+    cfg = parse_config(json.dumps(raw))  # one batch in flight fits
+    config.check_memory(cfg, 2)
+    with pytest.raises(ConfigError, match="L: "):
+        config.check_memory(cfg, 8)
+    # no more processes than batches: two trajectories start two
+    config.check_memory(parse_config(json.dumps(dict(raw, N_traj=2))), 8)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg_path), "--out", str(out), "--workers", "8"]) == 1
+    assert "config error: L: " in capsys.readouterr().err
     assert not out.exists()

@@ -213,9 +213,11 @@ def test_no_more_workers_than_batches(monkeypatch):
     serial = run_ensemble(plan, (ContactSpec(1, 0.5, 0.0),), cfg, (0,), workers=1)
     assert np.array_equal(pooled.mean_density, serial.mean_density)
     assert np.array_equal(pooled.events, serial.events)
-    # one batch: one worker; --workers 1: none
+    # one batch of two trajectories: one worker; one trajectory or
+    # --workers 1: none
     started.clear()
     run_ensemble(plan, (ContactSpec(1, 0.5, 0.0),), replace(cfg, N_traj=2), (0,), workers=64)
+    run_ensemble(plan, (ContactSpec(1, 0.5, 0.0),), replace(cfg, N_traj=1), (0,), workers=64)
     run_ensemble(plan, (ContactSpec(1, 0.5, 0.0),), cfg, (0,), workers=1)
     assert started == [1]
 
