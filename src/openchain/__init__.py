@@ -10,7 +10,6 @@ from .model import (
 )
 from .state import (
     RngStream,
-    StateVector,
     init_basis_state,
     reset_to,
 )
@@ -32,7 +31,6 @@ __all__ = [
     "build_chain_hamiltonian",
     "fock_matrix_oracle",
     "RngStream",
-    "StateVector",
     "init_basis_state",
     "reset_to",
     "ContactSpec",

@@ -1,8 +1,8 @@
 """Command-line harness: run a scenario config or a named preset, and
 compare the trajectory ensemble against the Lindblad oracle.
 
-Exit codes: 0 = success (and PASS for compare), 1 = validation error,
-2 = compare FAIL.
+Exit codes: 0 = success (and PASS for compare), 1 = usage or
+validation error, 2 = compare FAIL.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ def _lindblad_run(cfg: ScenarioConfig, ham: PauliHamiltonian):
     J = build_jump_operators(
         cfg.contacts, cfg.chain.L, include_depolarizing=cfg.include_depolarizing
     )
-    psi = init_basis_state(cfg.chain.L, cfg.init_occupations).amps
+    psi = init_basis_state(cfg.chain.L, cfg.init_occupations)
     run = cfg.run
     return integrate(np.outer(psi, psi.conj()), ham.to_matrix(), J,
                      run.t_final, run.N_t, run.record_every)
@@ -68,19 +68,13 @@ def compare_verdict(ens: EnsembleResult, lind) -> dict:
     }
 
 
-def run_scenario(
-    cfg: ScenarioConfig,
-    out_dir,
-    workers: int | None = None,
-    single: bool = False,
-) -> int:
+def run_scenario(cfg: ScenarioConfig, out_dir, workers: int | None = None) -> int:
     """Execute one scenario and write its output files.  Returns the
     process exit code.
 
-    Every mode is a view of the same trajectory ensemble: closed runs
-    one trajectory, open and compare run N_traj, `single` (open mode
-    only) adds trajectory 0 on its own, and compare adds the Lindblad
-    densities as `lindblad.csv` and the verdict.
+    Every mode runs one trajectory ensemble: closed mode one trajectory,
+    open and compare N_traj.  Compare mode adds the Lindblad densities
+    as `lindblad.csv` and the verdict.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -88,26 +82,17 @@ def run_scenario(
     plan = scenario_step(cfg, ham)
     run = replace(cfg.run, N_traj=1) if cfg.mode == "closed" else cfg.run
     ens = run_ensemble(plan, cfg.contacts, run, cfg.init_occupations, workers=workers)
-    # (result, density file, events file, heatmap file); None is not written
-    writes = [(ens, "density.csv", "events.csv", "heatmap.svg" if cfg.emit_heatmap else None)]
-    if single and cfg.mode == "open":
-        solo = run_ensemble(plan, cfg.contacts, replace(run, N_traj=1), cfg.init_occupations)
-        writes.append((solo, "single_density.csv", "single_events.csv", "single_heatmap.svg"))
-    if cfg.mode == "compare":
-        lind = _lindblad_run(cfg, ham)
-        oracle = EnsembleResult(lind.times, lind.densities, np.zeros_like(lind.densities),
-                                np.zeros((0, 5), dtype=np.int64), 0)
-        writes.append((oracle, "lindblad.csv", None, None))
-
-    for result, density, events, heatmap in writes:
-        emit_csv(result, out / density)
-        if events is not None:
-            emit_events_csv(result.events, out / events)
-        if heatmap is not None:
-            emit_heatmap(result, out / heatmap, n_steps=cfg.run.N_t)
-
+    emit_csv(ens, out / "density.csv")
+    emit_events_csv(ens.events, out / "events.csv")
+    if cfg.emit_heatmap:
+        emit_heatmap(ens, out / "heatmap.svg", n_steps=cfg.run.N_t)
     if cfg.mode != "compare":
         return 0
+
+    lind = _lindblad_run(cfg, ham)
+    oracle = EnsembleResult(lind.times, lind.densities, np.zeros_like(lind.densities),
+                            np.zeros((0, 5), dtype=np.int64))
+    emit_csv(oracle, out / "lindblad.csv")
     verdict = compare_verdict(ens, lind)
     (out / "verdict.json").write_text(json.dumps(verdict, indent=2) + "\n")
     print(f"compare: max|diff| = {verdict['max_abs_deviation']:.4f}, "
@@ -127,8 +112,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--config", required=True)
     run.add_argument("--out", default=None, help="output directory")
     run.add_argument("--workers", type=int, default=None)
-    run.add_argument("--single", action="store_true",
-                     help="also emit one seeded trajectory (open mode)")
 
     pre = sub.add_parser("preset", help="run a named preset")
     pre.add_argument("name")
@@ -136,7 +119,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pre.add_argument("--seed", type=int, default=None)
     pre.add_argument("--traj", type=int, default=None)
     pre.add_argument("--workers", type=int, default=None)
-    pre.add_argument("--single", action="store_true")
 
     cmp_ = sub.add_parser("compare", help="trajectory-vs-Lindblad comparison")
     cmp_.add_argument("--config", required=True)
@@ -146,7 +128,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed its message; a usage error exits 1, since
+        # 2 means a compare FAIL, and --help exits 0
+        return 1 if exc.code else 0
     if args.workers is not None and args.workers < 1:
         print("error: --workers must be >= 1", file=sys.stderr)
         return 1
@@ -163,8 +150,7 @@ def main(argv=None) -> int:
             out = args.out or cfg.output_path or "out"
         workers = default_workers() if args.workers is None else args.workers
         check_memory(cfg, workers)
-        single = getattr(args, "single", False)
-        return run_scenario(cfg, out, workers=workers, single=single)
+        return run_scenario(cfg, out, workers=workers)
     except ConfigError as exc:
         for e in exc.errors:
             print(f"config error: {e}", file=sys.stderr)

@@ -3,21 +3,22 @@ and the one contact kernel, `reset_to`: a Born-rule measurement and the
 conditional fermionic flip c_q + c_q^dag in a single pass.  The unitary
 step acts on the amplitudes in trotter.py.
 
-The amplitudes of a StateVector have shape (2^L,) for one state or
-(B, 2^L) for a batch: row b is trajectory b of the batch, and every
-kernel here and in trotter.py acts on each row independently.
+A state is a plain complex array of amplitudes, of shape (2^L,) for
+one state or (B, 2^L) for a batch: bit q of the last index is the
+occupation of qubit q, so L is read from the last axis.  Row b is
+trajectory b of the batch, and every kernel here and in trotter.py acts
+on each row independently, in place.
 
 The kernels draw no random numbers themselves.  The caller hands
 `reset_to` one measurement uniform per row, from each trajectory's own
-RngStream; trajectory.py fixes the layout of those draws.  A
-StateVector is confined to one worker at a time; nothing in here shares
-mutable state between instances.
+RngStream; trajectory.py fixes the layout of those draws.  An amplitude
+array is confined to one worker at a time; nothing in here keeps
+mutable state between calls.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -37,8 +38,6 @@ class RngStream:
     def __init__(self, seed: int, stream: int = 0):
         ss = np.random.SeedSequence(entropy=seed, spawn_key=(stream,))
         self._gen = np.random.Generator(np.random.PCG64(ss))
-        self.seed = seed
-        self.stream = stream
 
     def uniform(self, shape=None):
         """One draw from U[0, 1), or an array of draws of `shape` in C
@@ -49,18 +48,6 @@ class RngStream:
         return self._gen.random(shape)
 
 
-@dataclass
-class StateVector:
-    """Complex amplitudes of shape (2^L,) or (B, 2^L); bit q of the last
-    index is the occupation of qubit q."""
-
-    L: int
-    amps: np.ndarray
-
-    def norm(self) -> float:
-        return float(np.sqrt(np.sum(np.abs(self.amps) ** 2, dtype=np.longdouble)))
-
-
 class Resets(NamedTuple):
     """Outcome of one `reset_to` call."""
 
@@ -68,7 +55,9 @@ class Resets(NamedTuple):
     changed: int  # how many rows the flip changed
 
 
-def init_basis_state(L: int, occupations) -> StateVector:
+def init_basis_state(L: int, occupations) -> np.ndarray:
+    """The (2^L,) amplitudes of the basis state with the given qubits
+    occupied."""
     if not 1 <= L <= MAX_QUBITS:
         raise ValueError(f"register size must be in [1, {MAX_QUBITS}], got {L}")
     index = 0
@@ -78,7 +67,7 @@ def init_basis_state(L: int, occupations) -> StateVector:
         index |= 1 << q
     amps = np.zeros(1 << L, dtype=complex)
     amps[index] = 1.0
-    return StateVector(L, amps)
+    return amps
 
 
 @functools.lru_cache(maxsize=None)
@@ -107,18 +96,18 @@ def _planes(rows: np.ndarray, L: int) -> tuple[np.ndarray, int]:
     return rows.view(np.float64).reshape(len(rows), 1 << (L - K), 2 << K), K
 
 
-def all_densities(state: StateVector) -> np.ndarray:
+def all_densities(amps: np.ndarray) -> np.ndarray:
     """<n_q> for every qubit: shape (L,) for one state, (B, L) for a batch.
 
     Two passes over |a|^2 in the `_planes` view: its sums over the
     middle axis give the low K qubits and its sums over the last axis
     the high L - K, each through a small bit matrix; neither a (2^L, L)
     matrix nor a copy of |a|^2 is built."""
-    L = state.L
-    x, K = _planes(state.amps.reshape(-1, 1 << L), L)
+    L = amps.shape[-1].bit_length() - 1
+    x, K = _planes(amps.reshape(-1, 1 << L), L)
     low = np.einsum("rhk,rhk->rk", x, x) @ _bits(K + 1)[:, 1:]
     high = np.einsum("rhk,rhk->rh", x, x) @ _bits(L - K)
-    return np.concatenate([low, high], axis=1).reshape(state.amps.shape[:-1] + (L,))
+    return np.concatenate([low, high], axis=1).reshape(amps.shape[:-1] + (L,))
 
 
 @functools.lru_cache(maxsize=None)
@@ -129,7 +118,7 @@ def _jw_signs(q: int) -> np.ndarray:
     return signs
 
 
-def reset_to(state: StateVector, q: int, target, u) -> Resets:
+def reset_to(amps: np.ndarray, q: int, target, u) -> Resets:
     """The contact primitive, row by row: measure qubit q, then flip it
     with the fermionic c_q + c_q^dag if the outcome differs from the
     row's target.
@@ -142,16 +131,16 @@ def reset_to(state: StateVector, q: int, target, u) -> Resets:
     1/sqrt(p_m) and the other half zeroed; on a flip the halves swap
     and take the Jordan-Wigner sign (-1)^(occupied qubits below q).
     Afterwards <n_q> is exactly the target."""
-    if not 0 <= q < state.L:
+    L = amps.shape[-1].bit_length() - 1
+    if not 0 <= q < L:
         raise ValueError(f"qubit index {q} out of range")
-    shape = state.amps.shape[:-1]
+    shape = amps.shape[:-1]
     if np.shape(target) != shape or np.shape(u) != shape:
         raise ValueError(f"target and u must have the row shape {shape}")
     t = np.asarray(target).reshape(-1)
     if np.any((t < -1) | (t > 1)):
         raise ValueError(f"target must be 0, 1 or -1, got {target!r}")
-    L = state.L
-    amps = state.amps.reshape(-1, 1 << L)
+    amps = amps.reshape(-1, 1 << L)
     acting = np.flatnonzero(t >= 0)
     measured = np.full(len(amps), -1, dtype=np.int8)
     if acting.size == 0:

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .state import RngStream, StateVector, all_densities, init_basis_state, reset_to
+from .state import RngStream, all_densities, init_basis_state, reset_to
 from .trotter import TrotterPlan, apply_step
 
 # amplitudes per batch, B * 2^L: 256 KiB of state, so B = 64 at L = 8
@@ -96,7 +96,6 @@ class EnsembleResult:
     mean_density: np.ndarray  # (T, L)
     stderr: np.ndarray  # (T, L)
     events: np.ndarray  # (E, 5) int64 rows (traj, step, q, target, changed)
-    n_traj: int
 
 
 def fermi_dirac(eps: float, mu: float, kT: float) -> float:
@@ -196,7 +195,7 @@ def run_trajectory(
     caught by step_probabilities and a bad qubit by reset_to.
     """
     streams = [RngStream(cfg.seed, k) for k in range(traj_id, traj_id + count)]
-    state = StateVector(plan.L, np.tile(init_basis_state(plan.L, init).amps, (count, 1)))
+    state = np.tile(init_basis_state(plan.L, init), (count, 1))
     n_c = len(contacts)
     probs = np.array([step_probabilities(c, cfg.dt) for c in contacts]).reshape(n_c, 3)
     p_in, p_act = probs[:, 0], probs[:, 0] + probs[:, 1]
@@ -314,5 +313,4 @@ def run_ensemble(
         mean_density=mean,
         stderr=stderr,
         events=np.concatenate([r.events for r in records]),
-        n_traj=cfg.N_traj,
     )

@@ -27,7 +27,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .model import MAX_DENSE_QUBITS, PauliHamiltonian
-from .state import StateVector
 
 
 class BondGate(NamedTuple):
@@ -100,12 +99,11 @@ def _mix(pair: np.ndarray, theta: float) -> None:
     pair += swapped
 
 
-def apply_step(state: StateVector, plan: TrotterPlan) -> StateVector:
-    """Apply the plan's gates in place: the whole step, or for a
-    symmetric plan one half of it."""
-    if plan.L != state.L:
-        raise ValueError(f"plan size {plan.L} != register size {state.L}")
-    amps = state.amps
+def apply_step(amps: np.ndarray, plan: TrotterPlan) -> None:
+    """Apply the plan's gates in place to (2^L,) or (B, 2^L) amplitudes:
+    the whole step, or for a symmetric plan one half of it."""
+    if amps.shape[-1] != 1 << plan.L:
+        raise ValueError(f"plan size {plan.L} needs {1 << plan.L} amplitudes, got {amps.shape[-1]}")
     for g in plan.gates:
         if isinstance(g, BondGate):
             # axis 1 holds bits (q+1, q): 1 is |01>, 2 is |10>, 0 and 3 are |00>, |11>
@@ -115,7 +113,6 @@ def apply_step(state: StateVector, plan: TrotterPlan) -> StateVector:
                 _mix(v[:, ::3], g.pair)
         else:
             amps *= g
-    return state
 
 
 def exact_propagator_oracle(h: PauliHamiltonian, t: float) -> np.ndarray:

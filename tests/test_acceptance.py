@@ -21,7 +21,7 @@ from openchain.cli import _lindblad_run, scenario_step
 from openchain.config import ABS_BUDGET, SIGMA_FACTOR, get_preset
 from openchain.model import ChainSpec, PauliHamiltonian, build_chain_hamiltonian, fock_matrix_oracle
 from openchain.output import emit_csv
-from openchain.state import RngStream, StateVector, init_basis_state, reset_to
+from openchain.state import RngStream, init_basis_state, reset_to
 from openchain.trajectory import ContactSpec, RunConfig, run_ensemble, run_trajectory
 from openchain.trotter import apply_step, build_step, exact_propagator_oracle
 
@@ -84,7 +84,7 @@ def test_criterion_1_jordan_wigner_correctness():
 
 def test_criterion_2_trotter_order():
     h = build_chain_hamiltonian(ChainSpec(L=4, gamma=3.0, v=10.0))
-    psi0 = init_basis_state(4, (0, 1, 2)).amps
+    psi0 = init_basis_state(4, (0, 1, 2))
     exact = exact_propagator_oracle(h, 2.0) @ psi0
     errors = []
     for n in (8, 16, 32, 64):
@@ -92,7 +92,7 @@ def test_criterion_2_trotter_order():
         plan = build_step(h, 2.0 / n)
         for _ in range(n):
             apply_step(s, plan)
-        errors.append(np.linalg.norm(s.amps - exact))
+        errors.append(np.linalg.norm(s - exact))
     ratios = [errors[i] / errors[i + 1] for i in range(3)]
     ok = all(1.7 <= r <= 2.3 for r in ratios)
     verdict(2, ok, "error ratios " + ", ".join(f"{r:.3f}" for r in ratios))
@@ -260,7 +260,7 @@ def test_criterion_9_measurement_statistics():
         amps /= np.linalg.norm(amps)
         p1 = float(np.abs(amps[1]) ** 2)
         # one row per draw, each measured once with the stream's next uniform
-        s = StateVector(1, np.tile(amps, (draws, 1)))
+        s = np.tile(amps, (draws, 1))
         target = np.zeros(draws, dtype=np.int8)
         ones = int(reset_to(s, 0, target, RngStream(900 + i).uniform(draws)).measured.sum())
         z = (ones - draws * p1) / math.sqrt(draws * p1 * (1.0 - p1))

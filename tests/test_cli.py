@@ -49,19 +49,14 @@ COMPARE_CONFIG = {
 
 OPEN_CONFIG = dict(COMPARE_CONFIG, mode="open", N_traj=20)
 TRAJ_FILES = {"density.csv", "events.csv"}
-SINGLE_FILES = {"single_density.csv", "single_events.csv", "single_heatmap.svg"}
 
-# (config, --single, the exact set of files written); --single only
-# applies to open mode
+# (config, the exact set of files written)
 SCENARIO_FILES = {
-    "closed": (CLOSED_CONFIG, False, TRAJ_FILES | {"heatmap.svg"}),
-    "closed-single": (dict(CLOSED_CONFIG, emit_heatmap=False), True, TRAJ_FILES),
-    "open": (OPEN_CONFIG, False, TRAJ_FILES),
-    "open-single": (OPEN_CONFIG, True, TRAJ_FILES | SINGLE_FILES),
-    "open-single-heatmap": (dict(OPEN_CONFIG, emit_heatmap=True), True,
-                            TRAJ_FILES | SINGLE_FILES | {"heatmap.svg"}),
-    "compare": (dict(COMPARE_CONFIG, N_traj=20), True,
-                TRAJ_FILES | {"lindblad.csv", "verdict.json"}),
+    "closed": (CLOSED_CONFIG, TRAJ_FILES | {"heatmap.svg"}),
+    "closed-no-heatmap": (dict(CLOSED_CONFIG, emit_heatmap=False), TRAJ_FILES),
+    "open": (OPEN_CONFIG, TRAJ_FILES),
+    "open-heatmap": (dict(OPEN_CONFIG, emit_heatmap=True), TRAJ_FILES | {"heatmap.svg"}),
+    "compare": (dict(COMPARE_CONFIG, N_traj=20), TRAJ_FILES | {"lindblad.csv", "verdict.json"}),
 }
 
 
@@ -73,7 +68,6 @@ def one_point_result(densities, stderr=None, events=()):
         mean_density=dens,
         stderr=se,
         events=np.array(events, dtype=np.int64).reshape(-1, 5),
-        n_traj=1,
     )
 
 
@@ -248,29 +242,29 @@ def test_main_compare_requires_compare_mode(tmp_path, capsys):
     assert "mode='compare'" in capsys.readouterr().err
 
 
-def test_open_single_trajectory_outputs(tmp_path):
-    raw = dict(COMPARE_CONFIG, mode="open", N_traj=20)
-    cfg = parse_config(json.dumps(raw))
-    assert run_scenario(cfg, tmp_path, workers=1, single=True) == 0
-    assert (tmp_path / "single_density.csv").exists()
-    assert (tmp_path / "single_heatmap.svg").exists()
+@pytest.mark.parametrize("argv", [
+    ["run"],
+    ["preset", "fig2", "--workers", "x"],
+    ["preset", "fig3a", "--single"],
+], ids=["missing-config", "bad-int", "unknown-flag"])
+def test_main_usage_errors_exit_one(tmp_path, monkeypatch, capsys, argv):
+    # exit code 2 is reserved for a compare FAIL
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    assert "error:" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("raw, single, files", SCENARIO_FILES.values(),
-                         ids=SCENARIO_FILES.keys())
-def test_scenario_writes_exact_file_set(tmp_path, raw, single, files):
+def test_main_help_exits_zero(capsys):
+    assert main(["--help"]) == 0
+    assert "usage:" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("raw, files", SCENARIO_FILES.values(), ids=SCENARIO_FILES.keys())
+def test_scenario_writes_exact_file_set(tmp_path, raw, files):
     cfg = parse_config(json.dumps(raw))
-    run_scenario(cfg, tmp_path, workers=1, single=single)
+    run_scenario(cfg, tmp_path, workers=1)
     assert {p.name for p in tmp_path.iterdir()} == files
-
-
-def test_single_outputs_equal_a_one_trajectory_run(tmp_path):
-    raw = dict(OPEN_CONFIG, emit_heatmap=True)
-    run_scenario(parse_config(json.dumps(raw)), tmp_path / "ens", workers=1, single=True)
-    run_scenario(parse_config(json.dumps(dict(raw, N_traj=1))), tmp_path / "one", workers=1)
-    for name in ("density.csv", "events.csv", "heatmap.svg"):
-        single = (tmp_path / "ens" / f"single_{name}").read_bytes()
-        assert single == (tmp_path / "one" / name).read_bytes()
 
 
 def test_outputs_byte_identical_for_any_worker_count(tmp_path):

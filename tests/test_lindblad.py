@@ -25,7 +25,7 @@ def no_jumps(L):
 
 
 def pure_dm(state):
-    return np.outer(state.amps, state.amps.conj())
+    return np.outer(state, state.conj())
 
 
 def rhs(rho, H, J):
@@ -237,7 +237,7 @@ def test_jw_strings_do_not_affect_site_densities():
     bare[1] = math.sqrt(spec.Gamma * (1 - spec.f)) * bare_low
 
     h = build_chain_hamiltonian(ChainSpec(L=L, gamma=3.0, v=10.0))
-    psi = exact_propagator_oracle(h, 0.7) @ init_basis_state(L, (0,)).amps
+    psi = exact_propagator_oracle(h, 0.7) @ init_basis_state(L, (0,))
     rho0 = np.outer(psi, psi.conj())
     H = h.to_matrix()
     a = integrate(rho0, H, stringed, t_final=1.0, N_t=500)

@@ -14,7 +14,7 @@ from openchain.model import (
     build_chain_hamiltonian,
     fermion_lowering,
 )
-from openchain.state import RngStream, StateVector, all_densities, init_basis_state, reset_to
+from openchain.state import RngStream, all_densities, init_basis_state, reset_to
 from openchain.trotter import apply_step, build_step
 
 
@@ -27,17 +27,17 @@ def random_state(L, seed):
 
 def test_init_vacuum():
     s = init_basis_state(2, ())
-    assert np.array_equal(s.amps, [1, 0, 0, 0])
+    assert np.array_equal(s, [1, 0, 0, 0])
 
 
 def test_init_single_occupation():
     s = init_basis_state(2, (0,))
-    assert s.amps[1] == 1.0 and np.sum(np.abs(s.amps)) == 1.0
+    assert s[1] == 1.0 and np.sum(np.abs(s)) == 1.0
 
 
 def test_init_bit_arithmetic():
     s = init_basis_state(3, (0, 2))
-    assert s.amps[5] == 1.0
+    assert s[5] == 1.0
 
 
 def test_init_rejects_out_of_range():
@@ -50,9 +50,9 @@ def test_init_rejects_out_of_range():
 def test_rotation_zero_angle_is_identity():
     h = PauliHamiltonian(2, (PauliTerm(0.0, "XX"), PauliTerm(0.0, "YY")))
     s, amps = random_state(2, 3)
-    s.amps[:] = amps
+    s[:] = amps
     apply_step(s, build_step(h, 1.0))
-    assert np.array_equal(s.amps, amps)
+    assert np.array_equal(s, amps)
 
 
 def test_x_rotation_half_pi():
@@ -60,15 +60,15 @@ def test_x_rotation_half_pi():
     h = PauliHamiltonian(2, (PauliTerm(0.5, "XX"), PauliTerm(0.5, "YY")))
     s = init_basis_state(2, (0,))
     apply_step(s, build_step(h, np.pi / 2))
-    assert np.max(np.abs(s.amps - [0, 0, -1j, 0])) <= 1e-15
+    assert np.max(np.abs(s - [0, 0, -1j, 0])) <= 1e-15
 
 
 def test_z_rotation_preserves_probabilities():
     s = init_basis_state(1, ())
-    s.amps[:] = [1 / np.sqrt(2), 1 / np.sqrt(2)]
+    s[:] = [1 / np.sqrt(2), 1 / np.sqrt(2)]
     apply_step(s, build_step(PauliHamiltonian(1, (PauliTerm(1.0, "Z"),)), np.pi / 4))
-    assert np.abs(s.amps[0]) ** 2 == pytest.approx(0.5, abs=1e-12)
-    assert np.abs(s.amps[1]) ** 2 == pytest.approx(0.5, abs=1e-12)
+    assert np.abs(s[0]) ** 2 == pytest.approx(0.5, abs=1e-12)
+    assert np.abs(s[1]) ** 2 == pytest.approx(0.5, abs=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
@@ -85,33 +85,33 @@ def test_rotation_reversible_and_norm_preserving(L, gamma, v, dt, seed):
     h = build_chain_hamiltonian(ChainSpec(L=L, gamma=gamma, v=v))
     back = PauliHamiltonian(L, tuple(PauliTerm(-t.coeff, t.letters) for t in reversed(h.terms)))
     s, amps = random_state(L, seed)
-    s.amps[:] = amps
+    s[:] = amps
     apply_step(s, build_step(h, dt))
-    assert s.norm() == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.norm(s) == pytest.approx(1.0, abs=1e-12)
     apply_step(s, build_step(back, dt))
-    assert np.max(np.abs(s.amps - amps)) <= 1e-12
+    assert np.max(np.abs(s - amps)) <= 1e-12
 
 
 def test_flip_is_involution():
     # after a reset to t, resets to 1 - t and back to t are forced
     # outcomes, i.e. two pure flips, and restore the amplitudes
     s, amps = random_state(3, 7)
-    s.amps[:] = amps
+    s[:] = amps
     rng = RngStream(0)
     reset_to(s, 1, 0, rng.uniform())
-    after = s.amps.copy()
+    after = s.copy()
     assert reset_to(s, 1, 1, rng.uniform()).changed and reset_to(s, 1, 0, rng.uniform()).changed
-    assert np.max(np.abs(s.amps - after)) <= 1e-15
+    assert np.max(np.abs(s - after)) <= 1e-15
 
 
 def test_flip_swaps_amplitudes():
     s = init_basis_state(1, ())
     assert reset_to(s, 0, 1, 0.5).changed
-    assert np.array_equal(s.amps, [0, 1])
+    assert np.array_equal(s, [0, 1])
     # qubit 0 occupied: the flip of qubit 1 carries the sign -1
     s = init_basis_state(2, (0,))
     reset_to(s, 1, 1, 0.5)
-    assert np.array_equal(s.amps, [0, 0, 0, -1])
+    assert np.array_equal(s, [0, 0, 0, -1])
 
 
 @settings(max_examples=40, deadline=None)
@@ -125,14 +125,14 @@ def test_flip_is_fermionic_c_plus_c_dag(L, seed):
         c = fermion_lowering(q, L)
         for target in (0, 1):
             s = init_basis_state(L, ())
-            s.amps[:] = amps
+            s[:] = amps
             ev = reset_to(s, q, target, RngStream(seed, q).uniform())
             projected = np.where((bits >> q) & 1 == ev.measured, amps, 0.0)
             expected = projected / np.linalg.norm(projected)
             if ev.measured != target:
                 expected = (c + c.conj().T) @ expected
             assert ev.changed == (ev.measured != target)
-            assert np.max(np.abs(s.amps - expected)) <= 1e-14
+            assert np.max(np.abs(s - expected)) <= 1e-14
 
 
 @settings(max_examples=40, deadline=None)
@@ -150,7 +150,7 @@ def test_batched_reset_is_the_dense_formula_row_by_row(seed):
         bits = np.arange(1 << L)
         for q in range(L):
             c = fermion_lowering(q, L)
-            s = StateVector(L, amps.copy())
+            s = amps.copy()
             res = reset_to(s, q, target, u)
             assert res.measured.tolist() == [1, 0, 1, 0, -1, -1]
             assert res.changed == 2
@@ -161,22 +161,22 @@ def test_batched_reset_is_the_dense_formula_row_by_row(seed):
                     expected = projected / np.linalg.norm(projected)
                     if m != t:
                         expected = (c + c.conj().T) @ expected
-                assert np.max(np.abs(s.amps[row] - expected)) <= 1e-14
+                assert np.max(np.abs(s[row] - expected)) <= 1e-14
 
 
 def test_forced_outcome_ignores_the_uniform():
     # |00>: q=1 reads 0 even for u = 0; |01>: q=0 reads 1 even for u -> 1
     s = init_basis_state(2, ())
     assert reset_to(s, 1, 0, 0.0).measured == 0
-    assert np.array_equal(s.amps, init_basis_state(2, ()).amps)
+    assert np.array_equal(s, init_basis_state(2, ()))
     s = init_basis_state(2, (0,))
     assert reset_to(s, 0, 1, 1 - 1e-16).measured == 1
-    assert np.array_equal(s.amps, init_basis_state(2, (0,)).amps)
+    assert np.array_equal(s, init_basis_state(2, (0,)))
 
 
 def test_measure_born_statistics():
     n = 10_000
-    s = StateVector(1, np.tile([1 / np.sqrt(2), 1 / np.sqrt(2)], (n, 1)).astype(complex))
+    s = np.tile([1 / np.sqrt(2), 1 / np.sqrt(2)], (n, 1)).astype(complex)
     ones = reset_to(s, 0, np.zeros(n, dtype=np.int8), RngStream(11).uniform(n)).measured.sum()
     assert ones / n == pytest.approx(0.5, abs=0.02)
 
@@ -185,7 +185,7 @@ def test_measure_after_small_x_rotation():
     # exp(-i 0.3 X)|0> has P(1) = sin^2(0.3)
     p_expected = np.sin(0.3) ** 2
     n = 10_000
-    s = StateVector(1, np.tile([np.cos(0.3), -1j * np.sin(0.3)], (n, 1)))
+    s = np.tile([np.cos(0.3), -1j * np.sin(0.3)], (n, 1))
     ones = reset_to(s, 0, np.zeros(n, dtype=np.int8), RngStream(13).uniform(n)).measured.sum()
     sigma = np.sqrt(p_expected * (1 - p_expected) / n)
     assert abs(ones / n - p_expected) <= 4 * sigma
@@ -194,11 +194,11 @@ def test_measure_after_small_x_rotation():
 def test_measure_collapses_and_renormalizes():
     # a reset to the measured outcome is the bare collapse
     s, amps = random_state(3, 3)
-    s.amps[:] = amps
-    measured = reset_to(StateVector(3, amps.copy()), 1, 0, RngStream(0).uniform()).measured
+    s[:] = amps
+    measured = reset_to(amps.copy(), 1, 0, RngStream(0).uniform()).measured
     ev = reset_to(s, 1, measured, RngStream(0).uniform())
     assert (ev.measured, ev.changed) == (measured, False)
-    assert s.norm() == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.norm(s) == pytest.approx(1.0, abs=1e-12)
     assert all_densities(s)[1] == pytest.approx(float(measured), abs=1e-12)
 
 
@@ -207,17 +207,17 @@ def test_reset_examples():
     s = init_basis_state(1, (0,))
     ev = reset_to(s, 0, 1, rng.uniform())
     assert (ev.measured, ev.changed) == (1, False)
-    assert s.amps[1] == 1.0
+    assert s[1] == 1.0
 
     s = init_basis_state(1, ())
     ev = reset_to(s, 0, 1, rng.uniform())
     assert (ev.measured, ev.changed) == (0, True)
-    assert s.amps[1] == 1.0
+    assert s[1] == 1.0
 
     s = init_basis_state(1, ())
-    s.amps[:] = [1 / np.sqrt(2), 1 / np.sqrt(2)]
+    s[:] = [1 / np.sqrt(2), 1 / np.sqrt(2)]
     ev = reset_to(s, 0, 0, rng.uniform())
-    assert abs(s.amps[0]) == pytest.approx(1.0, abs=1e-12)
+    assert abs(s[0]) == pytest.approx(1.0, abs=1e-12)
     assert ev.changed == (ev.measured == 1)
 
 
@@ -236,23 +236,23 @@ def test_reset_rejects_bad_target():
 )
 def test_reset_pins_expectation_exactly(seed, q, target):
     s, amps = random_state(3, seed)
-    s.amps[:] = amps
+    s[:] = amps
     reset_to(s, q, target, RngStream(seed).uniform())
     assert all_densities(s)[q] == pytest.approx(float(target), abs=1e-12)
-    assert s.norm() == pytest.approx(1.0, abs=1e-10)
+    assert np.linalg.norm(s) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_expectation_examples():
     assert np.array_equal(all_densities(init_basis_state(2, ())), [0.0, 0.0])
     assert np.array_equal(all_densities(init_basis_state(2, (1,))), [0.0, 1.0])
     s = init_basis_state(1, ())
-    s.amps[:] = [1 / np.sqrt(2), 1 / np.sqrt(2)]
+    s[:] = [1 / np.sqrt(2), 1 / np.sqrt(2)]
     assert all_densities(s)[0] == pytest.approx(0.5, abs=1e-15)
 
 
 def test_all_densities_matches_per_qubit():
     s, amps = random_state(4, 21)
-    s.amps[:] = amps
+    s[:] = amps
     dens = all_densities(s)
     probs = np.abs(amps) ** 2
     for q in range(4):
@@ -275,7 +275,7 @@ def test_batch_densities_match_per_qubit_sums(L):
     gen = np.random.default_rng(L)
     amps = gen.normal(size=(3, 1 << L)) + 1j * gen.normal(size=(3, 1 << L))
     amps /= np.linalg.norm(amps, axis=1)[:, None]
-    dens = all_densities(StateVector(L, amps))
+    dens = all_densities(amps)
     assert dens.shape == (3, L)
     probs = np.abs(amps) ** 2
     for q in range(L):

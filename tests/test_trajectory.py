@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from openchain import trajectory
 from openchain.model import ChainSpec, PauliHamiltonian, build_chain_hamiltonian, fermion_lowering
-from openchain.state import RngStream, StateVector
+from openchain.state import RngStream
 from openchain.trajectory import (
     BATCH_AMPS,
     ContactSpec,
@@ -332,7 +332,7 @@ def exact_channel_densities(plan, contacts, cfg, init):
     the outcomes m."""
     L = plan.L
     U = np.eye(1 << L, dtype=complex)
-    apply_step(StateVector(L, U), plan)  # row k becomes U applied to basis state k
+    apply_step(U, plan)  # row k becomes U applied to basis state k
     U = U.T
     bits = np.arange(1 << L)
     occupation = (bits[:, None] >> np.arange(L)) & 1

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from openchain.model import ChainSpec, PauliHamiltonian, PauliTerm, build_chain_hamiltonian
-from openchain.state import StateVector, init_basis_state
+from openchain.state import init_basis_state
 from openchain.trotter import BondGate, apply_step, build_step, exact_propagator_oracle
 
 
@@ -61,9 +61,9 @@ def test_build_step_rejects_bad_dt():
 def test_empty_plan_is_identity():
     h = PauliHamiltonian(2, ())
     s = init_basis_state(2, (1,))
-    before = s.amps.copy()
+    before = s.copy()
     apply_step(s, build_step(h, 0.3))
-    assert np.array_equal(s.amps, before)
+    assert np.array_equal(s, before)
 
 
 def test_apply_step_rejects_size_mismatch():
@@ -78,8 +78,8 @@ def test_single_term_plan_is_exact():
     plan = build_step(h, 0.1)
     s = init_basis_state(2, (0,))
     evolve(s, plan, 7)
-    exact = exact_propagator_oracle(h, 0.7) @ init_basis_state(2, (0,)).amps
-    assert np.max(np.abs(s.amps - exact)) <= 1e-10
+    exact = exact_propagator_oracle(h, 0.7) @ init_basis_state(2, (0,))
+    assert np.max(np.abs(s - exact)) <= 1e-10
 
 
 def test_commuting_terms_are_exact_including_phase():
@@ -90,10 +90,10 @@ def test_commuting_terms_are_exact_including_phase():
     amps = gen.normal(size=8) + 1j * gen.normal(size=8)
     amps /= np.linalg.norm(amps)
     s = init_basis_state(3, ())
-    s.amps[:] = amps
+    s[:] = amps
     evolve(s, plan, 8)
     exact = exact_propagator_oracle(h, 2.0) @ amps
-    assert np.max(np.abs(s.amps - exact)) <= 1e-10
+    assert np.max(np.abs(s - exact)) <= 1e-10
 
 
 def test_two_site_rabi_full_transfer():
@@ -102,7 +102,7 @@ def test_two_site_rabi_full_transfer():
     plan = build_step(h, np.pi / 8)
     s = init_basis_state(2, (0,))
     evolve(s, plan, 4)
-    assert np.abs(s.amps[2]) ** 2 == pytest.approx(1.0, abs=1e-12)
+    assert np.abs(s[2]) ** 2 == pytest.approx(1.0, abs=1e-12)
 
 
 def test_oracle_at_zero_time_is_identity():
@@ -125,13 +125,13 @@ def test_oracle_conserves_energy():
 
 def test_first_order_convergence():
     h = build_chain_hamiltonian(ChainSpec(L=4, gamma=3.0, v=10.0))
-    psi0 = init_basis_state(4, (0, 1, 2)).amps
+    psi0 = init_basis_state(4, (0, 1, 2))
     exact = exact_propagator_oracle(h, 2.0) @ psi0
     errors = []
     for n in (8, 16, 32, 64):
         s = init_basis_state(4, (0, 1, 2))
         evolve(s, build_step(h, 2.0 / n), n)
-        errors.append(np.linalg.norm(s.amps - exact))
+        errors.append(np.linalg.norm(s - exact))
     for coarse, fine in zip(errors, errors[1:]):
         assert 1.7 <= coarse / fine <= 2.3
 
@@ -139,13 +139,13 @@ def test_first_order_convergence():
 def test_symmetric_step_is_second_order():
     # two symmetric half steps per step of length 2/n
     h = build_chain_hamiltonian(ChainSpec(L=4, gamma=3.0, v=10.0))
-    psi0 = init_basis_state(4, (0, 1, 2)).amps
+    psi0 = init_basis_state(4, (0, 1, 2))
     exact = exact_propagator_oracle(h, 2.0) @ psi0
     errors = []
     for n in (8, 16, 32, 64):
         s = init_basis_state(4, (0, 1, 2))
         evolve(s, build_step(h, 2.0 / n, symmetric=True), 2 * n)
-        errors.append(np.linalg.norm(s.amps - exact))
+        errors.append(np.linalg.norm(s - exact))
     for coarse, fine in zip(errors, errors[1:]):
         assert 3.6 <= coarse / fine <= 4.4
 
@@ -164,11 +164,11 @@ def test_symmetric_half_step_is_sweep_then_reversed_sweep(L):
         theta = t.coeff * dt / 4
         expected = np.cos(theta) * expected - 1j * np.sin(theta) * (P @ expected)
     s = init_basis_state(L, ())
-    s.amps[:] = amps
+    s[:] = amps
     plan = build_step(h, dt, symmetric=True)
     assert plan.symmetric and not build_step(h, dt).symmetric
     apply_step(s, plan)
-    assert np.max(np.abs(s.amps - expected)) <= 1e-12
+    assert np.max(np.abs(s - expected)) <= 1e-12
 
 
 def test_step_acts_on_every_row_of_a_batch():
@@ -176,13 +176,13 @@ def test_step_acts_on_every_row_of_a_batch():
     plan = build_step(h, 0.4)
     gen = np.random.default_rng(9)
     rows = gen.normal(size=(5, 8)) + 1j * gen.normal(size=(5, 8))
-    batch = StateVector(3, rows.copy())
+    batch = rows.copy()
     apply_step(batch, plan)
-    for row, amps in zip(batch.amps, rows):
+    for row, amps in zip(batch, rows):
         s = init_basis_state(3, ())
-        s.amps[:] = amps
+        s[:] = amps
         apply_step(s, plan)
-        assert np.array_equal(row, s.amps)
+        assert np.array_equal(row, s)
 
 
 def test_plan_conserves_particle_number():
@@ -219,9 +219,9 @@ def test_step_equals_dense_product_of_rotations(L, gamma, v, dt, seed, shuffle):
         P = PauliTerm(1.0, t.letters).to_matrix()
         expected = np.cos(t.coeff * dt) * expected - 1j * np.sin(t.coeff * dt) * (P @ expected)
     s = init_basis_state(L, ())
-    s.amps[:] = amps
+    s[:] = amps
     apply_step(s, build_step(h, dt))
-    assert np.max(np.abs(s.amps - expected)) <= 1e-12
+    assert np.max(np.abs(s - expected)) <= 1e-12
 
 
 def test_plan_size_is_one_state_vector():
