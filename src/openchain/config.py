@@ -132,10 +132,13 @@ def _check_memory(mode: str, L: int, run: RunConfig, contacts, include_depolariz
     draws = rows_per_batch * steps * len(contacts)
     state = workers * ((3 * 16 * rows_per_batch << L) + DRAW_BYTES * draws)
     if mode == "compare" and L <= MAX_LINDBLAD_QUBITS:
-        # the oracle's jump stack, its adjoint and the two J rho J^dag
-        # temporaries, plus about ten density matrices for the RK4 stages
+        # the oracle's record-step propagator on the C(2L, L) entries of the
+        # particle-number blocks: four such square matrices at the peak of
+        # its powering (0.70 GiB at L = 7, 9.9 GiB at L = 8), plus the jump
+        # stack, its adjoint and the two J rho J^dag temporaries
         n_ops = len(contacts) * (4 if include_depolarizing else 2)
-        state += (4 * n_ops + 10) * 16 << 2 * L
+        D = math.comb(2 * L, L)
+        state += 16 * (4 * D * D + (4 * n_ops << 2 * L))
     rows = run.N_t // run.record_every + 1
     # every trajectory's records, their ensemble stack and the reduction temporary
     held = 3 * n_traj * rows * L * 8

@@ -254,3 +254,13 @@ def test_main_checks_memory_for_the_workers_it_starts(tmp_path, capsys, monkeypa
     assert main(["run", "--config", str(cfg_path), "--out", str(out), "--workers", "8"]) == 1
     assert "config error: L: " in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_check_memory_counts_the_oracle_propagator(monkeypatch):
+    # the compare oracle holds about four C(2L, L)-square complex matrices:
+    # 0.70 GiB at L = 7, 9.9 GiB at L = 8
+    monkeypatch.setattr(config, "_physical_memory", lambda: 2 * 2**30)
+    raw = dict(MINIMAL_OPEN, mode="compare", N_traj=4)
+    config.check_memory(parse_config(json.dumps(dict(raw, L=7))), 2)
+    with pytest.raises(ConfigError, match="L: L=8, .* needs ~9.89 GiB"):
+        parse_config(json.dumps(dict(raw, L=8)))

@@ -1,4 +1,5 @@
-"""Dense Lindblad oracle: jump operators, generator, RK4 integration."""
+"""Lindblad oracle: jump operators, generator, and the record-step
+integration against a substep-by-substep RK4 reference."""
 
 import math
 
@@ -8,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from openchain import lindblad
 from openchain.lindblad import (
+    RK4_STEP,
+    LindbladResult,
     build_generator,
     build_jump_operators,
     integrate,
@@ -121,6 +124,83 @@ def test_rhs_source_filling_rate():
     rho = np.diag([1.0, 0.0]).astype(complex)
     out = rhs(rho, np.zeros((2, 2)), jumps)
     assert out[1, 1].real == pytest.approx(0.5, abs=1e-14)
+
+
+def rk4_reference(rho0, H, J, t_final, N_t, record_every=1):
+    """`integrate` as an explicit loop: the same grid and substeps, one RK4
+    update of the dense rho per substep, symmetrized after each."""
+    substeps = max(1, math.ceil(stability_bound(H, J) * (t_final / N_t) / RK4_STEP))
+    steps = N_t * substeps
+    every = substeps * record_every
+    dt = t_final / steps
+    gen = build_generator(H, J)
+
+    rho = np.array(rho0, dtype=complex)
+    times = dt * np.arange(0, steps + 1, every)
+    diags = np.empty((times.size, rho.shape[0]))
+    diags[0] = rho.diagonal().real
+    max_drift = abs(np.trace(rho).real - 1.0)
+    max_herm = float(np.max(np.abs(rho - rho.conj().T)))
+    min_eig = float(np.linalg.eigvalsh((rho + rho.conj().T) / 2.0)[0])
+
+    for step in range(1, steps + 1):
+        k1 = lindblad_rhs(rho, *gen)
+        k2 = lindblad_rhs(rho + 0.5 * dt * k1, *gen)
+        k3 = lindblad_rhs(rho + 0.5 * dt * k2, *gen)
+        k4 = lindblad_rhs(rho + dt * k3, *gen)
+        rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        record = step % every == 0
+        if record:
+            max_herm = max(max_herm, float(np.max(np.abs(rho - rho.conj().T))))
+        rho = (rho + rho.conj().T) / 2.0
+        if record:
+            diags[step // every] = rho.diagonal().real
+            max_drift = max(max_drift, abs(np.trace(rho).real - 1.0))
+            min_eig = min(min_eig, float(np.linalg.eigvalsh(rho)[0]))
+
+    L = rho.shape[0].bit_length() - 1
+    bits = (np.arange(1 << L)[:, None] >> np.arange(L)) & 1
+    return LindbladResult(times, rho, diags @ bits, max_drift, max_herm, min_eig)
+
+
+def random_block_state(gen, L):
+    """A random full-rank density matrix on the particle-number blocks."""
+    dim = 1 << L
+    M = gen.normal(size=(dim, dim)) + 1j * gen.normal(size=(dim, dim))
+    N = np.array([bin(i).count("1") for i in range(dim)])
+    rho = np.where(N[:, None] == N, M @ M.conj().T, 0.0)
+    return rho / np.trace(rho).real
+
+
+@settings(max_examples=30, deadline=None)
+@given(L=st.integers(1, 3), seed=st.integers(0, 2**32 - 1), depolarizing=st.booleans(),
+       record_every=st.sampled_from([1, 4]))
+def test_integrate_matches_rk4_reference(L, seed, depolarizing, record_every):
+    gen = np.random.default_rng(seed)
+    H = build_chain_hamiltonian(ChainSpec(L=L, gamma=float(gen.uniform(1, 5)),
+                                          v=float(gen.uniform(0, 10)))).to_matrix()
+    sites = gen.choice(L, size=gen.integers(1, L + 1), replace=False)
+    contacts = [ContactSpec(int(q), float(gen.uniform(0, 2)), float(gen.uniform(0, 1)))
+                for q in sites]
+    J = build_jump_operators(contacts, L, include_depolarizing=depolarizing)
+    rho0 = random_block_state(gen, L)
+    got = integrate(rho0, H, J, t_final=2.0, N_t=8, record_every=record_every)
+    ref = rk4_reference(rho0, H, J, t_final=2.0, N_t=8, record_every=record_every)
+    assert np.array_equal(got.times, ref.times)
+    assert np.max(np.abs(got.densities - ref.densities)) <= 1e-12
+    assert np.max(np.abs(got.rho - ref.rho)) <= 1e-12
+    for field in ("max_trace_drift", "max_hermiticity_defect"):
+        assert getattr(got, field) <= 1e-10
+    assert abs(got.min_eigenvalue - ref.min_eigenvalue) <= 1e-10
+
+
+@pytest.mark.parametrize("L", [1, 2])
+def test_integrate_rejects_weight_off_the_blocks(L):
+    # (|0> + |1>) / sqrt(2): a coherence between N = 0 and N = 1
+    psi = (init_basis_state(L, ()) + init_basis_state(L, (0,))) / math.sqrt(2.0)
+    dim = 1 << L
+    with pytest.raises(ValueError, match="particle-number"):
+        integrate(pure_dm(psi), np.zeros((dim, dim)), no_jumps(L), t_final=1.0, N_t=1)
 
 
 def test_integrate_commuting_stationary_state():
