@@ -1,5 +1,6 @@
-"""Command-line harness: run a scenario config or a named preset, and
-compare the trajectory ensemble against the Lindblad oracle.
+"""Command-line harness: `openchain run --config FILE` runs a scenario
+config of any mode, `openchain preset NAME` a named preset.  A compare
+scenario also checks the trajectory ensemble against the Lindblad oracle.
 
 Exit codes: 0 = success (and PASS for compare), 1 = usage or
 validation error, 2 = compare FAIL.
@@ -25,22 +26,24 @@ from .config import (
     parse_config,
 )
 from .lindblad import build_jump_operators, integrate
-from .model import PauliHamiltonian, build_chain_hamiltonian
+from .model import PauliHamiltonian, build_chain_hamiltonian, fock_matrix_oracle
 from .output import emit_csv, emit_events_csv, emit_heatmap
 from .state import init_basis_state
 from .trajectory import EnsembleResult, default_workers, run_ensemble
 from .trotter import TrotterPlan, build_step
 
 
-def _lindblad_run(cfg: ScenarioConfig, ham: PauliHamiltonian):
+def _lindblad_run(cfg: ScenarioConfig):
     """Integrate the master-equation oracle on the trajectory recording
-    grid."""
+    grid.  Its Hamiltonian comes from fermion operators, not from the
+    Pauli strings the trajectories run, so a Jordan-Wigner fault in those
+    shows up as a compare FAIL."""
     J = build_jump_operators(
         cfg.contacts, cfg.chain.L, include_depolarizing=cfg.include_depolarizing
     )
     psi = init_basis_state(cfg.chain.L, cfg.init_occupations)
     run = cfg.run
-    return integrate(np.outer(psi, psi.conj()), ham.to_matrix(), J,
+    return integrate(np.outer(psi, psi.conj()), fock_matrix_oracle(cfg.chain), J,
                      run.t_final, run.N_t, run.record_every)
 
 
@@ -89,7 +92,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir, workers: int | None = None) -> in
     if cfg.mode != "compare":
         return 0
 
-    lind = _lindblad_run(cfg, ham)
+    lind = _lindblad_run(cfg)
     oracle = EnsembleResult(lind.times, lind.densities, np.zeros_like(lind.densities),
                             np.zeros((0, 5), dtype=np.int64))
     emit_csv(oracle, out / "lindblad.csv")
@@ -108,7 +111,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="run a scenario from a JSON config")
+    run = sub.add_parser("run", help="run a scenario of any mode from a JSON config")
     run.add_argument("--config", required=True)
     run.add_argument("--out", default=None, help="output directory")
     run.add_argument("--workers", type=int, default=None)
@@ -119,11 +122,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pre.add_argument("--seed", type=int, default=None)
     pre.add_argument("--traj", type=int, default=None)
     pre.add_argument("--workers", type=int, default=None)
-
-    cmp_ = sub.add_parser("compare", help="trajectory-vs-Lindblad comparison")
-    cmp_.add_argument("--config", required=True)
-    cmp_.add_argument("--out", default=None)
-    cmp_.add_argument("--workers", type=int, default=None)
     return p
 
 
@@ -143,11 +141,7 @@ def main(argv=None) -> int:
             out = args.out or f"out_{args.name}"
         else:
             cfg = parse_config(Path(args.config).read_text())
-            if args.command == "compare" and cfg.mode != "compare":
-                raise ConfigError(
-                    [f"compare subcommand needs mode='compare', config has {cfg.mode!r}"]
-                )
-            out = args.out or cfg.output_path or "out"
+            out = args.out or "out"
         workers = default_workers() if args.workers is None else args.workers
         check_memory(cfg, workers)
         return run_scenario(cfg, out, workers=workers)

@@ -2,7 +2,8 @@
 
 A scenario is one JSON document.  `parse_config` is the only thing that
 builds a `ScenarioConfig`; a preset is the dict that a config file would
-hold, checked by `parse_config` like any file.
+hold, checked by `parse_config` like any file.  `check_memory` is the
+one memory check; it needs the worker count, which the CLI resolves.
 
 Sites are 1-based in config files and output (matching the physics
 convention used throughout the docs); internally they map to qubits
@@ -38,7 +39,7 @@ ABS_BUDGET = 0.05
 
 CONFIG_KEYS = frozenset((
     "mode", "L", "gamma_meV", "v_meV", "contacts", "t_final", "N_t", "N_traj", "seed",
-    "record_every", "init_sites", "include_depolarizing", "emit_heatmap", "output",
+    "record_every", "init_sites", "include_depolarizing", "emit_heatmap",
 ))
 # "label" is a free-form annotation; nothing reads it
 CONTACT_KEYS = frozenset(("site", "f", "eps_meV", "mu_meV", "kT_meV", "Gamma_meV", "eta", "label"))
@@ -73,7 +74,6 @@ class ScenarioConfig:
     init_occupations: tuple[int, ...]  # 0-based qubit indices
     include_depolarizing: bool
     emit_heatmap: bool
-    output_path: str | None
 
 
 def _is_int(value) -> bool:
@@ -116,13 +116,13 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def _check_memory(mode: str, L: int, run: RunConfig, contacts, include_depolarizing: bool,
-                  workers: int, errors: list[str]) -> None:
-    """Reject a run whose estimated peak memory exceeds physical memory,
-    under the key of its largest factor, before anything is allocated.
-    It counts a batch in flight on each of min(workers, batches)
-    processes, as many as run_ensemble starts."""
-    n_traj = 1 if mode == "closed" else run.N_traj
+def check_memory(cfg: ScenarioConfig, workers: int) -> None:
+    """Raise ConfigError, under the key of the largest factor, if the
+    estimated peak memory of `cfg` run on `workers` processes exceeds
+    physical memory.  It counts a batch in flight on each of
+    min(workers, batches) processes, as many as run_ensemble starts."""
+    L, run, contacts = cfg.chain.L, cfg.run, cfg.contacts
+    n_traj = 1 if cfg.mode == "closed" else run.N_traj
     n_batches = batch_count(L, n_traj)
     rows_per_batch = -(-n_traj // n_batches)
     workers = min(workers, n_batches)
@@ -131,12 +131,12 @@ def _check_memory(mode: str, L: int, run: RunConfig, contacts, include_depolariz
     steps = min(run.N_t, chunk_steps(rows_per_batch, len(contacts)))
     draws = rows_per_batch * steps * len(contacts)
     state = workers * ((3 * 16 * rows_per_batch << L) + DRAW_BYTES * draws)
-    if mode == "compare" and L <= MAX_LINDBLAD_QUBITS:
+    if cfg.mode == "compare":
         # the oracle's record-step propagator on the C(2L, L) entries of the
         # particle-number blocks: four such square matrices at the peak of
         # its powering (0.70 GiB at L = 7, 9.9 GiB at L = 8), plus the jump
         # stack, its adjoint and the two J rho J^dag temporaries
-        n_ops = len(contacts) * (4 if include_depolarizing else 2)
+        n_ops = len(contacts) * (4 if cfg.include_depolarizing else 2)
         D = math.comb(2 * L, L)
         state += 16 * (4 * D * D + (4 * n_ops << 2 * L))
     rows = run.N_t // run.record_every + 1
@@ -151,21 +151,11 @@ def _check_memory(mode: str, L: int, run: RunConfig, contacts, include_depolariz
     need, have = state + held, _physical_memory()
     if need > have:
         key = "L" if state >= held else "N_traj" if n_traj > rows else "N_t"
-        errors.append(
+        raise ConfigError([
             f"{key}: L={L}, N_t={run.N_t}, record_every={run.record_every}, "
             f"N_traj={run.N_traj} needs ~{need / 2**30:.3g} GiB, more than the "
             f"{have / 2**30:.3g} GiB of physical memory"
-        )
-
-
-def check_memory(cfg: ScenarioConfig, workers: int) -> None:
-    """Raise ConfigError if `cfg` run on `workers` processes does not fit
-    in physical memory."""
-    errors: list[str] = []
-    _check_memory(cfg.mode, cfg.chain.L, cfg.run, cfg.contacts, cfg.include_depolarizing,
-                  workers, errors)
-    if errors:
-        raise ConfigError(errors)
+        ])
 
 
 def _contact_from_dict(entry: dict, L: int, dt: float, path: str, errors: list[str]):
@@ -279,10 +269,6 @@ def parse_config(text: str) -> ScenarioConfig:
 
     include_depolarizing = _flag(raw, "include_depolarizing", True, errors)
     emit_heatmap = _flag(raw, "emit_heatmap", False, errors)
-    if run is not None:
-        # one batch in flight, as any run has; the CLI checks again with the
-        # worker count it resolves (check_memory)
-        _check_memory(mode, L, run, contacts, include_depolarizing, 1, errors)
 
     init_sites = raw.get("init_sites", [])
     init: list[int] = []
@@ -296,10 +282,6 @@ def parse_config(text: str) -> ScenarioConfig:
                 errors.append(f"init_sites: site {s} listed twice")
             else:
                 init.append(s - 1)
-
-    output = raw.get("output")
-    if output is not None and not isinstance(output, str):
-        errors.append(f"output: must be a string, got {output!r}")
 
     if mode == "closed" and contacts:
         errors.append("mode=closed requires an empty contact list")
@@ -319,7 +301,6 @@ def parse_config(text: str) -> ScenarioConfig:
         init_occupations=tuple(sorted(init)),
         include_depolarizing=include_depolarizing,
         emit_heatmap=emit_heatmap,
-        output_path=output,
     )
 
 

@@ -147,8 +147,9 @@ def fermion_lowering(q: int, L: int) -> np.ndarray:
 def fock_matrix_oracle(spec: ChainSpec) -> np.ndarray:
     """Chain Hamiltonian built directly from fermionic matrices.
 
-    Independent of the Pauli-string path; used to pin down the
-    Jordan-Wigner conventions.  Hermitian by construction.
+    Independent of the Pauli-string path: the compare-mode oracle runs
+    on it, and the tests pin the Jordan-Wigner conventions against it.
+    Hermitian by construction.
     """
     _check_dense_size(spec.L)
     dim = 1 << spec.L

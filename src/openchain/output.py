@@ -18,6 +18,9 @@ ACTIONS = ("null_remove", "remove", "null_inject", "inject")
 # event rows turned into Python objects at a time: tolist() holds about
 # 104 B per row, so the writer holds under 0.5 MiB for any E
 EVENTS_BLOCK = 4096
+# heatmap raster: the side of one (time, site) cell and the border, in px
+CELL = 12
+MARGIN = 30
 
 
 def _fmt(x: float) -> str:
@@ -38,15 +41,6 @@ def emit_csv(result: EnsembleResult, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def parse_density_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read back a density CSV as (times, mean, stderr)."""
-    rows = [line.split(",") for line in Path(path).read_text().strip().splitlines()]
-    header, body = rows[0], rows[1:]
-    L = (len(header) - 1) // 2
-    data = np.array([[float(v) for v in r] for r in body])
-    return data[:, 0], data[:, 1 : 1 + L], data[:, 1 + L :]
-
-
 def emit_events_csv(events: np.ndarray, path) -> None:
     """Write the (E, 5) event rows as `traj,step,site,action` (site
     1-based), EVENTS_BLOCK rows at a time."""
@@ -59,10 +53,8 @@ def emit_events_csv(events: np.ndarray, path) -> None:
             )
 
 
-def emit_heatmap(
-    result: EnsembleResult, path, n_steps: int | None = None, cell: int = 12, margin: int = 30
-) -> None:
-    """Self-contained SVG raster of n_i(t).
+def emit_heatmap(result: EnsembleResult, path, n_steps: int) -> None:
+    """Self-contained SVG raster of n_i(t) over a run of `n_steps` steps.
 
     x = time, y = site (site 1 on top); grayscale from 0 = black to
     1 = white.  Effective injections are drawn as filled markers,
@@ -71,8 +63,8 @@ def emit_heatmap(
     times = result.times
     dens = result.mean_density
     T, L = dens.shape
-    width = margin * 2 + T * cell
-    height = margin * 2 + L * cell
+    width = MARGIN * 2 + T * CELL
+    height = MARGIN * 2 + L * CELL
     t_final = float(times[-1]) if times[-1] > 0 else 1.0
 
     parts = [
@@ -80,23 +72,21 @@ def emit_heatmap(
         f'<rect width="{width}" height="{height}" fill="#888"/>',
     ]
     for row in range(T):
-        x = margin + row * cell
+        x = MARGIN + row * CELL
         for site in range(L):
-            y = margin + site * cell
+            y = MARGIN + site * CELL
             level = int(round(255 * min(max(dens[row, site], 0.0), 1.0)))
             color = f"#{level:02x}{level:02x}{level:02x}"
             parts.append(
-                f'<rect x="{x}" y="{y}" width="{cell}" height="{cell}" fill="{color}"/>'
+                f'<rect x="{x}" y="{y}" width="{CELL}" height="{CELL}" fill="{color}"/>'
             )
     # event steps are trajectory steps 1..n_steps; map onto the T raster
     # columns (column 0 is t=0)
-    if n_steps is None:
-        n_steps = T - 1 if T > 1 else 1
     events = result.events
     for step, q, target in events[events[:, 4] == 1, 1:4].tolist():
-        x = margin + (step / n_steps) * ((T - 1) * cell) + cell / 2.0
-        y = margin + q * cell + cell / 2.0
-        r = cell * 0.3
+        x = MARGIN + (step / n_steps) * ((T - 1) * CELL) + CELL / 2.0
+        y = MARGIN + q * CELL + CELL / 2.0
+        r = CELL * 0.3
         if target == 1:
             parts.append(
                 f'<circle cx="{x:.1f}" cy="{y:.1f}" r="{r:.1f}" fill="#000" stroke="#fff" stroke-width="1"/>'
@@ -107,7 +97,7 @@ def emit_heatmap(
             )
     # simple axis labels
     parts.append(
-        f'<text x="{margin}" y="{margin - 8}" font-size="10" fill="#fff">t = 0 .. {_fmt(t_final)} (site 1 top)</text>'
+        f'<text x="{MARGIN}" y="{MARGIN - 8}" font-size="10" fill="#fff">t = 0 .. {_fmt(t_final)} (site 1 top)</text>'
     )
     parts.append("</svg>")
     Path(path).write_text("\n".join(parts) + "\n")

@@ -57,7 +57,7 @@ def compare_runs():
     for L in (2, 3):
         cfg = get_preset(f"compare-l{L}")
         ens = run_ensemble(preset_plan(cfg), cfg.contacts, cfg.run, cfg.init_occupations, workers=8)
-        runs[L] = (cfg, ens, _lindblad_run(cfg, build_chain_hamiltonian(cfg.chain)))
+        runs[L] = (cfg, ens, _lindblad_run(cfg))
     return runs
 
 

@@ -1,6 +1,8 @@
 """CLI harness, CSV/SVG emitters, and end-to-end scenario runs."""
 
 import json
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,14 +10,7 @@ import pytest
 from openchain.cli import compare_verdict, main, run_scenario, scenario_step
 from openchain.config import get_preset, parse_config
 from openchain.model import build_chain_hamiltonian
-from openchain.output import (
-    ACTIONS,
-    EVENTS_BLOCK,
-    emit_csv,
-    emit_events_csv,
-    emit_heatmap,
-    parse_density_csv,
-)
+from openchain.output import ACTIONS, EVENTS_BLOCK, emit_csv, emit_events_csv, emit_heatmap
 from openchain.trajectory import EnsembleResult
 
 CLOSED_CONFIG = {
@@ -58,6 +53,15 @@ SCENARIO_FILES = {
     "open-heatmap": (dict(OPEN_CONFIG, emit_heatmap=True), TRAJ_FILES | {"heatmap.svg"}),
     "compare": (dict(COMPARE_CONFIG, N_traj=20), TRAJ_FILES | {"lindblad.csv", "verdict.json"}),
 }
+
+
+def parse_density_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read back a density CSV as (times, mean, stderr)."""
+    rows = [line.split(",") for line in Path(path).read_text().strip().splitlines()]
+    header, body = rows[0], rows[1:]
+    L = (len(header) - 1) // 2
+    data = np.array([[float(v) for v in r] for r in body])
+    return data[:, 0], data[:, 1 : 1 + L], data[:, 1 + L :]
 
 
 def one_point_result(densities, stderr=None, events=()):
@@ -130,7 +134,7 @@ def test_emit_events_csv_in_blocks_matches_row_by_row(tmp_path):
 
 def test_heatmap_constant_density_is_mid_gray(tmp_path):
     path = tmp_path / "heatmap.svg"
-    emit_heatmap(one_point_result(np.full((4, 2), 0.5)), path)
+    emit_heatmap(one_point_result(np.full((4, 2), 0.5)), path, n_steps=3)
     svg = path.read_text()
     assert svg.count('fill="#808080"') == 8
     assert "<circle" not in svg
@@ -205,6 +209,17 @@ def test_compare_detects_gross_bias(tmp_path):
     assert code == 2 and verdict["pass"] is False
 
 
+def test_compare_oracle_does_not_share_the_pauli_mapping(tmp_path, monkeypatch):
+    # a Jordan-Wigner fault on the Pauli side, here doubled hopping, runs in
+    # the trajectories only: the oracle is built from fermion operators
+    monkeypatch.setattr(
+        "openchain.cli.build_chain_hamiltonian",
+        lambda chain: build_chain_hamiltonian(replace(chain, gamma=2 * chain.gamma)),
+    )
+    cfg = get_preset("compare-l2", n_traj=2000)
+    assert run_scenario(cfg, tmp_path, workers=1) == 2
+
+
 def test_main_run_and_exit_codes(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(CLOSED_CONFIG))
@@ -235,18 +250,12 @@ def test_main_rejects_worker_count_below_one(tmp_path, capsys, workers):
     assert not out.exists()
 
 
-def test_main_compare_requires_compare_mode(tmp_path, capsys):
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(CLOSED_CONFIG))
-    assert main(["compare", "--config", str(cfg_path)]) == 1
-    assert "mode='compare'" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("argv", [
     ["run"],
     ["preset", "fig2", "--workers", "x"],
     ["preset", "fig3a", "--single"],
-], ids=["missing-config", "bad-int", "unknown-flag"])
+    ["compare", "--config", "cfg.json"],
+], ids=["missing-config", "bad-int", "unknown-flag", "unknown-command"])
 def test_main_usage_errors_exit_one(tmp_path, monkeypatch, capsys, argv):
     # exit code 2 is reserved for a compare FAIL
     monkeypatch.chdir(tmp_path)

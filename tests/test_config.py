@@ -46,6 +46,7 @@ MALFORMED = {
     "gamma-overflow": ("gamma_meV", {"gamma_meV": 10**400}),
     "kT-nan": ("contacts[0].kT_meV", {"contacts": [
         {"site": 1, "Gamma_meV": 0.5, "eps_meV": 0, "mu_meV": 0, "kT_meV": float("nan")}]}),
+    # the output directory is named by --out only
     "output-number": ("output", {"output": 5}),
     "emit_heatmap-string": ("emit_heatmap", {"emit_heatmap": "false"}),
     "include_depolarizing-number": ("include_depolarizing", {"include_depolarizing": 0}),
@@ -196,7 +197,7 @@ def test_preset_parses_to_pinned_values(name):
         cfg.run.t_final, cfg.run.N_t, cfg.run.N_traj, cfg.run.seed, cfg.run.record_every,
         cfg.init_occupations, cfg.emit_heatmap,
     ) == PRESET_VALUES[name]
-    assert cfg.include_depolarizing is True and cfg.output_path is None
+    assert cfg.include_depolarizing is True
 
 
 @pytest.mark.parametrize("args, keys, memory", [
@@ -242,7 +243,7 @@ def test_main_checks_memory_for_the_workers_it_starts(tmp_path, capsys, monkeypa
     # 3 * 16 B * 2^16 = 3 MiB of state and step temporaries
     monkeypatch.setattr(config, "_physical_memory", lambda: 8 * 2**20)
     raw = dict(MINIMAL_OPEN, L=16, N_traj=8)
-    cfg = parse_config(json.dumps(raw))  # one batch in flight fits
+    cfg = parse_config(json.dumps(raw))
     config.check_memory(cfg, 2)
     with pytest.raises(ConfigError, match="L: "):
         config.check_memory(cfg, 8)
@@ -263,4 +264,4 @@ def test_check_memory_counts_the_oracle_propagator(monkeypatch):
     raw = dict(MINIMAL_OPEN, mode="compare", N_traj=4)
     config.check_memory(parse_config(json.dumps(dict(raw, L=7))), 2)
     with pytest.raises(ConfigError, match="L: L=8, .* needs ~9.89 GiB"):
-        parse_config(json.dumps(dict(raw, L=8)))
+        config.check_memory(parse_config(json.dumps(dict(raw, L=8))), 1)
