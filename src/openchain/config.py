@@ -52,6 +52,12 @@ EVENT_ROW_BYTES = 5 * 8
 # row (the blocks and their concatenation) over 10**6 rows of one
 # trajectory (L = 2, two eta = 0.5 contacts)
 RUNNING_EVENT_ROW_BYTES = 81
+# per amplitude of a batch in flight: the state, the transposed copy that
+# trotter.apply_step makes for the low bonds and the phase vector, 16 B
+# each, plus the half-size bond temporary; tracemalloc measured peaks of
+# 3.5 to 3.8 times 16 B per amplitude for one trajectory at L = 16 and
+# 20, so this keeps some room
+STATE_BYTES = 4 * 16
 # per (row, step, contact) of a draw chunk: two float64 uniforms and the
 # int8 target and outcome
 DRAW_BYTES = 2 * 8 + 2
@@ -126,11 +132,10 @@ def check_memory(cfg: ScenarioConfig, workers: int) -> None:
     n_batches = batch_count(L, n_traj)
     rows_per_batch = -(-n_traj // n_batches)
     workers = min(workers, n_batches)
-    # each process: its batch's state, the phase vector and step temporaries,
-    # 16 B per amplitude each, and its draw chunk
+    # each process: its batch's state with the step's copies, and its draw chunk
     steps = min(run.N_t, chunk_steps(rows_per_batch, len(contacts)))
     draws = rows_per_batch * steps * len(contacts)
-    state = workers * ((3 * 16 * rows_per_batch << L) + DRAW_BYTES * draws)
+    state = workers * ((STATE_BYTES * rows_per_batch << L) + DRAW_BYTES * draws)
     if cfg.mode == "compare":
         # the oracle's record-step propagator on the C(2L, L) entries of the
         # particle-number blocks: four such square matrices at the peak of

@@ -127,51 +127,64 @@ def reset_to(amps: np.ndarray, q: int, target, u) -> Resets:
     the target 0 or 1, or -1 to leave the row alone, and the uniform
     that decides the measurement, outcome 1 if u < p1.  Each acting row
     becomes (c_q + c_q^dag)^[m != t] P_m psi / |P_m psi|: the half of
-    its amplitudes that survives the measurement is scaled by
-    1/sqrt(p_m) and the other half zeroed; on a flip the halves swap
-    and take the Jordan-Wigner sign (-1)^(occupied qubits below q).
-    Afterwards <n_q> is exactly the target."""
+    its amplitudes that survives the measurement, scaled by
+    1/sqrt(p_m) and on a flip by the Jordan-Wigner sign (-1)^(occupied
+    qubits below q), lands in the target's half and the other half is
+    zero.  Afterwards <n_q> is exactly the target.
+
+    The probabilities take one pass over all rows.  Then one pass
+    gathers the surviving halves of the acting rows and scales them,
+    one zeroes those rows and one scatters the halves into the target's
+    half.  A lone row is scaled and zeroed in place instead, which
+    saves the gathered copy of half a large state.  `amps` must be
+    C-contiguous, since it is updated in place."""
     L = amps.shape[-1].bit_length() - 1
     if not 0 <= q < L:
         raise ValueError(f"qubit index {q} out of range")
+    if not amps.flags.c_contiguous:
+        raise ValueError("reset_to works in place and needs a C-contiguous array")
     shape = amps.shape[:-1]
     if np.shape(target) != shape or np.shape(u) != shape:
         raise ValueError(f"target and u must have the row shape {shape}")
     t = np.asarray(target).reshape(-1)
     if np.any((t < -1) | (t > 1)):
         raise ValueError(f"target must be 0, 1 or -1, got {target!r}")
-    amps = amps.reshape(-1, 1 << L)
+    rows = amps.reshape(-1, 1 << L)
     acting = np.flatnonzero(t >= 0)
-    measured = np.full(len(amps), -1, dtype=np.int8)
+    measured = np.full(len(rows), -1, dtype=np.int8)
     if acting.size == 0:
         return Resets(measured.reshape(shape), 0)
-    whole = acting.size == len(amps)
-    sub = amps if whole else amps[acting]
-    x, K = _planes(sub, L)
+    # the sums over every row, the Born probabilities of the acting ones
+    x, K = _planes(rows, L)
     if q < K:
-        p = np.einsum("rhk,rhk->rk", x, x) @ _outcomes(K + 1, q + 1)
+        p = np.einsum("rhk,rhk->rk", x, x)[acting] @ _outcomes(K + 1, q + 1)
     else:
-        p = np.einsum("rhk,rhk->rh", x, x) @ _outcomes(L - K, q - K)
+        p = np.einsum("rhk,rhk->rh", x, x)[acting] @ _outcomes(L - K, q - K)
     p1 = p[:, 1]
     u = np.asarray(u).reshape(-1)[acting]
     m = np.where(p1 <= FORCED_EPS, 0, np.where(p1 >= 1.0 - FORCED_EPS, 1, u < p1))
-    # the measured half scaled by 1/sqrt(p_m), the other zeroed
+    t = t[acting]
+    flip = m != t
     scale = 1.0 / np.sqrt(p[np.arange(acting.size), m])
-    block = sub.reshape(acting.size, -1, 2, 1 << q)
-    block[:, :, 0, :] *= np.where(m == 0, scale, 0.0)[:, None, None]
-    block[:, :, 1, :] *= np.where(m == 1, scale, 0.0)[:, None, None]
-    flip = np.flatnonzero(m != t[acting])
-    if flip.size:
-        # c_q + c_q^dag on the projected rows: swap the halves, JW sign
-        g = block if flip.size == acting.size else block[flip]
-        if q:
-            g *= _jw_signs(q)
-        h0 = g[:, :, 0, :].copy()
-        g[:, :, 0, :] = g[:, :, 1, :]
-        g[:, :, 1, :] = h0
-        if g is not block:
-            block[flip] = g
-    if not whole:
-        amps[acting] = sub
+    if flip.any():
+        factor = np.where(flip[:, None], _jw_signs(q), 1.0)
+        factor *= scale[:, None]
+    else:
+        factor = scale[:, None]
+    block = rows.reshape(len(rows), -1, 2, 1 << q)
+    if len(rows) == 1:
+        # one row, at large L: in place on the halves, no gathered copy
+        kept, other = block[0, :, m[0], :], block[0, :, 1 - m[0], :]
+        if flip[0]:
+            np.multiply(kept, factor, out=other)
+            kept *= 0.0
+        else:
+            kept *= factor
+            other *= 0.0
+    else:
+        kept = block[acting, :, m, :]
+        kept *= factor[:, None, :]
+        rows[acting] = 0.0
+        block[acting, :, t, :] = kept
     measured[acting] = m
-    return Resets(measured.reshape(shape), flip.size)
+    return Resets(measured.reshape(shape), int(np.count_nonzero(flip)))

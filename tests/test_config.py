@@ -1,6 +1,7 @@
 """Config parsing, validation error collection, and presets."""
 
 import json
+import tracemalloc
 
 import pytest
 
@@ -12,6 +13,9 @@ from openchain.config import (
     get_preset,
     parse_config,
 )
+from openchain.model import ChainSpec, build_chain_hamiltonian
+from openchain.trajectory import ContactSpec, RunConfig, run_trajectory
+from openchain.trotter import build_step
 
 MINIMAL_CLOSED = {
     "mode": "closed",
@@ -233,15 +237,16 @@ def test_main_rejects_state_beyond_physical_memory(tmp_path, capsys, monkeypatch
     out = tmp_path / "out"
     assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    # state, phase vector and temporaries: 3 * 16 B * 2^16 = 0.00293 GiB
-    assert "config error: L: " in err and "needs ~0.00293 GiB" in err
+    # state, its transposed copy, phase vector and temporaries:
+    # 4 * 16 B * 2^16 = 0.00391 GiB
+    assert "config error: L: " in err and "needs ~0.00391 GiB" in err
     assert not out.exists()
 
 
 def test_main_checks_memory_for_the_workers_it_starts(tmp_path, capsys, monkeypatch):
     # at L = 16 a batch is one trajectory, and each process holds
-    # 3 * 16 B * 2^16 = 3 MiB of state and step temporaries
-    monkeypatch.setattr(config, "_physical_memory", lambda: 8 * 2**20)
+    # 4 * 16 B * 2^16 = 4 MiB of state and step temporaries
+    monkeypatch.setattr(config, "_physical_memory", lambda: 10 * 2**20)
     raw = dict(MINIMAL_OPEN, L=16, N_traj=8)
     cfg = parse_config(json.dumps(raw))
     config.check_memory(cfg, 2)
@@ -255,6 +260,24 @@ def test_main_checks_memory_for_the_workers_it_starts(tmp_path, capsys, monkeypa
     assert main(["run", "--config", str(cfg_path), "--out", str(out), "--workers", "8"]) == 1
     assert "config error: L: " in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("symmetric", [False, True])
+def test_state_bytes_cover_the_measured_peak_of_a_batch(symmetric):
+    # one trajectory at L = 18, its plan included: the state, the phase
+    # vector, the transposed copy of the low bonds and the half-size bond
+    # temporary come to 3.5 * 16 B per amplitude
+    L = 18
+    h = build_chain_hamiltonian(ChainSpec(L=L, gamma=5.0, v=10.0))
+    contacts = [ContactSpec(0, 0.5, 1.0), ContactSpec(L - 1, 0.5, 0.0)]
+    cfg = RunConfig(t_final=2.0, N_t=4, seed=3)
+    tracemalloc.start()
+    try:
+        run_trajectory(build_step(h, cfg.dt, symmetric=symmetric), contacts, cfg, [0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (config.STATE_BYTES - 16) << L < peak <= config.STATE_BYTES << L
 
 
 def test_check_memory_counts_the_oracle_propagator(monkeypatch):

@@ -14,7 +14,16 @@ from openchain.model import (
     build_chain_hamiltonian,
     fermion_lowering,
 )
-from openchain.state import RngStream, all_densities, init_basis_state, reset_to
+from openchain.state import (
+    FORCED_EPS,
+    RngStream,
+    _jw_signs,
+    _outcomes,
+    _planes,
+    all_densities,
+    init_basis_state,
+    reset_to,
+)
 from openchain.trotter import apply_step, build_step
 
 
@@ -23,6 +32,39 @@ def random_state(L, seed):
     amps = gen.normal(size=1 << L) + 1j * gen.normal(size=1 << L)
     amps /= np.linalg.norm(amps)
     return init_basis_state(L, ()), amps
+
+
+def reference_reset_to(amps, q, target, u):
+    """The two-pass contact kernel: the Born probabilities of the acting
+    rows alone, each half scaled in place, then on a flip the halves
+    swapped with the Jordan-Wigner sign.  Returns (measured, changed)."""
+    L = amps.shape[-1].bit_length() - 1
+    t = np.asarray(target).reshape(-1)
+    amps = amps.reshape(-1, 1 << L)
+    acting = np.flatnonzero(t >= 0)
+    measured = np.full(len(amps), -1, dtype=np.int8)
+    if acting.size == 0:
+        return measured, 0
+    sub = amps[acting]
+    x, K = _planes(sub, L)
+    if q < K:
+        p = np.einsum("rhk,rhk->rk", x, x) @ _outcomes(K + 1, q + 1)
+    else:
+        p = np.einsum("rhk,rhk->rh", x, x) @ _outcomes(L - K, q - K)
+    p1 = p[:, 1]
+    u = np.asarray(u).reshape(-1)[acting]
+    m = np.where(p1 <= FORCED_EPS, 0, np.where(p1 >= 1.0 - FORCED_EPS, 1, u < p1))
+    scale = 1.0 / np.sqrt(p[np.arange(acting.size), m])
+    block = sub.reshape(acting.size, -1, 2, 1 << q)
+    block[:, :, 0, :] *= np.where(m == 0, scale, 0.0)[:, None, None]
+    block[:, :, 1, :] *= np.where(m == 1, scale, 0.0)[:, None, None]
+    flip = np.flatnonzero(m != t[acting])
+    for r in flip:
+        block[r] *= _jw_signs(q)
+        block[r] = block[r, :, ::-1, :].copy()
+    amps[acting] = sub
+    measured[acting] = m
+    return measured, flip.size
 
 
 def test_init_vacuum():
@@ -219,6 +261,41 @@ def test_reset_examples():
     ev = reset_to(s, 0, 0, rng.uniform())
     assert abs(s[0]) == pytest.approx(1.0, abs=1e-12)
     assert ev.changed == (ev.measured == 1)
+
+
+def test_reset_rejects_non_contiguous_input():
+    # a reshape would copy such an array, and the update would be lost
+    big = np.tile(init_basis_state(3, (0,)), (4, 1))
+    for amps in (big[::2], np.asfortranarray(big)):
+        with pytest.raises(ValueError, match="C-contiguous"):
+            reset_to(amps, 0, np.zeros(len(amps), dtype=np.int8), np.zeros(len(amps)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    L=st.integers(min_value=1, max_value=8),
+    rows=st.sampled_from([1, 3, 50]),
+    seed=st.integers(min_value=0, max_value=999),
+)
+def test_reset_is_bit_identical_to_the_two_pass_kernel(L, rows, seed):
+    # every qubit, targets mixing 0, 1 and no action, and rows whose
+    # outcome is forced because one half of qubit q is empty
+    gen = np.random.default_rng(seed)
+    shape = (1 << L,) if rows == 1 else (rows, 1 << L)
+    for q in range(L):
+        amps = gen.normal(size=shape) + 1j * gen.normal(size=shape)
+        halves = amps.reshape(-1, 1 << (L - q - 1), 2, 1 << q)
+        forced = gen.integers(-1, 2, size=len(halves))
+        for r in np.flatnonzero(forced >= 0):
+            halves[r, :, forced[r], :] = 0.0
+        amps /= np.linalg.norm(amps, axis=-1, keepdims=True)
+        target = gen.integers(-1, 2, size=shape[:-1]).astype(np.int8)
+        u = gen.random(shape[:-1])
+        expected = amps.copy()
+        measured, changed = reference_reset_to(expected, q, target, u)
+        res = reset_to(amps, q, target, u)
+        assert np.array_equal(amps, expected)
+        assert np.array_equal(res.measured.reshape(-1), measured) and res.changed == changed
 
 
 def test_reset_rejects_bad_target():

@@ -1,10 +1,11 @@
 """Trotter step construction, application, and the dense propagator oracle."""
 
+import math
 import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from openchain.model import ChainSpec, PauliHamiltonian, PauliTerm, build_chain_hamiltonian
@@ -16,6 +17,24 @@ def evolve(state, plan, n):
     for _ in range(n):
         apply_step(state, plan)
     return state
+
+
+def reference_apply_step(amps, plan):
+    """The plain sweep: every gate in place on its (-1, 4, 2^q) view,
+    with the kernel's floating-point operations in the kernel's order."""
+    def mix(pair, theta):
+        swapped = pair[:, ::-1] * (-1j * math.sin(theta))
+        pair *= math.cos(theta)
+        pair += swapped
+
+    for g in plan.gates:
+        if isinstance(g, BondGate):
+            v = amps.reshape(-1, 4, 1 << g.q)
+            mix(v[:, 1:3], g.hop)
+            if g.pair != 0.0:
+                mix(v[:, ::3], g.pair)
+        else:
+            amps *= g
 
 
 def test_build_step_single_term():
@@ -70,6 +89,43 @@ def test_apply_step_rejects_size_mismatch():
     plan = build_step(build_chain_hamiltonian(ChainSpec(L=3, gamma=1.0)), 0.1)
     with pytest.raises(ValueError):
         apply_step(init_basis_state(2, ()), plan)
+
+
+def test_apply_step_rejects_non_contiguous_input():
+    # a reshape would copy such an array, and the update would be lost
+    plan = build_step(build_chain_hamiltonian(ChainSpec(L=3, gamma=1.0)), 0.1)
+    big = np.tile(init_basis_state(3, (0,)), (4, 1))
+    for amps in (big[::2], np.asfortranarray(big)):
+        with pytest.raises(ValueError, match="C-contiguous"):
+            apply_step(amps, plan)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    L=st.integers(min_value=1, max_value=12),
+    rows=st.sampled_from([1, 3]),
+    symmetric=st.booleans(),
+    shuffle=st.booleans(),
+    gamma=st.floats(min_value=-5, max_value=5),
+    v=st.floats(min_value=-10, max_value=10),
+    seed=st.integers(min_value=0, max_value=999),
+)
+@example(L=16, rows=1, symmetric=True, shuffle=True, gamma=3.0, v=10.0, seed=0)
+@example(L=16, rows=1, symmetric=False, shuffle=False, gamma=5.0, v=10.0, seed=1)
+def test_apply_step_is_bit_identical_to_the_plain_sweep(L, rows, symmetric, shuffle, gamma, v, seed):
+    # a shuffled term order puts phase vectors and high bonds between the
+    # low bonds, so the transposed runs start and end anywhere
+    h = build_chain_hamiltonian(ChainSpec(L=L, gamma=gamma, v=v))
+    gen = np.random.default_rng(seed)
+    if shuffle:
+        h = PauliHamiltonian(L, tuple(h.terms[i] for i in gen.permutation(len(h.terms))))
+    plan = build_step(h, 0.37, symmetric=symmetric)
+    shape = (1 << L,) if rows == 1 else (rows, 1 << L)
+    amps = gen.normal(size=shape) + 1j * gen.normal(size=shape)
+    expected = amps.copy()
+    reference_apply_step(expected, plan)
+    apply_step(amps, plan)
+    assert np.array_equal(amps, expected)
 
 
 def test_single_term_plan_is_exact():
