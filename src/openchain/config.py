@@ -52,12 +52,11 @@ EVENT_ROW_BYTES = 5 * 8
 # row (the blocks and their concatenation) over 10**6 rows of one
 # trajectory (L = 2, two eta = 0.5 contacts)
 RUNNING_EVENT_ROW_BYTES = 81
-# per amplitude of a batch in flight: the state, the transposed copy that
-# trotter.apply_step makes for the low bonds and the phase vector, 16 B
-# each, plus the half-size bond temporary; tracemalloc measured peaks of
-# 3.5 to 3.8 times 16 B per amplitude for one trajectory at L = 16 and
-# 20, so this keeps some room
-STATE_BYTES = 4 * 16
+# per amplitude of a batch in flight: the state, the scratch buffer that
+# trotter.apply_step's blocks write into and the phase vector, 16 B each;
+# tracemalloc measured peaks of 3.0 to 3.1 times 16 B per amplitude for
+# one trajectory at L = 16 to 20, so this keeps some room
+STATE_BYTES = 56
 # per (row, step, contact) of a draw chunk: two float64 uniforms and the
 # int8 target and outcome
 DRAW_BYTES = 2 * 8 + 2

@@ -1,5 +1,5 @@
-"""Trotter step of the chain Hamiltonian as bond-local gates, plus an
-exact dense propagator used as an independent oracle.
+"""Trotter step of the chain Hamiltonian as fused blocks of bond gates,
+plus an exact dense propagator used as an independent oracle.
 
 The first-order step is prod_s exp(-i theta_s P_s), theta_s = coeff_s *
 dt, in term order.  Consecutive XX and YY terms on one bond commute and
@@ -14,24 +14,42 @@ actions, with S(tau) the term-order sweep at tau/2 followed by the
 reversed sweep at tau/2, the two middle gates merged: second order in
 dt, for the unitary and for its splitting from the contacts.
 
-The kernel acts in place on C-contiguous amplitudes of shape (2^L,) or
-(B, 2^L) alike: bond q reshapes them to (-1, 4, 2^q), which runs over
-the rows of a batch, so its inner loops are 2^q amplitudes long.  With
-K = L // 2, the bonds with q + 1 < K would run on short loops, so each
-run of consecutive such bonds works on a transposed copy: the
-amplitudes viewed as (B, 2^(L-K), 2^K) and transposed to
-(B, 2^K, 2^(L-K)).  There qubit q < K is bit q + L - K, and bond q
-mixes runs of 2^(q+L-K) amplitudes.  The copy is written back at the
-end of the run.  Each amplitude meets the same operations in the same
-order, so the result is bit-identical to the in-place sweep.
+The plan fuses the gates into blocks, each one 2^w-square unitary on w
+<= WINDOW consecutive qubits.  Bond q falls in slot q // (WINDOW - 1),
+whose block starts at qubit lo = slot * (WINDOW - 1), and each run of
+consecutive bonds in one slot becomes one block: a first-order sweep of
+L = 16 is the blocks at qubits 0, 4, 8 and 12, then the phase vector.
+Phase vectors stay as they are.  Up to WINDOW qubits the whole step,
+phase vector and both sweeps included, is one 2^L-square block.  The
+blocks are built by applying the ops to an identity with elementwise
+numpy calls, no BLAS, so the build costs little in a fresh process.
 
-The copy is used when K >= 3 (L >= 6) and the array holds at least
-TRANSPOSE_MIN_AMPS amplitudes, which depends on nothing but L and the
-array's shape.  Below that, `apply_step` timings at L = 3..20 showed
-the two extra passes cost as much as the longer loops save or more:
-one state at L = 6, 7 and batches at L = 4, 5 ran 2-10% slower with
-the copy, while batches from L = 6 and one state from L = 10 ran
-10-35% faster.
+`apply_step` applies each block with one np.matmul, on C-contiguous
+amplitudes of shape (2^L,) or (B, 2^L) alike: a block at qubit 0 as
+amps.reshape(-1, 2^w) @ m^T, one matrix product over every row of a
+batch; a block at lo > 0 as m @ amps.reshape(-1, 2^w, 2^lo).  The
+products alternate between the amplitudes and one scratch buffer of
+the same size, and after an odd count of them the result is copied
+back (writing one phase vector across instead, to save that copy,
+measured no faster at L = 10..18).  Each product rounds differently
+from the gate-by-gate sweep, by about 1e-15 relative; a row of a batch
+and the same row alone can differ in the last bit, because BLAS takes
+another path for one row.
+
+WINDOW comes from `apply_step` timings (one BLAS thread, 2-core host,
+first-order / symmetric plan, microseconds):
+
+    | L, rows | w = 3        | 4            | 5            | 6            |
+    |---------|--------------|--------------|--------------|--------------|
+    | 6, 256  | 733 / 1345   | 382 / 633    | 422 / 728    | 258 / 255    |
+    | 8, 50   | 580 / 1290   | 351 / 703    | 260 / 502    | 313 / 596    |
+    | 10, 16  | 898 / 1571   | 471 / 877    | 462 / 877    | 449 / 874    |
+    | 12, 1   | 243 / 498    | 139 / 267    | 137 / 266    | 171 / 335    |
+    | 16, 1   | 4651 / 8773  | 2860 / 5510  | 2764 / 5389  | 3428 / 6668  |
+    | 18, 1   | 19853 / 37901| 12417 / 24172| 13776 / 26160| 15795 / 30481|
+
+Five is best at L = 8, 12 and 16 and within 11% of the best at L = 10
+and 18; at L = 6, six qubits would make the whole step one block.
 """
 
 from __future__ import annotations
@@ -45,28 +63,28 @@ import numpy as np
 
 from .model import MAX_DENSE_QUBITS, PauliHamiltonian
 
-# the smallest array, B * 2^L amplitudes, whose low bonds run transposed
-TRANSPOSE_MIN_AMPS = 1 << 10
+# the most qubits one block spans: a run of bond gates on at most WINDOW
+# consecutive qubits becomes one 2^WINDOW-square matrix at most
+WINDOW = 5
 
 
-class BondGate(NamedTuple):
-    """exp(-i a XX) exp(-i b YY) on qubits (q, q+1): a rotation by
-    hop = a+b on the |01>,|10> pair and by pair = a-b on |00>,|11>."""
+class Block(NamedTuple):
+    """A run of gates as one unitary m on qubits lo .. lo + w - 1, with
+    m of shape (2^w, 2^w)."""
 
-    q: int
-    hop: float
-    pair: float
+    lo: int
+    m: np.ndarray
 
 
 @dataclass(frozen=True)
 class TrotterPlan:
-    """The step as bond gates and phase vectors, applied in order.  A
+    """The step as blocks and phase vectors, applied in order.  A
     symmetric plan holds the half step S(dt/2), applied once before and
     once after the contact actions."""
 
     L: int
     dt: float
-    gates: tuple[BondGate | np.ndarray, ...]
+    gates: tuple[Block | np.ndarray, ...]
     symmetric: bool = False
 
 
@@ -96,69 +114,84 @@ def build_step(h: PauliHamiltonian, dt: float, symmetric: bool = False) -> Trott
         mid = [mid[0], 2 * mid[1], 2 * mid[2]] if isinstance(mid, list) else {
             k: 2 * v for k, v in mid.items()}
         ops = ops[:-1] + [mid] + ops[-2::-1]
-    gates = tuple(
-        BondGate(op[0], op[1] + op[2], op[1] - op[2]) if isinstance(op, list)
-        else _phase_vector(op, h.L) for op in ops
-    )
-    return TrotterPlan(L=h.L, dt=dt, gates=gates, symmetric=symmetric)
+    if h.L <= WINDOW and any(isinstance(op, list) for op in ops):
+        return TrotterPlan(L=h.L, dt=dt, gates=(_block(ops, 0, h.L),), symmetric=symmetric)
+    # bond q falls in slot q // (WINDOW - 1), whose block spans qubits
+    # lo = slot * (WINDOW - 1) up to WINDOW of them; each run of consecutive
+    # bonds in one slot becomes one block
+    span = WINDOW - 1
+    gates = []
+    for slot, run in itertools.groupby(ops, lambda op: op[0] // span if isinstance(op, list) else -1):
+        if slot < 0:
+            gates.extend(_phase_vector(op, h.L) for op in run)
+        else:
+            gates.append(_block(list(run), slot * span, min(WINDOW, h.L - slot * span)))
+    return TrotterPlan(L=h.L, dt=dt, gates=tuple(gates), symmetric=symmetric)
 
 
 def _phase_vector(angles: dict[int, float], L: int) -> np.ndarray:
-    # a Z string has eigenvalue (-1)^popcount(k & mask) on basis state k
-    k = np.arange(1 << L, dtype=np.uint32)
+    # a Z string has eigenvalue (-1)^popcount(k & mask) on basis state k, so
+    # the phases are the Walsh-Hadamard transform of the angles at their masks
     phi = np.zeros(1 << L)
     for mask, theta in angles.items():
-        phi += np.where(np.bitwise_count(k & np.uint32(mask)) & 1, -theta, theta)
+        phi[mask] = theta
+    for q in range(L):
+        v = phi.reshape(-1, 2, 1 << q)
+        plus = v[:, 0] + v[:, 1]
+        v[:, 1] = v[:, 0] - v[:, 1]
+        v[:, 0] = plus
     return np.exp(-1j * phi)
 
 
-def _mix(pair: np.ndarray, theta: float) -> None:
-    # pair[:, 0], pair[:, 1] <- cos * each - i sin * the other, in place
-    swapped = pair[:, ::-1] * (-1j * math.sin(theta))
-    pair *= math.cos(theta)
-    pair += swapped
-
-
-def _sweep(amps: np.ndarray, gates, shift: int = 0) -> None:
-    # the gates in order, bond q on bits (q + shift, q + 1 + shift)
-    for g in gates:
-        if isinstance(g, BondGate):
-            # axis 1 holds bits (q+1, q): 1 is |01>, 2 is |10>, 0 and 3 are |00>, |11>
-            v = amps.reshape(-1, 4, 1 << (g.q + shift))
-            _mix(v[:, 1:3], g.hop)
-            if g.pair != 0.0:
-                _mix(v[:, ::3], g.pair)
-        else:
-            amps *= g
+def _block(ops, lo: int, w: int) -> Block:
+    # the ops in order, each multiplying the identity from the left: it acts
+    # on the row index as a gate acts on the amplitudes' index, so bond q
+    # mixes whole rows, runs of 2^(q-lo+w) entries
+    m = np.eye(1 << w, dtype=complex)
+    for op in ops:
+        if isinstance(op, dict):
+            m *= _phase_vector(op, w)[:, None]
+            continue
+        q, a, b = op
+        # axis 1 holds bits (q+1, q): 1 is |01>, 2 is |10>, 0 and 3 are |00>, |11>
+        v = m.reshape(-1, 4, (1 << (q - lo)) << w)
+        for pair, theta in ((v[:, 1:3], a + b), (v[:, ::3], a - b)):
+            if theta != 0.0:
+                swapped = pair[:, ::-1] * (-1j * math.sin(theta))
+                pair *= math.cos(theta)
+                pair += swapped
+    return Block(lo, m)
 
 
 def apply_step(amps: np.ndarray, plan: TrotterPlan) -> None:
     """Apply the plan's gates in place to C-contiguous (2^L,) or
     (B, 2^L) amplitudes: the whole step, or for a symmetric plan one
     half of it."""
-    L, K = plan.L, plan.L // 2
-    if amps.shape[-1] != 1 << L:
-        raise ValueError(f"plan size {L} needs {1 << L} amplitudes, got {amps.shape[-1]}")
+    if amps.shape[-1] != 1 << plan.L:
+        raise ValueError(f"plan size {plan.L} needs {1 << plan.L} amplitudes, got {amps.shape[-1]}")
     if not amps.flags.c_contiguous:
         raise ValueError("apply_step works in place and needs a C-contiguous array")
-    if K < 3 or amps.size < TRANSPOSE_MIN_AMPS:
-        _sweep(amps, plan.gates)
-        return
-    for low, run in itertools.groupby(plan.gates, lambda g: isinstance(g, BondGate) and g.q + 1 < K):
-        if low:
-            # the amplitudes as (B, 2^K, 2^(L-K)), where qubit q < K is bit q + L - K
-            grid = amps.reshape(-1, 1 << (L - K), 1 << K)
-            t = grid.transpose(0, 2, 1).copy()
-            _sweep(t, run, L - K)
-            grid[...] = t.transpose(0, 2, 1)
-            del t  # freed before the next run makes its copy
+    # each block writes the other buffer; phase vectors act where the
+    # amplitudes are
+    src, dst = amps, np.empty_like(amps)
+    for g in plan.gates:
+        if isinstance(g, Block):
+            n = len(g.m)
+            if g.lo == 0:
+                np.matmul(src.reshape(-1, n), g.m.T, out=dst.reshape(-1, n))
+            else:
+                s = 1 << g.lo
+                np.matmul(g.m, src.reshape(-1, n, s), out=dst.reshape(-1, n, s))
+            src, dst = dst, src
         else:
-            _sweep(amps, run)
+            src *= g
+    if src is not amps:
+        amps[...] = src
 
 
 def exact_propagator_oracle(h: PauliHamiltonian, t: float) -> np.ndarray:
     """exp(-i H t) by Hermitian eigendecomposition of the dense matrix.
-    Verification oracle only; independent of the bond-gate kernel."""
+    Verification oracle only; independent of the block kernel."""
     if h.L > MAX_DENSE_QUBITS:
         raise ValueError(f"dense propagator limited to L <= {MAX_DENSE_QUBITS}")
     H = h.to_matrix()

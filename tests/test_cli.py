@@ -119,17 +119,26 @@ def test_emit_events_csv(tmp_path):
 def test_emit_events_csv_in_blocks_matches_row_by_row(tmp_path):
     gen = np.random.default_rng(5)
     n = 2 * EVENTS_BLOCK + 17
-    events = np.column_stack([
-        np.arange(n) // 7, np.arange(n), gen.integers(0, 8, n),
-        gen.integers(0, 2, n), gen.integers(0, 2, n),
-    ]).astype(np.int64)
-    path = tmp_path / "events.csv"
-    emit_events_csv(events, path)
-    reference = "traj,step,site,action\n" + "".join(
-        f"{int(traj)},{int(step)},{int(q) + 1},{ACTIONS[2 * int(target) + int(changed)]}\n"
-        for traj, step, q, target, changed in events
-    )
-    assert path.read_text() == reference
+    k = np.arange(n)
+    m = k[:1200]
+    # (target, changed) cycles through all four actions
+    actions = [(m // 2) % 2, m % 2]
+    cases = {
+        "blocks": [k // 7, k, gen.integers(0, 8, n), gen.integers(0, 2, n), gen.integers(0, 2, n)],
+        "empty": [k[:0]] * 5,
+        # widths change inside one block: 9 -> 10, 99 -> 100, 999 -> 1000
+        "widths": [m, 1200 - m, m % 12] + actions,
+        "large": [10**9 - 600 + m, 2**63 - 1 - m, m % 3] + actions,
+    }
+    for name, columns in cases.items():
+        events = np.column_stack(columns).astype(np.int64)
+        path = tmp_path / f"{name}.csv"
+        emit_events_csv(events, path)
+        reference = "traj,step,site,action\n" + "".join(
+            f"{int(traj)},{int(step)},{int(q) + 1},{ACTIONS[2 * int(target) + int(changed)]}\n"
+            for traj, step, q, target, changed in events
+        )
+        assert path.read_text() == reference, name
 
 
 def test_heatmap_constant_density_is_mid_gray(tmp_path):

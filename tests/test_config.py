@@ -237,15 +237,15 @@ def test_main_rejects_state_beyond_physical_memory(tmp_path, capsys, monkeypatch
     out = tmp_path / "out"
     assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    # state, its transposed copy, phase vector and temporaries:
-    # 4 * 16 B * 2^16 = 0.00391 GiB
-    assert "config error: L: " in err and "needs ~0.00391 GiB" in err
+    # state, the step's scratch buffer and phase vector:
+    # 56 B * 2^16 = 0.00342 GiB
+    assert "config error: L: " in err and "needs ~0.00342 GiB" in err
     assert not out.exists()
 
 
 def test_main_checks_memory_for_the_workers_it_starts(tmp_path, capsys, monkeypatch):
     # at L = 16 a batch is one trajectory, and each process holds
-    # 4 * 16 B * 2^16 = 4 MiB of state and step temporaries
+    # 56 B * 2^16 = 3.5 MiB of state and step temporaries
     monkeypatch.setattr(config, "_physical_memory", lambda: 10 * 2**20)
     raw = dict(MINIMAL_OPEN, L=16, N_traj=8)
     cfg = parse_config(json.dumps(raw))
@@ -265,8 +265,8 @@ def test_main_checks_memory_for_the_workers_it_starts(tmp_path, capsys, monkeypa
 @pytest.mark.parametrize("symmetric", [False, True])
 def test_state_bytes_cover_the_measured_peak_of_a_batch(symmetric):
     # one trajectory at L = 18, its plan included: the state, the phase
-    # vector, the transposed copy of the low bonds and the half-size bond
-    # temporary come to 3.5 * 16 B per amplitude
+    # vector and the scratch buffer the blocks write into come to
+    # 3.0 * 16 B per amplitude
     L = 18
     h = build_chain_hamiltonian(ChainSpec(L=L, gamma=5.0, v=10.0))
     contacts = [ContactSpec(0, 0.5, 1.0), ContactSpec(L - 1, 0.5, 0.0)]
