@@ -57,9 +57,19 @@ RUNNING_EVENT_ROW_BYTES = 81
 # tracemalloc measured peaks of 3.0 to 3.1 times 16 B per amplitude for
 # one trajectory at L = 16 to 20, so this keeps some room
 STATE_BYTES = 56
-# per (row, step, contact) of a draw chunk: two float64 uniforms and the
-# int8 target and outcome
-DRAW_BYTES = 2 * 8 + 2
+# per (row, step, contact) of a draw chunk: the uint64 temporaries of
+# state.RngStream.uniform, whose tracemalloc peak is 48 B per uniform,
+# for its two uniforms, and the previous chunk's two float64 uniforms
+# and int8 target and outcome, still held while the next is drawn
+DRAW_BYTES = 2 * 48 + 2 * 8 + 2
+# per uniform that a row draws in one chunk: its 64 B column of the
+# process's jump table (state._jumps), 96 B at the peak of its growth
+JUMP_BYTES = 96
+# per batch whatever its size: the plan's blocks, the kernels' cached
+# index tables and small arrays; tracemalloc measured 8 to 210 KiB of
+# peak beyond the 3.0 x 16 B per amplitude for one trajectory at
+# L = 2 to 16
+BATCH_FIXED_BYTES = 256 << 10
 
 
 class ConfigError(ValueError):
@@ -121,6 +131,26 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
+def _events_per_traj(contacts, run: RunConfig) -> float:
+    """Expected event rows of one trajectory: eta = Gamma * dt per
+    contact and step."""
+    return run.N_t * sum(c.Gamma * run.dt for c in contacts)
+
+
+def _engine_bytes(L: int, rows: int, n_contacts: int, N_t: int) -> int:
+    """A batch of `rows` trajectories in flight: its state with the
+    step's copies, a draw chunk with its jump table, the fixed rest."""
+    steps = min(N_t, chunk_steps(rows, n_contacts))
+    return ((STATE_BYTES * rows << L) + (DRAW_BYTES * rows + 2 * JUMP_BYTES) * steps * n_contacts
+            + BATCH_FIXED_BYTES)
+
+
+def _running_bytes(L: int, rows: int, contacts, run: RunConfig) -> float:
+    """The records and event rows that a running batch builds."""
+    records = (run.N_t // run.record_every + 1) * L * 8
+    return rows * (records + _events_per_traj(contacts, run) * RUNNING_EVENT_ROW_BYTES)
+
+
 def check_memory(cfg: ScenarioConfig, workers: int) -> None:
     """Raise ConfigError, under the key of the largest factor, if the
     estimated peak memory of `cfg` run on `workers` processes exceeds
@@ -131,10 +161,7 @@ def check_memory(cfg: ScenarioConfig, workers: int) -> None:
     n_batches = batch_count(L, n_traj)
     rows_per_batch = -(-n_traj // n_batches)
     workers = min(workers, n_batches)
-    # each process: its batch's state with the step's copies, and its draw chunk
-    steps = min(run.N_t, chunk_steps(rows_per_batch, len(contacts)))
-    draws = rows_per_batch * steps * len(contacts)
-    state = workers * ((STATE_BYTES * rows_per_batch << L) + DRAW_BYTES * draws)
+    state = workers * _engine_bytes(L, rows_per_batch, len(contacts), run.N_t)
     if cfg.mode == "compare":
         # the oracle's record-step propagator on the C(2L, L) entries of the
         # particle-number blocks: four such square matrices at the peak of
@@ -144,14 +171,11 @@ def check_memory(cfg: ScenarioConfig, workers: int) -> None:
         D = math.comb(2 * L, L)
         state += 16 * (4 * D * D + (4 * n_ops << 2 * L))
     rows = run.N_t // run.record_every + 1
-    # every trajectory's records, their ensemble stack and the reduction temporary
-    held = 3 * n_traj * rows * L * 8
-    # the expected event rows of one trajectory, eta = Gamma * dt per contact
-    # and step: every trajectory's rows and their concatenation, plus the
-    # batches still running
-    events = run.N_t * sum(c.Gamma * run.dt for c in contacts)
-    held += events * (2 * n_traj * EVENT_ROW_BYTES
-                      + workers * rows_per_batch * RUNNING_EVENT_ROW_BYTES)
+    # every trajectory's records, their ensemble stack and the reduction
+    # temporary, every trajectory's event rows and their concatenation,
+    # and what the running batches build
+    held = (3 * n_traj * rows * L * 8 + 2 * n_traj * _events_per_traj(contacts, run) * EVENT_ROW_BYTES
+            + workers * _running_bytes(L, rows_per_batch, contacts, run))
     need, have = state + held, _physical_memory()
     if need > have:
         key = "L" if state >= held else "N_traj" if n_traj > rows else "N_t"

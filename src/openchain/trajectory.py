@@ -12,10 +12,11 @@ result is byte-identical for any worker count.
 Draw discipline.  Trajectory k draws from its own stream (seed, k).
 Every (step, contact) takes exactly two uniforms from it, the action
 first and then the measurement, whether the contact acts, does nothing
-or meets a forced outcome.  A batch draws DRAW_CHUNK uniforms at a time
-as (rows, steps, contacts, 2) blocks, one block per row from that row's
-stream; consecutive blocks are the numbers one long draw would give, so
-the chunk size changes nothing.
+or meets a forced outcome.  A batch holds one RngStream for all its
+rows and draws up to DRAW_CHUNK uniforms at a time, one
+(rows, steps, contacts, 2) block per call, row b from stream
+traj_id + b; consecutive blocks are the numbers one long draw would
+give, so the chunk size changes nothing.
 
 Contact events are one (E, 5) int64 array per batch, one row
 (traj, step, q, target, changed) per acting contact, in trajectory
@@ -37,8 +38,8 @@ from .trotter import TrotterPlan, apply_step
 # amplitudes per batch, B * 2^L: 256 KiB of state, so B = 64 at L = 8
 # and B = 1 from L = 14 up
 BATCH_AMPS = 1 << 14
-# uniforms a batch draws at a time (128 KiB), so the draws take bounded
-# memory for any N_t
+# uniforms a batch draws at a time (128 KiB as float64, 0.75 MiB at the
+# peak of RngStream.uniform), so the draws take bounded memory for any N_t
 DRAW_CHUNK = 1 << 14
 
 
@@ -194,7 +195,7 @@ def run_trajectory(
     step.  The contacts are validated by run_ensemble; here eta > 1 is
     caught by step_probabilities and a bad qubit by reset_to.
     """
-    streams = [RngStream(cfg.seed, k) for k in range(traj_id, traj_id + count)]
+    rng = RngStream(cfg.seed, traj_id, count)
     state = np.tile(init_basis_state(plan.L, init), (count, 1))
     n_c = len(contacts)
     probs = np.array([step_probabilities(c, cfg.dt) for c in contacts]).reshape(n_c, 3)
@@ -212,7 +213,7 @@ def run_trajectory(
     for start in range(0, cfg.N_t, chunk):
         n = min(chunk, cfg.N_t - start)
         # (count, n, contacts, {action, measurement}), from each row's stream
-        u = np.stack([s.uniform((n, n_c, 2)) for s in streams])
+        u = rng.uniform((n, n_c, 2))
         target = np.where(u[..., 0] < p_in, 1, np.where(u[..., 0] < p_act, 0, -1)).astype(np.int8)
         measured = np.full_like(target, -1)
         acts = (target >= 0).any(axis=0).tolist()
@@ -290,7 +291,7 @@ def run_ensemble(
     else:
         # a one-batch ensemble of many trajectories still runs in a worker:
         # the calling process keeps the reduction and, in compare mode, the
-        # oracle, while numpy.random (6 MiB resident) and the engine's
+        # oracle, while the engine's state, draw chunks and their
         # temporaries stay in the worker
         with ProcessPoolExecutor(
             max_workers=min(workers, len(todo)),

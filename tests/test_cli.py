@@ -1,12 +1,17 @@
 """CLI harness, CSV/SVG emitters, and end-to-end scenario runs."""
 
 import json
+import os
+import re
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import openchain
 from openchain.cli import compare_verdict, main, run_scenario, scenario_step
 from openchain.config import get_preset, parse_config
 from openchain.model import build_chain_hamiltonian
@@ -311,3 +316,27 @@ def test_verdict_includes_oracle_health():
     verdict = compare_verdict(ens, FakeLind())
     assert verdict["pass"] is True
     assert verdict["oracle_max_trace_drift"] == 1e-12
+
+
+def test_a_run_never_imports_numpy_random(tmp_path):
+    # a compare run at one worker runs its batch in this process, the
+    # same run_trajectory a pool worker runs
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(COMPARE_CONFIG, N_traj=20)))
+    code = (
+        "import sys\n"
+        "from openchain.cli import main\n"
+        f"main(['run', '--config', {str(cfg)!r}, '--out', {str(tmp_path / 'out')!r}, '--workers', '1'])\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    src = str(Path(openchain.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert (tmp_path / "out" / "verdict.json").exists()
+    assert out.stdout.splitlines()[-1] == "False"
+
+
+def test_src_does_not_use_numpy_random():
+    pattern = re.compile(r"numpy\.random|np\.random|from numpy import .*\brandom\b")
+    for path in sorted(Path(openchain.__file__).parent.glob("*.py")):
+        assert not pattern.search(path.read_text()), path.name

@@ -5,7 +5,7 @@ import tracemalloc
 
 import pytest
 
-from openchain import config
+from openchain import config, state
 from openchain.cli import main
 from openchain.config import (
     ConfigError,
@@ -237,9 +237,9 @@ def test_main_rejects_state_beyond_physical_memory(tmp_path, capsys, monkeypatch
     out = tmp_path / "out"
     assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    # state, the step's scratch buffer and phase vector:
-    # 56 B * 2^16 = 0.00342 GiB
-    assert "config error: L: " in err and "needs ~0.00342 GiB" in err
+    # state, the step's scratch buffer and phase vector, 56 B * 2^16,
+    # and a batch's fixed 256 KiB: 0.00366 GiB
+    assert "config error: L: " in err and "needs ~0.00366 GiB" in err
     assert not out.exists()
 
 
@@ -278,6 +278,30 @@ def test_state_bytes_cover_the_measured_peak_of_a_batch(symmetric):
     finally:
         tracemalloc.stop()
     assert (config.STATE_BYTES - 16) << L < peak <= config.STATE_BYTES << L
+
+
+@pytest.mark.parametrize("L, rows, n_contacts, N_t", [
+    (14, 1, 2, 4), (14, 1, 2, 1024), (8, 64, 8, 40), (2, 1, 2, 4096),
+], ids=["L14-short", "L14-full-chunk", "L8-every-site", "L2-full-table"])
+def test_check_memory_covers_the_measured_peak_of_a_process(L, rows, n_contacts, N_t, monkeypatch):
+    # what one process running one batch holds at its peak, its plan
+    # included, from a fresh process's state: no jump table beyond its
+    # first entry and no cached index tables
+    monkeypatch.setattr(state, "_JUMPS", state._JUMPS[:, :1].copy())
+    for cached in (state._bits, state._outcomes, state._jw_signs):
+        cached.cache_clear()
+    h = build_chain_hamiltonian(ChainSpec(L=L, gamma=3.0, v=10.0))
+    contacts = [ContactSpec(q, 0.9, float(q % 2)) for q in ((0, L - 1) if n_contacts == 2 else range(L))]
+    cfg = RunConfig(t_final=0.5 * N_t, N_t=N_t, seed=5)
+    tracemalloc.start()
+    try:
+        run_trajectory(build_step(h, cfg.dt), contacts, cfg, [0], 0, rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    estimate = (config._engine_bytes(L, rows, len(contacts), N_t)
+                + config._running_bytes(L, rows, contacts, cfg))
+    assert estimate / 2 < peak <= estimate
 
 
 def test_check_memory_counts_the_oracle_propagator(monkeypatch):

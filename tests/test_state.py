@@ -14,6 +14,7 @@ from openchain.model import (
     build_chain_hamiltonian,
     fermion_lowering,
 )
+from openchain import state
 from openchain.state import (
     FORCED_EPS,
     RngStream,
@@ -140,9 +141,9 @@ def test_flip_is_involution():
     s, amps = random_state(3, 7)
     s[:] = amps
     rng = RngStream(0)
-    reset_to(s, 1, 0, rng.uniform())
+    reset_to(s, 1, 0, rng.uniform()[0])
     after = s.copy()
-    assert reset_to(s, 1, 1, rng.uniform()).changed and reset_to(s, 1, 0, rng.uniform()).changed
+    assert reset_to(s, 1, 1, rng.uniform()[0]).changed and reset_to(s, 1, 0, rng.uniform()[0]).changed
     assert np.max(np.abs(s - after)) <= 1e-15
 
 
@@ -168,7 +169,7 @@ def test_flip_is_fermionic_c_plus_c_dag(L, seed):
         for target in (0, 1):
             s = init_basis_state(L, ())
             s[:] = amps
-            ev = reset_to(s, q, target, RngStream(seed, q).uniform())
+            ev = reset_to(s, q, target, RngStream(seed, q).uniform()[0])
             projected = np.where((bits >> q) & 1 == ev.measured, amps, 0.0)
             expected = projected / np.linalg.norm(projected)
             if ev.measured != target:
@@ -219,7 +220,7 @@ def test_forced_outcome_ignores_the_uniform():
 def test_measure_born_statistics():
     n = 10_000
     s = np.tile([1 / np.sqrt(2), 1 / np.sqrt(2)], (n, 1)).astype(complex)
-    ones = reset_to(s, 0, np.zeros(n, dtype=np.int8), RngStream(11).uniform(n)).measured.sum()
+    ones = reset_to(s, 0, np.zeros(n, dtype=np.int8), RngStream(11).uniform(n)[0]).measured.sum()
     assert ones / n == pytest.approx(0.5, abs=0.02)
 
 
@@ -228,7 +229,7 @@ def test_measure_after_small_x_rotation():
     p_expected = np.sin(0.3) ** 2
     n = 10_000
     s = np.tile([np.cos(0.3), -1j * np.sin(0.3)], (n, 1))
-    ones = reset_to(s, 0, np.zeros(n, dtype=np.int8), RngStream(13).uniform(n)).measured.sum()
+    ones = reset_to(s, 0, np.zeros(n, dtype=np.int8), RngStream(13).uniform(n)[0]).measured.sum()
     sigma = np.sqrt(p_expected * (1 - p_expected) / n)
     assert abs(ones / n - p_expected) <= 4 * sigma
 
@@ -237,8 +238,8 @@ def test_measure_collapses_and_renormalizes():
     # a reset to the measured outcome is the bare collapse
     s, amps = random_state(3, 3)
     s[:] = amps
-    measured = reset_to(amps.copy(), 1, 0, RngStream(0).uniform()).measured
-    ev = reset_to(s, 1, measured, RngStream(0).uniform())
+    measured = reset_to(amps.copy(), 1, 0, RngStream(0).uniform()[0]).measured
+    ev = reset_to(s, 1, measured, RngStream(0).uniform()[0])
     assert (ev.measured, ev.changed) == (measured, False)
     assert np.linalg.norm(s) == pytest.approx(1.0, abs=1e-12)
     assert all_densities(s)[1] == pytest.approx(float(measured), abs=1e-12)
@@ -247,18 +248,18 @@ def test_measure_collapses_and_renormalizes():
 def test_reset_examples():
     rng = RngStream(1)
     s = init_basis_state(1, (0,))
-    ev = reset_to(s, 0, 1, rng.uniform())
+    ev = reset_to(s, 0, 1, rng.uniform()[0])
     assert (ev.measured, ev.changed) == (1, False)
     assert s[1] == 1.0
 
     s = init_basis_state(1, ())
-    ev = reset_to(s, 0, 1, rng.uniform())
+    ev = reset_to(s, 0, 1, rng.uniform()[0])
     assert (ev.measured, ev.changed) == (0, True)
     assert s[1] == 1.0
 
     s = init_basis_state(1, ())
     s[:] = [1 / np.sqrt(2), 1 / np.sqrt(2)]
-    ev = reset_to(s, 0, 0, rng.uniform())
+    ev = reset_to(s, 0, 0, rng.uniform()[0])
     assert abs(s[0]) == pytest.approx(1.0, abs=1e-12)
     assert ev.changed == (ev.measured == 1)
 
@@ -314,7 +315,7 @@ def test_reset_rejects_bad_target():
 def test_reset_pins_expectation_exactly(seed, q, target):
     s, amps = random_state(3, seed)
     s[:] = amps
-    reset_to(s, q, target, RngStream(seed).uniform())
+    reset_to(s, q, target, RngStream(seed).uniform()[0])
     assert all_densities(s)[q] == pytest.approx(float(target), abs=1e-12)
     assert np.linalg.norm(s) == pytest.approx(1.0, abs=1e-10)
 
@@ -338,12 +339,13 @@ def test_all_densities_matches_per_qubit():
 
 
 def test_rng_stream_reproducible_and_distinct():
-    a_stream = RngStream(42, 3)
-    b_stream = RngStream(42, 3)
-    a = [a_stream.uniform() for _ in range(5)]
-    assert a == [b_stream.uniform() for _ in range(5)]
-    assert len(set(a)) == 5
-    assert RngStream(42, 0).uniform() != RngStream(42, 1).uniform()
+    # streams 3 and 4 drawn together, call by call
+    a_stream = RngStream(42, 3, 2)
+    b_stream = RngStream(42, 3, 2)
+    a = np.concatenate([a_stream.uniform() for _ in range(5)])
+    assert a.tolist() == np.concatenate([b_stream.uniform() for _ in range(5)]).tolist()
+    assert len(set(a.tolist())) == 10
+    assert RngStream(42, 0).uniform()[0] != RngStream(42, 1).uniform()[0]
 
 
 @pytest.mark.parametrize("L", [1, 2, 3, 6, 9])
@@ -362,6 +364,42 @@ def test_batch_densities_match_per_qubit_sums(L):
 
 def test_rng_block_draws_equal_single_draws():
     # drawing a block of steps in several calls gives the single draws
-    a, b = RngStream(7, 2), RngStream(7, 2)
-    blocks = np.concatenate([a.uniform((3, 2, 2)).ravel(), a.uniform((1, 2, 2)).ravel()])
-    assert blocks.tolist() == [b.uniform() for _ in range(16)]
+    a, b = RngStream(7, 2, 3), RngStream(7, 2, 3)
+    blocks = np.concatenate([a.uniform((3, 2, 2)).reshape(3, -1), a.uniform((1, 2, 2)).reshape(3, -1)], axis=1)
+    assert blocks.tolist() == np.stack([b.uniform() for _ in range(16)], axis=1).tolist()
+
+
+def numpy_streams(seed, first, count, n):
+    """n draws of numpy's own Generator for each stream id, (count, n)."""
+    return np.stack([
+        np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(k,)))).random(n)
+        for k in range(first, first + count)
+    ])
+
+
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 1, 2**128 + 7])
+@pytest.mark.parametrize("first", [0, 2**31, 2**32 - 3])
+def test_rng_streams_are_numpy_pcg64_bit_for_bit(seed, first, monkeypatch):
+    # consecutive chunks of 0, 1, 7 and 4096 draws per stream, the jump
+    # table grown from its first entry; an empty chunk (a run without
+    # contacts draws (steps, 0, 2)) moves no stream
+    monkeypatch.setattr(state, "_JUMPS", state._JUMPS[:, :1].copy())
+    count = 3
+    rng = RngStream(seed, first, count)
+    chunks = [rng.uniform(0), rng.uniform(1), rng.uniform((5, 0, 2)), rng.uniform(7), rng.uniform(4096)]
+    assert [c.shape for c in chunks] == [(3, 0), (3, 1), (3, 5, 0, 2), (3, 7), (3, 4096)]
+    got = np.concatenate([c.reshape(count, -1) for c in chunks], axis=1)
+    assert got.dtype == np.float64
+    assert got.tobytes() == numpy_streams(seed, first, count, 1 + 7 + 4096).tobytes()
+    assert state._JUMPS.shape == (8, 4096)
+
+
+def test_rng_stream_ids_must_fit_32_bits():
+    # SeedSequence would take a larger id as two words; the batch streams
+    # refuse it instead of giving other streams
+    assert RngStream(5, 2**32 - 1).uniform(3).tobytes() == numpy_streams(5, 2**32 - 1, 1, 3).tobytes()
+    for first, count in ((2**32 - 2, 3), (2**32, 1), (-1, 2), (0, 0)):
+        with pytest.raises(ValueError, match="stream ids"):
+            RngStream(5, first, count)
+    with pytest.raises(ValueError, match="seed"):
+        RngStream(-1)

@@ -272,7 +272,7 @@ def test_draw_layout_two_uniforms_per_contact_step(monkeypatch):
     cfg = RunConfig(t_final=5.0, N_t=10, seed=21)
     rec = run_trajectory(plan, contacts, cfg, (0,), traj_id=5, count=3)
 
-    draws = np.stack([RngStream(21, k).uniform((10, 2, 2)) for k in (5, 6, 7)])
+    draws = np.concatenate([RngStream(21, k).uniform((10, 2, 2)) for k in (5, 6, 7)])
     want = np.empty((3, 10, 2), dtype=int)
     for i, c in enumerate(contacts):
         p_in, p_out, _ = step_probabilities(c, cfg.dt)
