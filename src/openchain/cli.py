@@ -26,7 +26,7 @@ from .config import (
     parse_config,
 )
 from .lindblad import build_jump_operators, integrate
-from .model import PauliHamiltonian, build_chain_hamiltonian, fock_matrix_oracle
+from .model import ChainHamiltonian, build_chain_hamiltonian, fock_matrix_oracle
 from .output import emit_csv, emit_events_csv, emit_heatmap
 from .state import init_basis_state
 from .trajectory import EnsembleResult, default_workers, run_ensemble
@@ -36,8 +36,8 @@ from .trotter import TrotterPlan, build_step
 def _lindblad_run(cfg: ScenarioConfig):
     """Integrate the master-equation oracle on the trajectory recording
     grid.  Its Hamiltonian comes from fermion operators, not from the
-    Pauli strings the trajectories run, so a Jordan-Wigner fault in those
-    shows up as a compare FAIL."""
+    Jordan-Wigner form the trajectories run, so a fault in that form's
+    hopping or diagonal shows up as a compare FAIL."""
     J = build_jump_operators(
         cfg.contacts, cfg.chain.L, include_depolarizing=cfg.include_depolarizing
     )
@@ -47,7 +47,7 @@ def _lindblad_run(cfg: ScenarioConfig):
                      run.t_final, run.N_t, run.record_every)
 
 
-def scenario_step(cfg: ScenarioConfig, ham: PauliHamiltonian) -> TrotterPlan:
+def scenario_step(cfg: ScenarioConfig, ham: ChainHamiltonian) -> TrotterPlan:
     """The Trotter step a scenario runs.  Compare mode checks the
     ensemble against the continuum master equation, so it splits the
     step symmetrically around the contacts, second order in dt; closed

@@ -50,7 +50,9 @@ EVENT_ROW_BYTES = 5 * 8
 # a running batch keeps each chunk of steps' events as int64 rows and
 # concatenates them at the end; tracemalloc measured a peak of 80.9 B per
 # row (the blocks and their concatenation) over 10**6 rows of one
-# trajectory (L = 2, two eta = 0.5 contacts)
+# trajectory (L = 2, two eta = 0.5 contacts).  A batch of many rows then
+# merges its chunks in place, a column at a time with the blocks freed,
+# which holds the rows once plus two int64 columns, below that peak
 RUNNING_EVENT_ROW_BYTES = 81
 # per amplitude of a batch in flight: the state, the scratch buffer that
 # trotter.apply_step's blocks write into and the phase vector, 16 B each;

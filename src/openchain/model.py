@@ -1,4 +1,5 @@
-"""Spinless-fermion chain Hamiltonian and its qubit (Pauli-string) form.
+"""Spinless-fermion chain Hamiltonian, its Jordan-Wigner qubit form and
+the dense Fock-space oracle that checks it.
 
 Conventions used everywhere in this package:
 
@@ -17,13 +18,6 @@ from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
-
-PAULI_1Q = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    "Y": np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
-    "Z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
-}
 
 # Dense Fock-space construction is a verification tool only; keep it small.
 MAX_DENSE_QUBITS = 12
@@ -49,79 +43,34 @@ class ChainSpec:
 
 
 @dataclass(frozen=True)
-class PauliTerm:
-    """One real-coefficient Pauli string, e.g. 0.5 * XXI."""
+class ChainHamiltonian:
+    """Jordan-Wigner image of the chain, in the form the step runs.
 
-    coeff: float
-    letters: str
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.coeff):
-            raise ValueError("coefficient must be finite")
-        if not self.letters or any(c not in "IXYZ" for c in self.letters):
-            raise ValueError(f"invalid Pauli letters {self.letters!r}")
-
-    @property
-    def L(self) -> int:
-        return len(self.letters)
-
-    def to_matrix(self) -> np.ndarray:
-        # letters[q] acts on bit q, so bit 0 is the last Kronecker factor
-        mats = [PAULI_1Q[c] for c in reversed(self.letters)]
-        return self.coeff * reduce(np.kron, mats)
-
-
-@dataclass(frozen=True)
-class PauliHamiltonian:
-    """Ordered sum of Pauli terms on an L-qubit register."""
+    Every bond (q, q+1) carries the hopping (gamma/2)(X_q X_{q+1} +
+    Y_q Y_{q+1}); the interaction is the diagonal sum of coeff * Z_mask
+    over `diagonal`, with Z_mask the product of Z on the bits of mask and
+    mask 0 the constant.
+    """
 
     L: int
-    terms: tuple[PauliTerm, ...]
-
-    def __post_init__(self) -> None:
-        seen = set()
-        for t in self.terms:
-            if t.L != self.L:
-                raise ValueError("all terms must have the register length")
-            if t.letters in seen:
-                raise ValueError(f"duplicate Pauli string {t.letters}")
-            seen.add(t.letters)
-
-    def to_matrix(self) -> np.ndarray:
-        dim = 1 << self.L
-        H = np.zeros((dim, dim), dtype=complex)
-        for t in self.terms:
-            H += t.to_matrix()
-        return H
+    gamma: float
+    diagonal: dict[int, float]
 
 
-def build_chain_hamiltonian(spec: ChainSpec) -> PauliHamiltonian:
-    """Jordan-Wigner image of the chain Hamiltonian.
+def build_chain_hamiltonian(spec: ChainSpec) -> ChainHamiltonian:
+    """The chain in its Jordan-Wigner form.
 
-    Hopping on bond (q, q+1) maps to (gamma/2)(X_q X_{q+1} + Y_q Y_{q+1});
-    the interaction n_q n_{q+1} maps to (v/4)(I - Z_q)(I - Z_{q+1})
-    expanded into Pauli strings.  Constant (all-identity) terms are kept
-    so the spectrum matches the Fock-space oracle exactly.  Term order is
-    deterministic: hopping bonds ascending (XX before YY), then the
-    interaction strings in first-appearance order.
+    The interaction n_q n_{q+1} maps to (v/4)(I - Z_q)(I - Z_{q+1}); its
+    expansion is summed per Z mask, bonds ascending.  The constant (mask
+    0) is kept so the spectrum matches the Fock-space oracle exactly.
     """
-    coeffs: dict[str, float] = {}  # insertion-ordered merge of equal strings
-
-    def add(coeff: float, positions: dict[int, str]) -> None:
-        key = "".join(positions.get(q, "I") for q in range(spec.L))
-        coeffs[key] = coeffs.get(key, 0.0) + coeff
-
-    if spec.gamma != 0.0:
-        for b in range(spec.L - 1):
-            add(spec.gamma / 2.0, {b: "X", b + 1: "X"})
-            add(spec.gamma / 2.0, {b: "Y", b + 1: "Y"})
+    diagonal: dict[int, float] = {}
     if spec.v != 0.0:
+        quarter = spec.v / 4.0
         for b in range(spec.L - 1):
-            add(spec.v / 4.0, {})
-            add(-spec.v / 4.0, {b: "Z"})
-            add(-spec.v / 4.0, {b + 1: "Z"})
-            add(spec.v / 4.0, {b: "Z", b + 1: "Z"})
-    return PauliHamiltonian(spec.L, tuple(PauliTerm(c, s) for s, c in coeffs.items()))
+            for mask, coeff in ((0, quarter), (1 << b, -quarter), (2 << b, -quarter), (3 << b, quarter)):
+                diagonal[mask] = diagonal.get(mask, 0.0) + coeff
+    return ChainHamiltonian(spec.L, spec.gamma, diagonal)
 
 
 def _check_dense_size(L: int) -> None:
@@ -140,15 +89,17 @@ def fermion_lowering(q: int, L: int) -> np.ndarray:
         raise ValueError(f"qubit index {q} out of range for L={L}")
     _check_dense_size(L)
     lower = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # |0><1|
-    ops = [PAULI_1Q["Z"]] * q + [lower] + [PAULI_1Q["I"]] * (L - q - 1)
+    z = np.diag([1.0, -1.0]).astype(complex)
+    ops = [z] * q + [lower] + [np.eye(2, dtype=complex)] * (L - q - 1)
     return reduce(np.kron, reversed(ops))
 
 
 def fock_matrix_oracle(spec: ChainSpec) -> np.ndarray:
     """Chain Hamiltonian built directly from fermionic matrices.
 
-    Independent of the Pauli-string path: the compare-mode oracle runs
-    on it, and the tests pin the Jordan-Wigner conventions against it.
+    Independent of the Jordan-Wigner form the step runs: the compare-mode
+    oracle runs on it, and the tests pin the Jordan-Wigner conventions
+    against it.
     Hermitian by construction.
     """
     _check_dense_size(spec.L)

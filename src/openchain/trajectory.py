@@ -234,8 +234,13 @@ def run_trajectory(
             (b + traj_id, j + (start + 1), qs[i], t, measured[b, j, i] != t)).astype(np.int64, copy=False))
     events = np.concatenate(blocks)  # N_t >= 1, so there is at least one chunk
     if count > 1 and len(blocks) > 1:
-        # each block is in (trajectory, step, contact) order; merge them
-        events = events[np.argsort(events[:, 0], kind="stable")]
+        # each block is in (trajectory, step, contact) order; merge them in
+        # place a column at a time, with the blocks freed, so the merge
+        # holds one copy of the rows and not three
+        blocks.clear()
+        order = np.argsort(events[:, 0], kind="stable")
+        for col in events.T:
+            col[:] = col[order]
     return DensityRecord(times, density, events)
 
 

@@ -1,18 +1,16 @@
-"""Trotter step of the chain Hamiltonian as fused blocks of bond gates,
-plus an exact dense propagator used as an independent oracle.
+"""Trotter step of the chain Hamiltonian as fused blocks of bond gates.
 
-The first-order step is prod_s exp(-i theta_s P_s), theta_s = coeff_s *
-dt, in term order.  Consecutive XX and YY terms on one bond commute and
-fuse into one bond gate; each run of consecutive I/Z strings commutes and
-fuses into one diagonal phase vector, identity strings included, so
-(step)^N matches exp(-i H t) with its global phase.  Any other string is
-rejected: Pauli strings are the verification format
-(`PauliTerm.to_matrix`) only.
+The first-order step sweeps the bonds in ascending order, then the
+diagonal.  Bond q's gate is exp(-i gamma dt/2 (X_q X_{q+1} + Y_q
+Y_{q+1})): the two hopping terms commute, their rotations of |00> and
+|11> cancel, and what is left rotates the |01>, |10> pair by gamma * dt.
+The diagonal terms commute and act as one phase vector, the constant
+included, so (step)^N matches exp(-i H t) with its global phase.
 
 The symmetric step splits dt into two halves S(dt/2) around the contact
-actions, with S(tau) the term-order sweep at tau/2 followed by the
-reversed sweep at tau/2, the two middle gates merged: second order in
-dt, for the unitary and for its splitting from the contacts.
+actions, with S(tau) the sweep at tau/2 followed by the reversed sweep
+at tau/2, the two middle gates merged: second order in dt, for the
+unitary and for its splitting from the contacts.
 
 The plan fuses the gates into blocks, each one 2^w-square unitary on w
 <= WINDOW consecutive qubits.  Bond q falls in slot q // (WINDOW - 1),
@@ -61,7 +59,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import MAX_DENSE_QUBITS, PauliHamiltonian
+from .model import ChainHamiltonian
 
 # the most qubits one block spans: a run of bond gates on at most WINDOW
 # consecutive qubits becomes one 2^WINDOW-square matrix at most
@@ -88,31 +86,18 @@ class TrotterPlan:
     symmetric: bool = False
 
 
-def build_step(h: PauliHamiltonian, dt: float, symmetric: bool = False) -> TrotterPlan:
+def build_step(h: ChainHamiltonian, dt: float, symmetric: bool = False) -> TrotterPlan:
     if not (dt > 0.0 and np.isfinite(dt)):
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
-    # [q, a, b] for a bond, {Z mask: angle} for a run of I/Z strings
-    ops: list = []
+    # [q, angle] for a bond's hopping, {Z mask: angle} for the diagonal
     tau = dt / 4 if symmetric else dt
-    for term in h.terms:
-        letters, theta = term.letters, term.coeff * tau
-        support = [q for q, c in enumerate(letters) if c != "I"]
-        if all(letters[q] == "Z" for q in support):
-            if not (ops and isinstance(ops[-1], dict)):
-                ops.append({})
-            ops[-1][sum(1 << q for q in support)] = theta
-        elif len(support) == 2 and letters[support[0]:support[1] + 1] in ("XX", "YY"):
-            q = support[0]
-            if not (ops and isinstance(ops[-1], list) and ops[-1][0] == q):
-                ops.append([q, 0.0, 0.0])
-            ops[-1][1 if letters[q] == "X" else 2] += theta
-        else:
-            raise ValueError(f"Pauli string {letters!r} is neither XX/YY on a bond nor I/Z only")
+    ops: list = [[q, h.gamma * tau] for q in range(h.L - 1)] if h.gamma != 0.0 else []
+    if h.diagonal:
+        ops.append({mask: coeff * tau for mask, coeff in h.diagonal.items()})
     if symmetric and ops:
         # the sweep, its middle op at twice the angle, then the sweep reversed
         mid = ops[-1]
-        mid = [mid[0], 2 * mid[1], 2 * mid[2]] if isinstance(mid, list) else {
-            k: 2 * v for k, v in mid.items()}
+        mid = [mid[0], 2 * mid[1]] if isinstance(mid, list) else {k: 2 * v for k, v in mid.items()}
         ops = ops[:-1] + [mid] + ops[-2::-1]
     if h.L <= WINDOW and any(isinstance(op, list) for op in ops):
         return TrotterPlan(L=h.L, dt=dt, gates=(_block(ops, 0, h.L),), symmetric=symmetric)
@@ -152,14 +137,13 @@ def _block(ops, lo: int, w: int) -> Block:
         if isinstance(op, dict):
             m *= _phase_vector(op, w)[:, None]
             continue
-        q, a, b = op
-        # axis 1 holds bits (q+1, q): 1 is |01>, 2 is |10>, 0 and 3 are |00>, |11>
-        v = m.reshape(-1, 4, (1 << (q - lo)) << w)
-        for pair, theta in ((v[:, 1:3], a + b), (v[:, ::3], a - b)):
-            if theta != 0.0:
-                swapped = pair[:, ::-1] * (-1j * math.sin(theta))
-                pair *= math.cos(theta)
-                pair += swapped
+        q, theta = op
+        # axis 1 holds bits (q+1, q): 1 is |01> and 2 is |10>, the pair
+        # the hopping rotates; |00> and |11> stay
+        pair = m.reshape(-1, 4, (1 << (q - lo)) << w)[:, 1:3]
+        swapped = pair[:, ::-1] * (-1j * math.sin(theta))
+        pair *= math.cos(theta)
+        pair += swapped
     return Block(lo, m)
 
 
@@ -188,12 +172,3 @@ def apply_step(amps: np.ndarray, plan: TrotterPlan) -> None:
     if src is not amps:
         amps[...] = src
 
-
-def exact_propagator_oracle(h: PauliHamiltonian, t: float) -> np.ndarray:
-    """exp(-i H t) by Hermitian eigendecomposition of the dense matrix.
-    Verification oracle only; independent of the block kernel."""
-    if h.L > MAX_DENSE_QUBITS:
-        raise ValueError(f"dense propagator limited to L <= {MAX_DENSE_QUBITS}")
-    H = h.to_matrix()
-    w, V = np.linalg.eigh(H)
-    return (V * np.exp(-1j * w * t)) @ V.conj().T

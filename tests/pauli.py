@@ -1,0 +1,74 @@
+"""The chain's Jordan-Wigner image as Pauli strings, dense: the tests'
+independent check of the form the step runs (`model.ChainHamiltonian`).
+
+A string's letter q acts on qubit q, so bit 0 is the last Kronecker
+factor, as in `model`'s conventions.
+"""
+
+from functools import reduce
+
+import numpy as np
+
+PAULI_1Q = {
+    "I": np.eye(2, dtype=complex),
+    "X": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
+    "Y": np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
+    "Z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
+}
+
+
+def chain_terms(spec) -> list[tuple[float, str]]:
+    """(coeff, letters) of the chain: hopping (gamma/2)(X_q X_{q+1} +
+    Y_q Y_{q+1}) per bond, XX before YY, then the interaction (v/4)(I -
+    Z_q)(I - Z_{q+1}) expanded, equal strings merged in first-appearance
+    order."""
+    coeffs: dict[str, float] = {}
+
+    def add(coeff, positions):
+        key = "".join(positions.get(q, "I") for q in range(spec.L))
+        coeffs[key] = coeffs.get(key, 0.0) + coeff
+
+    if spec.gamma != 0.0:
+        for b in range(spec.L - 1):
+            add(spec.gamma / 2.0, {b: "X", b + 1: "X"})
+            add(spec.gamma / 2.0, {b: "Y", b + 1: "Y"})
+    if spec.v != 0.0:
+        for b in range(spec.L - 1):
+            add(spec.v / 4.0, {})
+            add(-spec.v / 4.0, {b: "Z"})
+            add(-spec.v / 4.0, {b + 1: "Z"})
+            add(spec.v / 4.0, {b: "Z", b + 1: "Z"})
+    return [(c, s) for s, c in coeffs.items()]
+
+
+def string_matrix(letters: str) -> np.ndarray:
+    return reduce(np.kron, [PAULI_1Q[c] for c in reversed(letters)])
+
+
+def to_matrix(terms, L: int) -> np.ndarray:
+    H = np.zeros((1 << L, 1 << L), dtype=complex)
+    for coeff, letters in terms:
+        H += coeff * string_matrix(letters)
+    return H
+
+
+def chain_matrix(spec) -> np.ndarray:
+    return to_matrix(chain_terms(spec), spec.L)
+
+
+def form_matrix(h) -> np.ndarray:
+    """The dense matrix of a `ChainHamiltonian`: gamma/2 (XX + YY) on
+    every bond plus sum coeff * Z_mask over its diagonal."""
+    terms = []
+    for b in range(h.L - 1):
+        bond = "I" * b + "{0}{0}" + "I" * (h.L - b - 2)
+        terms += [(h.gamma / 2, bond.format("X")), (h.gamma / 2, bond.format("Y"))]
+    for mask, coeff in h.diagonal.items():
+        terms.append((coeff, "".join("Z" if mask >> q & 1 else "I" for q in range(h.L))))
+    return to_matrix(terms, h.L)
+
+
+def propagator(H: np.ndarray, t: float) -> np.ndarray:
+    """exp(-i H t) by Hermitian eigendecomposition."""
+    w, V = np.linalg.eigh(H)
+    return (V * np.exp(-1j * w * t)) @ V.conj().T

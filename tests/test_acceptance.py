@@ -19,11 +19,12 @@ import pytest
 
 from openchain.cli import _lindblad_run, scenario_step
 from openchain.config import ABS_BUDGET, SIGMA_FACTOR, get_preset
-from openchain.model import ChainSpec, PauliHamiltonian, build_chain_hamiltonian, fock_matrix_oracle
+from openchain.model import ChainSpec, build_chain_hamiltonian, fock_matrix_oracle
 from openchain.output import emit_csv
 from openchain.state import RngStream, init_basis_state, reset_to
 from openchain.trajectory import ContactSpec, RunConfig, run_ensemble, run_trajectory
-from openchain.trotter import apply_step, build_step, exact_propagator_oracle
+from openchain.trotter import apply_step, build_step
+from pauli import chain_matrix, form_matrix, propagator
 
 
 def preset_plan(cfg):
@@ -38,7 +39,7 @@ def verdict(label, ok, detail):
 
 def single_particle_densities(L, gamma, times):
     """Exact n_i(t) for one electron at site 1, v=0: the 2^L dynamics
-    reduces to the L x L hopping matrix (independent of the Pauli
+    reduces to the L x L hopping matrix (independent of the step's
     kernel)."""
     A = gamma * (np.diag(np.ones(L - 1), 1) + np.diag(np.ones(L - 1), -1))
     w, V = np.linalg.eigh(A)
@@ -72,20 +73,23 @@ def fig3_runs():
 
 
 def test_criterion_1_jordan_wigner_correctness():
+    # both the Pauli strings and the form the step runs
     worst = 0.0
     for L in range(1, 7):
         for gamma in (0.0, 1.0, 3.0, 5.0):
             for v in (0.0, 7.0, 10.0):
                 spec = ChainSpec(L=L, gamma=gamma, v=v)
-                jw = build_chain_hamiltonian(spec).to_matrix()
-                worst = max(worst, float(np.max(np.abs(jw - fock_matrix_oracle(spec)))))
+                fock = fock_matrix_oracle(spec)
+                for jw in (chain_matrix(spec), form_matrix(build_chain_hamiltonian(spec))):
+                    worst = max(worst, float(np.max(np.abs(jw - fock))))
     verdict(1, worst <= 1e-12, f"max |JW - Fock| = {worst:.3e} over 72 parameter sets")
 
 
 def test_criterion_2_trotter_order():
-    h = build_chain_hamiltonian(ChainSpec(L=4, gamma=3.0, v=10.0))
+    spec = ChainSpec(L=4, gamma=3.0, v=10.0)
+    h = build_chain_hamiltonian(spec)
     psi0 = init_basis_state(4, (0, 1, 2))
-    exact = exact_propagator_oracle(h, 2.0) @ psi0
+    exact = propagator(chain_matrix(spec), 2.0) @ psi0
     errors = []
     for n in (8, 16, 32, 64):
         s = init_basis_state(4, (0, 1, 2))
@@ -154,7 +158,7 @@ def test_criterion_3_fine_step_transport():
 
 def test_criterion_4_single_contact_relaxation():
     eta = 0.25
-    plan = build_step(PauliHamiltonian(1, ()), 0.5)
+    plan = build_step(build_chain_hamiltonian(ChainSpec(L=1, gamma=0.0)), 0.5)
     cfg = RunConfig(t_final=10.0, N_t=20, N_traj=2000, seed=2)
     ens = run_ensemble(plan, (ContactSpec(0, 0.5, 1.0),), cfg, (), workers=8)
     discrete_ok = True

@@ -1,5 +1,6 @@
 """CLI harness, CSV/SVG emitters, and end-to-end scenario runs."""
 
+import ast
 import json
 import os
 import re
@@ -223,14 +224,30 @@ def test_compare_detects_gross_bias(tmp_path):
     assert code == 2 and verdict["pass"] is False
 
 
-def test_compare_oracle_does_not_share_the_pauli_mapping(tmp_path, monkeypatch):
-    # a Jordan-Wigner fault on the Pauli side, here doubled hopping, runs in
-    # the trajectories only: the oracle is built from fermion operators
+def test_compare_oracle_does_not_share_the_step_hopping(tmp_path, monkeypatch):
+    # a Jordan-Wigner fault in the form the step runs, here doubled hopping,
+    # runs in the trajectories only: the oracle is built from fermion operators
     monkeypatch.setattr(
         "openchain.cli.build_chain_hamiltonian",
         lambda chain: build_chain_hamiltonian(replace(chain, gamma=2 * chain.gamma)),
     )
     cfg = get_preset("compare-l2", n_traj=2000)
+    assert run_scenario(cfg, tmp_path, workers=1) == 2
+
+
+@pytest.mark.parametrize("name, flipped", [("compare-l3", (3, 6)), ("compare-l2", (1,))],
+                         ids=["l3-zz-signs", "l2-site-1-z-sign"])
+def test_compare_oracle_does_not_share_the_step_diagonal(tmp_path, monkeypatch, name, flipped):
+    # a fault in the diagonal, some Z masks' signs flipped, also runs in the
+    # trajectories only.  At L = 2 the ZZ term is constant on each
+    # particle-number sector, and every trajectory stays in one sector, so
+    # its sign cannot show there; the fault flips site 1's Z instead
+    def faulty(chain):
+        h = build_chain_hamiltonian(chain)
+        return replace(h, diagonal={m: -c if m in flipped else c for m, c in h.diagonal.items()})
+
+    monkeypatch.setattr("openchain.cli.build_chain_hamiltonian", faulty)
+    cfg = get_preset(name, n_traj=2000)
     assert run_scenario(cfg, tmp_path, workers=1) == 2
 
 
@@ -340,3 +357,31 @@ def test_src_does_not_use_numpy_random():
     pattern = re.compile(r"numpy\.random|np\.random|from numpy import .*\brandom\b")
     for path in sorted(Path(openchain.__file__).parent.glob("*.py")):
         assert not pattern.search(path.read_text()), path.name
+
+
+def test_every_public_name_has_a_caller_in_src():
+    # a public top-level name of a module must be used (loaded, imported or
+    # read as an attribute) somewhere in src/, not only where it is defined
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted(Path(openchain.__file__).parent.glob("*.py"))}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    unused = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            unused += [f"{name}:{d}" for d in defined if not d.startswith("_") and d not in used]
+    assert unused == []

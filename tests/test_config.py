@@ -282,7 +282,9 @@ def test_state_bytes_cover_the_measured_peak_of_a_batch(symmetric):
 
 @pytest.mark.parametrize("L, rows, n_contacts, N_t", [
     (14, 1, 2, 4), (14, 1, 2, 1024), (8, 64, 8, 40), (2, 1, 2, 4096),
-], ids=["L14-short", "L14-full-chunk", "L8-every-site", "L2-full-table"])
+    (4, 1024, 4, 100), (2, 4096, 2, 200),
+], ids=["L14-short", "L14-full-chunk", "L8-every-site", "L2-full-table",
+        "L4-merged-events", "L2-merged-events"])
 def test_check_memory_covers_the_measured_peak_of_a_process(L, rows, n_contacts, N_t, monkeypatch):
     # what one process running one batch holds at its peak, its plan
     # included, from a fresh process's state: no jump table beyond its

@@ -20,7 +20,7 @@ from openchain.lindblad import (
 from openchain.model import ChainSpec, build_chain_hamiltonian, fermion_lowering
 from openchain.state import init_basis_state
 from openchain.trajectory import ContactSpec
-from openchain.trotter import exact_propagator_oracle
+from pauli import chain_matrix, propagator
 
 
 def no_jumps(L):
@@ -113,7 +113,7 @@ def test_rhs_is_traceless():
     gen = np.random.default_rng(0)
     M = gen.normal(size=(4, 4)) + 1j * gen.normal(size=(4, 4))
     rho = M + M.conj().T
-    H = build_chain_hamiltonian(ChainSpec(L=2, gamma=3.0, v=10.0)).to_matrix()
+    H = chain_matrix(ChainSpec(L=2, gamma=3.0, v=10.0))
     jumps = build_jump_operators([ContactSpec(0, 0.5, 1.0), ContactSpec(1, 0.5, 0.0)], 2)
     assert abs(np.trace(rhs(rho, H, jumps))) <= 1e-12
 
@@ -177,8 +177,7 @@ def random_block_state(gen, L):
        record_every=st.sampled_from([1, 4]))
 def test_integrate_matches_rk4_reference(L, seed, depolarizing, record_every):
     gen = np.random.default_rng(seed)
-    H = build_chain_hamiltonian(ChainSpec(L=L, gamma=float(gen.uniform(1, 5)),
-                                          v=float(gen.uniform(0, 10)))).to_matrix()
+    H = chain_matrix(ChainSpec(L=L, gamma=float(gen.uniform(1, 5)), v=float(gen.uniform(0, 10))))
     sites = gen.choice(L, size=gen.integers(1, L + 1), replace=False)
     contacts = [ContactSpec(int(q), float(gen.uniform(0, 2)), float(gen.uniform(0, 1)))
                 for q in sites]
@@ -220,7 +219,7 @@ def test_integrate_analytic_relaxation():
 
 
 def test_integrate_preserves_purity_without_jumps():
-    H = build_chain_hamiltonian(ChainSpec(L=2, gamma=3.0, v=10.0)).to_matrix()
+    H = chain_matrix(ChainSpec(L=2, gamma=3.0, v=10.0))
     rho0 = pure_dm(init_basis_state(2, (0,)))
     for t_final in (0.5, 1.0, 2.0):
         res = integrate(rho0, H, no_jumps(2), t_final=t_final, N_t=round(1000 * t_final))
@@ -267,7 +266,7 @@ def test_site_density_relaxation_value():
 
 
 def test_oracle_health_monitoring():
-    H = build_chain_hamiltonian(ChainSpec(L=2, gamma=3.0, v=10.0)).to_matrix()
+    H = chain_matrix(ChainSpec(L=2, gamma=3.0, v=10.0))
     jumps = build_jump_operators([ContactSpec(0, 0.5, 1.0), ContactSpec(1, 0.5, 0.0)], 2)
     rho0 = pure_dm(init_basis_state(2, (0,)))
     res = integrate(rho0, H, jumps, t_final=5.0, N_t=2000)
@@ -282,7 +281,7 @@ def test_oracle_reports_a_non_hermitian_generator(monkeypatch):
     real_rhs = lindblad.lindblad_rhs
     monkeypatch.setattr(lindblad, "lindblad_rhs",
                         lambda rho, *gen: real_rhs(rho, *gen) + 1e-3j * np.eye(rho.shape[0]))
-    H = build_chain_hamiltonian(ChainSpec(L=2, gamma=3.0, v=10.0)).to_matrix()
+    H = chain_matrix(ChainSpec(L=2, gamma=3.0, v=10.0))
     jumps = build_jump_operators([ContactSpec(0, 0.5, 1.0), ContactSpec(1, 0.5, 0.0)], 2)
     res = integrate(pure_dm(init_basis_state(2, (0,))), H, jumps, t_final=1.0, N_t=10)
     assert res.max_hermiticity_defect > 1e-6
@@ -316,10 +315,9 @@ def test_jw_strings_do_not_affect_site_densities():
     bare[0] = math.sqrt(spec.Gamma * spec.f) * bare_raise
     bare[1] = math.sqrt(spec.Gamma * (1 - spec.f)) * bare_low
 
-    h = build_chain_hamiltonian(ChainSpec(L=L, gamma=3.0, v=10.0))
-    psi = exact_propagator_oracle(h, 0.7) @ init_basis_state(L, (0,))
+    H = chain_matrix(ChainSpec(L=L, gamma=3.0, v=10.0))
+    psi = propagator(H, 0.7) @ init_basis_state(L, (0,))
     rho0 = np.outer(psi, psi.conj())
-    H = h.to_matrix()
     a = integrate(rho0, H, stringed, t_final=1.0, N_t=500)
     b = integrate(rho0, H, bare, t_final=1.0, N_t=500)
     assert np.max(np.abs(a.densities - b.densities)) <= 1e-12
@@ -328,10 +326,9 @@ def test_jw_strings_do_not_affect_site_densities():
 def test_trajectory_average_discrete_relaxation():
     # trajectory mean after k steps of the eta-injection process
     from openchain.trajectory import RunConfig, run_trajectory
-    from openchain.model import PauliHamiltonian
     from openchain.trotter import build_step
 
-    plan = build_step(PauliHamiltonian(1, ()), 0.5)
+    plan = build_step(build_chain_hamiltonian(ChainSpec(L=1, gamma=0.0)), 0.5)
     cfg = RunConfig(t_final=2.0, N_t=4, seed=0)
     k, eta = 4, 0.25
     rec = run_trajectory(plan, (ContactSpec(0, 0.5, 1.0),), cfg, (), traj_id=0, count=2000)
@@ -340,6 +337,6 @@ def test_trajectory_average_discrete_relaxation():
 
 
 def test_stability_bound_positive():
-    H = build_chain_hamiltonian(ChainSpec(L=2, gamma=3.0, v=10.0)).to_matrix()
+    H = chain_matrix(ChainSpec(L=2, gamma=3.0, v=10.0))
     jumps = build_jump_operators([ContactSpec(0, 0.5, 1.0)], 2)
     assert stability_bound(H, jumps) > 2.0 * np.linalg.norm(H, 2)

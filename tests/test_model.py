@@ -1,18 +1,13 @@
-"""Hamiltonian construction: Jordan-Wigner terms vs the Fock-space oracle."""
+"""Hamiltonian construction: the Jordan-Wigner form vs the Pauli strings
+and the Fock-space oracle."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from openchain.model import (
-    ChainSpec,
-    PauliHamiltonian,
-    PauliTerm,
-    build_chain_hamiltonian,
-    fermion_lowering,
-    fock_matrix_oracle,
-)
+from openchain.model import ChainSpec, build_chain_hamiltonian, fermion_lowering, fock_matrix_oracle
+from pauli import chain_terms, form_matrix
 
 
 def test_chainspec_rejects_bad_length():
@@ -31,18 +26,32 @@ def test_chainspec_rejects_nonfinite_couplings():
 
 def test_two_site_hopping_terms():
     h = build_chain_hamiltonian(ChainSpec(L=2, gamma=1.0, v=0.0))
-    assert {(t.letters, t.coeff) for t in h.terms} == {("XX", 0.5), ("YY", 0.5)}
+    assert (h.L, h.gamma, h.diagonal) == (2, 1.0, {})
 
 
 def test_single_site_has_no_terms():
+    # no bond, so neither hopping nor interaction
     h = build_chain_hamiltonian(ChainSpec(L=1, gamma=5.0, v=7.0))
-    assert h.terms == ()
+    assert h.diagonal == {}
+    assert np.array_equal(form_matrix(h), np.zeros((2, 2)))
 
 
 def test_three_site_matches_fock_oracle():
     spec = ChainSpec(L=3, gamma=3.0, v=10.0)
-    jw = build_chain_hamiltonian(spec).to_matrix()
+    jw = form_matrix(build_chain_hamiltonian(spec))
     assert np.max(np.abs(jw - fock_matrix_oracle(spec))) <= 1e-12
+
+
+def test_term_ordering_is_deterministic():
+    # the diagonal is the Pauli strings' I/Z terms bit for bit, summed and
+    # ordered as their merge: mask 0 first, then first appearance
+    for L in (2, 3, 6):
+        spec = ChainSpec(L=L, gamma=3.0, v=-7.3)
+        strings = {sum(1 << q for q, c in enumerate(s) if c == "Z"): c
+                   for c, s in chain_terms(spec) if set(s) <= {"I", "Z"}}
+        diagonal = build_chain_hamiltonian(spec).diagonal
+        assert list(diagonal.items()) == list(strings.items())
+        assert next(iter(diagonal)) == 0
 
 
 def test_fock_oracle_two_site_hopping_matrix():
@@ -71,7 +80,7 @@ def test_fock_oracle_rejects_large_l():
 )
 def test_jw_equals_fock_oracle(L, gamma, v):
     spec = ChainSpec(L=L, gamma=gamma, v=v)
-    jw = build_chain_hamiltonian(spec).to_matrix()
+    jw = form_matrix(build_chain_hamiltonian(spec))
     assert np.max(np.abs(jw - fock_matrix_oracle(spec))) <= 1e-12
 
 
@@ -82,37 +91,15 @@ def test_jw_equals_fock_oracle(L, gamma, v):
     v=st.floats(min_value=-10, max_value=10, allow_nan=False),
 )
 def test_hamiltonian_is_hermitian(L, gamma, v):
-    H = build_chain_hamiltonian(ChainSpec(L=L, gamma=gamma, v=v)).to_matrix()
+    H = form_matrix(build_chain_hamiltonian(ChainSpec(L=L, gamma=gamma, v=v)))
     assert np.max(np.abs(H - H.conj().T)) <= 1e-14
 
 
 @pytest.mark.parametrize("L", [2, 4, 6])
 def test_commutes_with_total_number(L):
-    H = build_chain_hamiltonian(ChainSpec(L=L, gamma=3.0, v=10.0)).to_matrix()
+    H = form_matrix(build_chain_hamiltonian(ChainSpec(L=L, gamma=3.0, v=10.0)))
     N = sum(c.conj().T @ c for c in (fermion_lowering(q, L) for q in range(L)))
     assert np.linalg.norm(H @ N - N @ H) <= 1e-12
-
-
-def test_term_ordering_is_deterministic():
-    h = build_chain_hamiltonian(ChainSpec(L=3, gamma=1.0, v=4.0))
-    letters = [t.letters for t in h.terms]
-    # hopping bonds ascending, XX before YY, then interaction strings
-    assert letters[:4] == ["XXI", "YYI", "IXX", "IYY"]
-    assert "III" in letters[4:]
-
-
-def test_pauliterm_validation():
-    with pytest.raises(ValueError):
-        PauliTerm(1.0, "XQ")
-    with pytest.raises(ValueError):
-        PauliTerm(float("nan"), "XX")
-    with pytest.raises(ValueError):
-        PauliTerm(1.0, "")
-
-
-def test_hamiltonian_rejects_duplicate_strings():
-    with pytest.raises(ValueError):
-        PauliHamiltonian(2, (PauliTerm(0.5, "XX"), PauliTerm(0.25, "XX")))
 
 
 def test_lowering_operators_anticommute():

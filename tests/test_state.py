@@ -7,13 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from openchain.model import (
-    ChainSpec,
-    PauliHamiltonian,
-    PauliTerm,
-    build_chain_hamiltonian,
-    fermion_lowering,
-)
+from openchain.model import ChainSpec, build_chain_hamiltonian, fermion_lowering
 from openchain import state
 from openchain.state import (
     FORCED_EPS,
@@ -91,7 +85,7 @@ def test_init_rejects_out_of_range():
 
 
 def test_rotation_zero_angle_is_identity():
-    h = PauliHamiltonian(2, (PauliTerm(0.0, "XX"), PauliTerm(0.0, "YY")))
+    h = build_chain_hamiltonian(ChainSpec(L=2, gamma=0.0))
     s, amps = random_state(2, 3)
     s[:] = amps
     apply_step(s, build_step(h, 1.0))
@@ -100,18 +94,19 @@ def test_rotation_zero_angle_is_identity():
 
 def test_x_rotation_half_pi():
     # hop angle pi/2 on the |01>,|10> pair: exp(-i (pi/2) X)|01> = -i|10>
-    h = PauliHamiltonian(2, (PauliTerm(0.5, "XX"), PauliTerm(0.5, "YY")))
+    h = build_chain_hamiltonian(ChainSpec(L=2, gamma=1.0))
     s = init_basis_state(2, (0,))
     apply_step(s, build_step(h, np.pi / 2))
     assert np.max(np.abs(s - [0, 0, -1j, 0])) <= 1e-15
 
 
 def test_z_rotation_preserves_probabilities():
-    s = init_basis_state(1, ())
-    s[:] = [1 / np.sqrt(2), 1 / np.sqrt(2)]
-    apply_step(s, build_step(PauliHamiltonian(1, (PauliTerm(1.0, "Z"),)), np.pi / 4))
-    assert np.abs(s[0]) ** 2 == pytest.approx(0.5, abs=1e-12)
-    assert np.abs(s[1]) ** 2 == pytest.approx(0.5, abs=1e-12)
+    # gamma = 0: the step is the interaction's phases only
+    s = init_basis_state(2, ())
+    s[:] = 0.5
+    apply_step(s, build_step(build_chain_hamiltonian(ChainSpec(L=2, gamma=0.0, v=7.0)), np.pi / 4))
+    assert np.abs(s) ** 2 == pytest.approx(np.full(4, 0.25), abs=1e-12)
+    assert np.angle(s[3] / s[0]) == pytest.approx(-7.0 * np.pi / 4 + 2 * np.pi, abs=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
@@ -124,14 +119,15 @@ def test_z_rotation_preserves_probabilities():
 )
 def test_rotation_reversible_and_norm_preserving(L, gamma, v, dt, seed):
     # the inverse of a product formula is the reversed product of the
-    # negated rotations
+    # negated rotations; the symmetric step is a palindrome, so that is
+    # the symmetric step of the negated couplings
     h = build_chain_hamiltonian(ChainSpec(L=L, gamma=gamma, v=v))
-    back = PauliHamiltonian(L, tuple(PauliTerm(-t.coeff, t.letters) for t in reversed(h.terms)))
+    back = build_chain_hamiltonian(ChainSpec(L=L, gamma=-gamma, v=-v))
     s, amps = random_state(L, seed)
     s[:] = amps
-    apply_step(s, build_step(h, dt))
+    apply_step(s, build_step(h, dt, symmetric=True))
     assert np.linalg.norm(s) == pytest.approx(1.0, abs=1e-12)
-    apply_step(s, build_step(back, dt))
+    apply_step(s, build_step(back, dt, symmetric=True))
     assert np.max(np.abs(s - amps)) <= 1e-12
 
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from openchain import trajectory
-from openchain.model import ChainSpec, PauliHamiltonian, build_chain_hamiltonian, fermion_lowering
+from openchain.model import ChainSpec, build_chain_hamiltonian, fermion_lowering
 from openchain.state import RngStream
 from openchain.trajectory import (
     BATCH_AMPS,
@@ -25,11 +25,11 @@ from openchain.trajectory import (
 )
 from openchain.trotter import apply_step, build_step
 
-EMPTY_L1 = build_step(PauliHamiltonian(1, ()), 0.5)
-
-
 def chain_plan(L, gamma, v, dt):
     return build_step(build_chain_hamiltonian(ChainSpec(L=L, gamma=gamma, v=v)), dt)
+
+
+EMPTY_L1 = chain_plan(1, 0.0, 0.0, 0.5)
 
 
 def test_fermi_dirac_symmetry_point():
@@ -267,7 +267,7 @@ def test_draw_layout_two_uniforms_per_contact_step(monkeypatch):
     monkeypatch.setattr(trajectory, "apply_step", counting_step)
     monkeypatch.setattr(trajectory, "reset_to", recording_reset)
     # H = 0: once a qubit is set its measurement is forced
-    plan = build_step(PauliHamiltonian(2, ()), 0.5)
+    plan = chain_plan(2, 0.0, 0.0, 0.5)
     contacts = (ContactSpec(0, 1.0, 1.0), ContactSpec(1, 0.6, 0.3))
     cfg = RunConfig(t_final=5.0, N_t=10, seed=21)
     rec = run_trajectory(plan, contacts, cfg, (0,), traj_id=5, count=3)

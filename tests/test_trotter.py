@@ -1,4 +1,5 @@
-"""Trotter step construction, application, and the dense propagator oracle."""
+"""Trotter step construction and application, against the chain's Pauli
+strings and their dense propagator."""
 
 import math
 import pickle
@@ -8,9 +9,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from openchain.model import ChainSpec, PauliHamiltonian, PauliTerm, build_chain_hamiltonian
+from openchain.model import ChainSpec, build_chain_hamiltonian
 from openchain.state import init_basis_state
-from openchain.trotter import WINDOW, Block, apply_step, build_step, exact_propagator_oracle
+from openchain.trotter import WINDOW, Block, apply_step, build_step
+from pauli import chain_matrix, chain_terms, propagator, string_matrix
 
 
 def evolve(state, plan, n):
@@ -19,40 +21,35 @@ def evolve(state, plan, n):
     return state
 
 
-def reference_apply_step(amps, h, dt, symmetric=False):
-    """The unfused sweep: exp(-i theta P) for every Pauli term in term
-    order, theta = coeff * dt; for a symmetric step the terms at dt/4
-    and then the reversed terms at dt/4.  P|k> = i^nY (-1)^popcount(k & zy)
-    |k ^ flip>, with flip the X/Y bits and zy the Z/Y bits."""
+def reference_apply_step(amps, spec, dt, symmetric=False):
+    """The unfused sweep: exp(-i theta P) for every Pauli term of the
+    chain in term order, theta = coeff * dt; for a symmetric step the
+    terms at dt/4 and then the reversed terms at dt/4.  P|k> = i^nY
+    (-1)^popcount(k & zy) |k ^ flip>, with flip the X/Y bits and zy the
+    Z/Y bits."""
     k = np.arange(amps.shape[-1])
-    terms, tau = (h.terms + h.terms[::-1], dt / 4) if symmetric else (h.terms, dt)
-    for t in terms:
-        flip = sum(1 << q for q, c in enumerate(t.letters) if c in "XY")
-        zy = sum(1 << q for q, c in enumerate(t.letters) if c in "ZY")
-        phase = 1j ** t.letters.count("Y") * np.where(np.bitwise_count(k & zy) & 1, -1, 1)
+    terms = chain_terms(spec)
+    terms, tau = (terms + terms[::-1], dt / 4) if symmetric else (terms, dt)
+    for coeff, letters in terms:
+        flip = sum(1 << q for q, c in enumerate(letters) if c in "XY")
+        zy = sum(1 << q for q, c in enumerate(letters) if c in "ZY")
+        phase = 1j ** letters.count("Y") * np.where(np.bitwise_count(k & zy) & 1, -1, 1)
         src = k ^ flip
-        theta = t.coeff * tau
+        theta = coeff * tau
         amps[...] = math.cos(theta) * amps - 1j * math.sin(theta) * (phase[src] * amps[..., src])
+
+
+def rotations(amps, dt, terms):
+    """prod_s (cos theta_s I - i sin theta_s P_s) applied to amps, theta_s
+    = coeff_s * dt, from the dense Pauli matrices."""
+    for coeff, letters in terms:
+        amps = np.cos(coeff * dt) * amps - 1j * np.sin(coeff * dt) * (string_matrix(letters) @ amps)
+    return amps
 
 
 def chain_blocks(L, symmetric=False):
     plan = build_step(build_chain_hamiltonian(ChainSpec(L=L, gamma=1.0, v=2.0)), 0.1, symmetric)
     return [(g.lo, len(g.m)) if isinstance(g, Block) else g.shape for g in plan.gates]
-
-
-def test_build_step_single_term():
-    # XX alone also rotates the |00>,|11> pair
-    h = PauliHamiltonian(2, (PauliTerm(0.5, "XX"),))
-    (block,) = build_step(h, 0.1).gates
-    expected = math.cos(0.05) * np.eye(4) - 1j * math.sin(0.05) * PauliTerm(1.0, "XX").to_matrix()
-    assert block.lo == 0 and np.max(np.abs(block.m - expected)) <= 1e-16
-
-
-def test_build_step_identity_only_hamiltonian():
-    h = PauliHamiltonian(2, (PauliTerm(3.0, "II"),))
-    plan = build_step(h, 0.5)
-    (phase,) = plan.gates
-    assert np.allclose(phase, np.exp(-1.5j), rtol=0, atol=1e-15)
 
 
 def test_build_step_two_site_chain():
@@ -90,13 +87,6 @@ def test_blocks_are_unitary_and_conserve_particle_number(L, symmetric):
         assert np.all(b.m[N[:, None] != N] == 0)
 
 
-@pytest.mark.parametrize("letters", ["XZ", "XIX", "IXI", "XYI", "ZZX"])
-def test_build_step_rejects_unsupported_strings(letters):
-    h = PauliHamiltonian(len(letters), (PauliTerm(0.8, letters),))
-    with pytest.raises(ValueError, match=repr(letters)):
-        build_step(h, 0.1)
-
-
 def test_build_step_rejects_bad_dt():
     h = build_chain_hamiltonian(ChainSpec(L=2, gamma=1.0))
     for dt in (0.0, -1.0, float("nan")):
@@ -105,11 +95,14 @@ def test_build_step_rejects_bad_dt():
 
 
 def test_empty_plan_is_identity():
-    h = PauliHamiltonian(2, ())
-    s = init_basis_state(2, (1,))
-    before = s.copy()
-    apply_step(s, build_step(h, 0.3))
-    assert np.array_equal(s, before)
+    # no couplings, or no bond to carry them
+    for spec in (ChainSpec(L=2, gamma=0.0), ChainSpec(L=1, gamma=5.0, v=7.0)):
+        plan = build_step(build_chain_hamiltonian(spec), 0.3)
+        assert plan.gates == ()
+        s = init_basis_state(spec.L, (0,))
+        before = s.copy()
+        apply_step(s, plan)
+        assert np.array_equal(s, before)
 
 
 def test_apply_step_rejects_size_mismatch():
@@ -132,50 +125,50 @@ def test_apply_step_rejects_non_contiguous_input():
     L=st.integers(min_value=1, max_value=12),
     rows=st.sampled_from([1, 3]),
     symmetric=st.booleans(),
-    shuffle=st.booleans(),
     gamma=st.floats(min_value=-5, max_value=5),
     v=st.floats(min_value=-10, max_value=10),
     seed=st.integers(min_value=0, max_value=999),
 )
-@example(L=16, rows=1, symmetric=True, shuffle=True, gamma=3.0, v=10.0, seed=0)
-@example(L=16, rows=1, symmetric=False, shuffle=False, gamma=5.0, v=10.0, seed=1)
-def test_apply_step_agrees_with_the_term_by_term_sweep(L, rows, symmetric, shuffle, gamma, v, seed):
-    # a shuffled term order puts phase vectors and other slots' bonds
-    # between the bonds of a slot, so blocks start and end anywhere
-    h = build_chain_hamiltonian(ChainSpec(L=L, gamma=gamma, v=v))
+@example(L=16, rows=1, symmetric=True, gamma=3.0, v=10.0, seed=0)
+@example(L=16, rows=1, symmetric=False, gamma=5.0, v=10.0, seed=1)
+@example(L=7, rows=3, symmetric=True, gamma=0.0, v=-4.0, seed=2)
+@example(L=9, rows=3, symmetric=False, gamma=2.0, v=0.0, seed=3)
+@example(L=1, rows=3, symmetric=True, gamma=2.0, v=6.0, seed=4)
+def test_apply_step_agrees_with_the_term_by_term_sweep(L, rows, symmetric, gamma, v, seed):
+    # the examples include phases only (gamma = 0), bond blocks only
+    # (v = 0) and an empty plan (L = 1)
+    spec = ChainSpec(L=L, gamma=gamma, v=v)
+    plan = build_step(build_chain_hamiltonian(spec), 0.37, symmetric=symmetric)
     gen = np.random.default_rng(seed)
-    if shuffle:
-        h = PauliHamiltonian(L, tuple(h.terms[i] for i in gen.permutation(len(h.terms))))
-    plan = build_step(h, 0.37, symmetric=symmetric)
     shape = (1 << L,) if rows == 1 else (rows, 1 << L)
     amps = gen.normal(size=shape) + 1j * gen.normal(size=shape)
     expected = amps.copy()
-    reference_apply_step(expected, h, 0.37, symmetric)
+    reference_apply_step(expected, spec, 0.37, symmetric)
     apply_step(amps, plan)
     assert np.max(np.abs(amps - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
 def test_single_term_plan_is_exact():
-    # XX alone also rotates the |00>,|11> pair
-    h = PauliHamiltonian(2, (PauliTerm(0.8, "XX"),))
-    plan = build_step(h, 0.1)
+    # one bond: its XX and YY terms commute, so the plan is exact
+    spec = ChainSpec(L=2, gamma=1.6)
+    plan = build_step(build_chain_hamiltonian(spec), 0.1)
     s = init_basis_state(2, (0,))
     evolve(s, plan, 7)
-    exact = exact_propagator_oracle(h, 0.7) @ init_basis_state(2, (0,))
+    exact = propagator(chain_matrix(spec), 0.7) @ init_basis_state(2, (0,))
     assert np.max(np.abs(s - exact)) <= 1e-10
 
 
 def test_commuting_terms_are_exact_including_phase():
     # all-Z interaction strings commute, so (delta U)^N is exact
-    h = build_chain_hamiltonian(ChainSpec(L=3, gamma=0.0, v=7.0))
-    plan = build_step(h, 0.25)
+    spec = ChainSpec(L=3, gamma=0.0, v=7.0)
+    plan = build_step(build_chain_hamiltonian(spec), 0.25)
     gen = np.random.default_rng(4)
     amps = gen.normal(size=8) + 1j * gen.normal(size=8)
     amps /= np.linalg.norm(amps)
     s = init_basis_state(3, ())
     s[:] = amps
     evolve(s, plan, 8)
-    exact = exact_propagator_oracle(h, 2.0) @ amps
+    exact = propagator(chain_matrix(spec), 2.0) @ amps
     assert np.max(np.abs(s - exact)) <= 1e-10
 
 
@@ -189,27 +182,27 @@ def test_two_site_rabi_full_transfer():
 
 
 def test_oracle_at_zero_time_is_identity():
-    h = build_chain_hamiltonian(ChainSpec(L=2, gamma=3.0, v=10.0))
-    assert np.max(np.abs(exact_propagator_oracle(h, 0.0) - np.eye(4))) <= 1e-12
+    H = chain_matrix(ChainSpec(L=2, gamma=3.0, v=10.0))
+    assert np.max(np.abs(propagator(H, 0.0) - np.eye(4))) <= 1e-12
 
 
 def test_oracle_unitarity():
-    h = build_chain_hamiltonian(ChainSpec(L=3, gamma=3.0, v=10.0))
-    U = exact_propagator_oracle(h, 1.7)
-    assert np.max(np.abs(U @ exact_propagator_oracle(h, -1.7) - np.eye(8))) <= 1e-10
+    H = chain_matrix(ChainSpec(L=3, gamma=3.0, v=10.0))
+    U = propagator(H, 1.7)
+    assert np.max(np.abs(U @ propagator(H, -1.7) - np.eye(8))) <= 1e-10
 
 
 def test_oracle_conserves_energy():
-    h = build_chain_hamiltonian(ChainSpec(L=3, gamma=3.0, v=10.0))
-    H = h.to_matrix()
-    U = exact_propagator_oracle(h, 2.3)
+    H = chain_matrix(ChainSpec(L=3, gamma=3.0, v=10.0))
+    U = propagator(H, 2.3)
     assert np.max(np.abs(U.conj().T @ H @ U - H)) <= 1e-9
 
 
 def test_first_order_convergence():
-    h = build_chain_hamiltonian(ChainSpec(L=4, gamma=3.0, v=10.0))
+    spec = ChainSpec(L=4, gamma=3.0, v=10.0)
+    h = build_chain_hamiltonian(spec)
     psi0 = init_basis_state(4, (0, 1, 2))
-    exact = exact_propagator_oracle(h, 2.0) @ psi0
+    exact = propagator(chain_matrix(spec), 2.0) @ psi0
     errors = []
     for n in (8, 16, 32, 64):
         s = init_basis_state(4, (0, 1, 2))
@@ -221,9 +214,10 @@ def test_first_order_convergence():
 
 def test_symmetric_step_is_second_order():
     # two symmetric half steps per step of length 2/n
-    h = build_chain_hamiltonian(ChainSpec(L=4, gamma=3.0, v=10.0))
+    spec = ChainSpec(L=4, gamma=3.0, v=10.0)
+    h = build_chain_hamiltonian(spec)
     psi0 = init_basis_state(4, (0, 1, 2))
-    exact = exact_propagator_oracle(h, 2.0) @ psi0
+    exact = propagator(chain_matrix(spec), 2.0) @ psi0
     errors = []
     for n in (8, 16, 32, 64):
         s = init_basis_state(4, (0, 1, 2))
@@ -236,16 +230,14 @@ def test_symmetric_step_is_second_order():
 @pytest.mark.parametrize("L", [1, 2, 4])
 def test_symmetric_half_step_is_sweep_then_reversed_sweep(L):
     # S(dt/2): the term-order rotations at dt/4, then the reversed ones
-    h = build_chain_hamiltonian(ChainSpec(L=L, gamma=3.0, v=10.0))
+    spec = ChainSpec(L=L, gamma=3.0, v=10.0)
+    h = build_chain_hamiltonian(spec)
     dt = 0.3
     gen = np.random.default_rng(L)
     amps = gen.normal(size=1 << L) + 1j * gen.normal(size=1 << L)
     amps /= np.linalg.norm(amps)
-    expected = amps.copy()
-    for t in h.terms + h.terms[::-1]:
-        P = PauliTerm(1.0, t.letters).to_matrix()
-        theta = t.coeff * dt / 4
-        expected = np.cos(theta) * expected - 1j * np.sin(theta) * (P @ expected)
+    terms = chain_terms(spec)
+    expected = rotations(amps, dt / 4, terms + terms[::-1])
     s = init_basis_state(L, ())
     s[:] = amps
     plan = build_step(h, dt, symmetric=True)
@@ -288,24 +280,18 @@ def test_plan_conserves_particle_number():
     v=st.floats(min_value=-10, max_value=10),
     dt=st.floats(min_value=1e-3, max_value=1),
     seed=st.integers(min_value=0, max_value=999),
-    shuffle=st.booleans(),
 )
-def test_step_equals_dense_product_of_rotations(L, gamma, v, dt, seed, shuffle):
+def test_step_equals_dense_product_of_rotations(L, gamma, v, dt, seed):
     # oracle: prod_s (cos theta_s I - i sin theta_s P_s) in term order,
-    # from the dense Pauli matrices; a shuffled order splits the fused runs
-    h = build_chain_hamiltonian(ChainSpec(L=L, gamma=gamma, v=v))
+    # from the dense Pauli matrices
+    spec = ChainSpec(L=L, gamma=gamma, v=v)
     gen = np.random.default_rng(seed)
-    terms = [h.terms[i] for i in gen.permutation(len(h.terms))] if shuffle else h.terms
-    h = PauliHamiltonian(L, tuple(terms))
     amps = gen.normal(size=1 << L) + 1j * gen.normal(size=1 << L)
     amps /= np.linalg.norm(amps)
-    expected = amps.copy()
-    for t in h.terms:
-        P = PauliTerm(1.0, t.letters).to_matrix()
-        expected = np.cos(t.coeff * dt) * expected - 1j * np.sin(t.coeff * dt) * (P @ expected)
+    expected = rotations(amps, dt, chain_terms(spec))
     s = init_basis_state(L, ())
     s[:] = amps
-    apply_step(s, build_step(h, dt))
+    apply_step(s, build_step(build_chain_hamiltonian(spec), dt))
     assert np.max(np.abs(s - expected)) <= 1e-12
 
 
