@@ -3,11 +3,12 @@ and the one contact kernel, `reset_to`: a Born-rule measurement and the
 conditional fermionic flip c_q + c_q^dag in a single pass.  The unitary
 step acts on the amplitudes in trotter.py.
 
-A state is a plain complex array of amplitudes, of shape (2^L,) for
+A state is a plain complex128 array of amplitudes, of shape (2^L,) for
 one state or (B, 2^L) for a batch: bit q of the last index is the
 occupation of qubit q, so L is read from the last axis.  Row b is
 trajectory b of the batch, and every kernel here and in trotter.py acts
-on each row independently, in place.
+on each row independently, in place, and raises ValueError for any
+other dtype.
 
 The kernels draw no random numbers themselves.  The caller hands
 `reset_to` one measurement uniform per row, row b from stream b of the
@@ -260,6 +261,13 @@ def _outcomes(n: int, j: int) -> np.ndarray:
     return out
 
 
+def _check_dtype(amps: np.ndarray, name: str) -> None:
+    # the kernels read the amplitudes through a float64 view, which would
+    # reinterpret the bytes of any other dtype
+    if amps.dtype != np.complex128:
+        raise ValueError(f"{name} needs complex128 amplitudes, got {amps.dtype}")
+
+
 def _planes(rows: np.ndarray, L: int) -> tuple[np.ndarray, int]:
     """The real and imaginary parts of (R, 2^L) amplitudes viewed as
     (R, 2^(L-K), 2^(K+1)), K = L // 2: qubit q < K is bit q + 1 of the
@@ -276,6 +284,7 @@ def all_densities(amps: np.ndarray) -> np.ndarray:
     middle axis give the low K qubits and its sums over the last axis
     the high L - K, each through a small bit matrix; neither a (2^L, L)
     matrix nor a copy of |a|^2 is built."""
+    _check_dtype(amps, "all_densities")
     L = amps.shape[-1].bit_length() - 1
     x, K = _planes(amps.reshape(-1, 1 << L), L)
     low = np.einsum("rhk,rhk->rk", x, x) @ _bits(K + 1)[:, 1:]
@@ -311,6 +320,7 @@ def reset_to(amps: np.ndarray, q: int, target, u) -> Resets:
     half.  A lone row is scaled and zeroed in place instead, which
     saves the gathered copy of half a large state.  `amps` must be
     C-contiguous, since it is updated in place."""
+    _check_dtype(amps, "reset_to")
     L = amps.shape[-1].bit_length() - 1
     if not 0 <= q < L:
         raise ValueError(f"qubit index {q} out of range")

@@ -22,20 +22,42 @@ phase vector and both sweeps included, is one 2^L-square block.  The
 blocks are built by applying the ops to an identity with elementwise
 numpy calls, no BLAS, so the build costs little in a fresh process.
 
+The step runs in a diagonal gauge frame D = diag(i^e(k)), with e(k) the
+sum over qubits j >= WINDOW of (j - WINDOW + 1) n_j(k): `apply_step`
+applies conj(D) U D, so it maps conj(D) a to conj(D) U a.  The |10>
+state of a bond q >= WINDOW - 1 has e one higher than its |01> state,
+so the bond's gate conj(D) G_q D is the real rotation new1 = c old1 +
+s old2, new2 = c old2 - s old1 (index 1 = bit q set).  Those are the
+bonds of the blocks at lo > 0, which are therefore float64.  Phase
+vectors commute with D, and D is the identity up to WINDOW qubits.
+Nothing the engine reads sees the frame, so a trajectory never leaves
+it: the initial basis state is an eigenvector of D, the projections of
+`reset_to` commute with D and its flip c_q + c_q^dag picks up a phase
+that is global to the row, and `all_densities` reads |a|^2.
+
 `apply_step` applies each block with one np.matmul, on C-contiguous
 amplitudes of shape (2^L,) or (B, 2^L) alike: a block at qubit 0 as
-amps.reshape(-1, 2^w) @ m^T, one matrix product over every row of a
-batch; a block at lo > 0 as m @ amps.reshape(-1, 2^w, 2^lo).  The
-products alternate between the amplitudes and one scratch buffer of
-the same size, and after an odd count of them the result is copied
-back (writing one phase vector across instead, to save that copy,
-measured no faster at L = 10..18).  Each product rounds differently
-from the gate-by-gate sweep, by about 1e-15 relative; a row of a batch
+amps.reshape(-1, 2^w) @ m^T, one complex product over every row of a
+batch; a real block at lo > 0 as m @ amps.view(float64).reshape(-1,
+2^w, 2^(lo+1)), the same products over the real and imaginary parts
+together, twice the columns at half the arithmetic of a complex block.
+The block at qubit 0 stays complex: its real form would act on
+interleaved real and imaginary parts, a 2^(w+1)-square kron(m, I2)
+with as many flops as the complex product, and at L = 16 that dgemm
+took about 565 us against 530-570 us for the zgemm.  The products
+alternate between the amplitudes and one scratch buffer of the same
+size, and after an odd count of them the result is copied back
+(writing one phase vector across instead, to save that copy, measured
+no faster at L = 10..18).  Each product rounds differently from the
+gate-by-gate sweep, by about 1e-15 relative (a real block sums its
+terms in another order than the complex block of the physical frame
+would); a row of a batch
 and the same row alone can differ in the last bit, because BLAS takes
 another path for one row.
 
 WINDOW comes from `apply_step` timings (one BLAS thread, 2-core host,
-first-order / symmetric plan, microseconds):
+first-order / symmetric plan, microseconds).  Measured when every block
+was complex:
 
     | L, rows | w = 3        | 4            | 5            | 6            |
     |---------|--------------|--------------|--------------|--------------|
@@ -46,8 +68,22 @@ first-order / symmetric plan, microseconds):
     | 16, 1   | 4651 / 8773  | 2860 / 5510  | 2764 / 5389  | 3428 / 6668  |
     | 18, 1   | 19853 / 37901| 12417 / 24172| 13776 / 26160| 15795 / 30481|
 
-Five is best at L = 8, 12 and 16 and within 11% of the best at L = 10
-and 18; at L = 6, six qubits would make the whole step one block.
+and with the real blocks of the gauge frame (median of 5 rounds, the
+widths interleaved):
+
+    | L, rows | w = 3        | 4            | 5            | 6            |
+    |---------|--------------|--------------|--------------|--------------|
+    | 6, 256  | 204 / 332    | 151 / 269    | 194 / 366    | 244 / 245    |
+    | 8, 50   | 159 / 293    | 145 / 275    | 159 / 297    | 229 / 431    |
+    | 10, 16  | 240 / 430    | 201 / 354    | 242 / 449    | 312 / 608    |
+    | 12, 1   | 84 / 162     | 76 / 146     | 83 / 154     | 115 / 219    |
+    | 16, 1   | 1517 / 2863  | 1452 / 2627  | 1552 / 3040  | 2283 / 4202  |
+    | 18, 1   | 8272 / 14496 | 6687 / 12220 | 8456 / 15034 | 10608 / 21239|
+
+Five was best at L = 8, 12 and 16 with complex blocks.  With real ones
+four is best in every row, by 5-9% at L = 8, 12 and 16 and 17-21% at
+L = 10 and 18; WINDOW stays five for now, since a new width moves the
+frame and the block layout, and with them the rounding of the outputs.
 """
 
 from __future__ import annotations
@@ -68,7 +104,8 @@ WINDOW = 5
 
 class Block(NamedTuple):
     """A run of gates as one unitary m on qubits lo .. lo + w - 1, with
-    m of shape (2^w, 2^w)."""
+    m of shape (2^w, 2^w): complex at lo = 0, float64 (the gauge
+    frame's real rotations) at lo > 0."""
 
     lo: int
     m: np.ndarray
@@ -125,14 +162,23 @@ def _phase_vector(angles: dict[int, float], L: int) -> np.ndarray:
         plus = v[:, 0] + v[:, 1]
         v[:, 1] = v[:, 0] - v[:, 1]
         v[:, 0] = plus
-    return np.exp(-1j * phi)
+    # exp(-i phi) without a complex temporary: cos and -sin written into
+    # the parts of one array
+    out = np.empty(phi.shape, complex)
+    np.cos(phi, out=out.real)
+    np.sin(phi, out=out.imag)
+    np.negative(out.imag, out=out.imag)
+    return out
 
 
 def _block(ops, lo: int, w: int) -> Block:
     # the ops in order, each multiplying the identity from the left: it acts
     # on the row index as a gate acts on the amplitudes' index, so bond q
-    # mixes whole rows, runs of 2^(q-lo+w) entries
-    m = np.eye(1 << w, dtype=complex)
+    # mixes whole rows, runs of 2^(q-lo+w) entries.  A block at lo > 0
+    # holds bonds q >= WINDOW - 1 only and is real: in the gauge frame
+    # each of them is the rotation new1 = c old1 + s old2, new2 = c old2
+    # - s old1 (see the module docstring)
+    m = np.eye(1 << w, dtype=float if lo > 0 else complex)
     for op in ops:
         if isinstance(op, dict):
             m *= _phase_vector(op, w)[:, None]
@@ -141,7 +187,8 @@ def _block(ops, lo: int, w: int) -> Block:
         # axis 1 holds bits (q+1, q): 1 is |01> and 2 is |10>, the pair
         # the hopping rotates; |00> and |11> stay
         pair = m.reshape(-1, 4, (1 << (q - lo)) << w)[:, 1:3]
-        swapped = pair[:, ::-1] * (-1j * math.sin(theta))
+        s = math.sin(theta)
+        swapped = pair[:, ::-1] * (np.array([[s], [-s]]) if lo > 0 else -1j * s)
         pair *= math.cos(theta)
         pair += swapped
     return Block(lo, m)
@@ -151,6 +198,8 @@ def apply_step(amps: np.ndarray, plan: TrotterPlan) -> None:
     """Apply the plan's gates in place to C-contiguous (2^L,) or
     (B, 2^L) amplitudes: the whole step, or for a symmetric plan one
     half of it."""
+    if amps.dtype != np.complex128:
+        raise ValueError(f"apply_step needs complex128 amplitudes, got {amps.dtype}")
     if amps.shape[-1] != 1 << plan.L:
         raise ValueError(f"plan size {plan.L} needs {1 << plan.L} amplitudes, got {amps.shape[-1]}")
     if not amps.flags.c_contiguous:
@@ -164,8 +213,11 @@ def apply_step(amps: np.ndarray, plan: TrotterPlan) -> None:
             if g.lo == 0:
                 np.matmul(src.reshape(-1, n), g.m.T, out=dst.reshape(-1, n))
             else:
-                s = 1 << g.lo
-                np.matmul(g.m, src.reshape(-1, n, s), out=dst.reshape(-1, n, s))
+                # a real block acts on the real and imaginary parts alike:
+                # the float64 view's last axis holds both, interleaved
+                s = 2 << g.lo
+                np.matmul(g.m, src.view(np.float64).reshape(-1, n, s),
+                          out=dst.view(np.float64).reshape(-1, n, s))
             src, dst = dst, src
         else:
             src *= g

@@ -1,5 +1,6 @@
 """The chain's Jordan-Wigner image as Pauli strings, dense: the tests'
-independent check of the form the step runs (`model.ChainHamiltonian`).
+independent check of the form the step runs (`model.ChainHamiltonian`),
+and the gauge frame the step runs in.
 
 A string's letter q acts on qubit q, so bit 0 is the last Kronecker
 factor, as in `model`'s conventions.
@@ -8,6 +9,8 @@ factor, as in `model`'s conventions.
 from functools import reduce
 
 import numpy as np
+
+from openchain.trotter import WINDOW
 
 PAULI_1Q = {
     "I": np.eye(2, dtype=complex),
@@ -72,3 +75,31 @@ def propagator(H: np.ndarray, t: float) -> np.ndarray:
     """exp(-i H t) by Hermitian eigendecomposition."""
     w, V = np.linalg.eigh(H)
     return (V * np.exp(-1j * w * t)) @ V.conj().T
+
+
+def rotations(amps, dt, terms):
+    """prod_s (cos theta_s I - i sin theta_s P_s) applied to amps, theta_s
+    = coeff_s * dt, from the dense Pauli matrices."""
+    for coeff, letters in terms:
+        amps = np.cos(coeff * dt) * amps - 1j * np.sin(coeff * dt) * (string_matrix(letters) @ amps)
+    return amps
+
+
+def step_matrix(spec, dt, symmetric=False):
+    """The unfused step as a dense matrix, in the physical frame: the
+    chain's rotations in term order at dt, or for a symmetric half step
+    the terms at dt/4 and then the reversed terms at dt/4."""
+    terms = chain_terms(spec)
+    terms, tau = (terms + terms[::-1], dt / 4) if symmetric else (terms, dt)
+    return rotations(np.eye(1 << spec.L, dtype=complex), tau, terms)
+
+
+def gauge(L: int) -> np.ndarray:
+    """The diagonal of D = diag(i^e(k)), e(k) = sum over qubits j >=
+    WINDOW of (j - WINDOW + 1) n_j(k): `apply_step` applies conj(D) U D,
+    so it maps conj(D) a to conj(D) U a.  All ones for L <= WINDOW."""
+    k = np.arange(1 << L)
+    e = np.zeros(1 << L, dtype=np.int64)
+    for j in range(WINDOW, L):
+        e += (j - WINDOW + 1) * (k >> j & 1)
+    return np.array([1, 1j, -1, -1j])[e % 4]

@@ -268,6 +268,18 @@ def test_reset_rejects_non_contiguous_input():
             reset_to(amps, 0, np.zeros(len(amps), dtype=np.int8), np.zeros(len(amps)))
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.complex64])
+def test_kernels_reject_other_dtypes(dtype):
+    # both kernels read a float64 view, which would reinterpret other bytes
+    for amps in (np.zeros(8, dtype=dtype), np.zeros((3, 8), dtype=dtype)):
+        amps[..., 1] = 1.0
+        with pytest.raises(ValueError, match="all_densities needs complex128"):
+            all_densities(amps)
+        target = np.zeros(amps.shape[:-1], dtype=np.int8)
+        with pytest.raises(ValueError, match="reset_to needs complex128"):
+            reset_to(amps, 0, target, np.zeros(amps.shape[:-1]))
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     L=st.integers(min_value=1, max_value=8),

@@ -24,6 +24,7 @@ from openchain.trajectory import (
     validate_contacts,
 )
 from openchain.trotter import apply_step, build_step
+from pauli import step_matrix
 
 def chain_plan(L, gamma, v, dt):
     return build_step(build_chain_hamiltonian(ChainSpec(L=L, gamma=gamma, v=v)), dt)
@@ -324,16 +325,17 @@ def test_run_rejects_invalid_contacts():
         run_trajectory(plan, (ContactSpec(0, 9.0, 1.0),), cfg, ())
 
 
-def exact_channel_densities(plan, contacts, cfg, init):
+def exact_channel_densities(plan, contacts, cfg, init, U=None):
     """Site densities of the process the trajectories sample, propagated
-    exactly as a density matrix: the unitary of the plan, then for each
-    contact rho -> p_none rho + p_in R_1(rho) + p_out R_0(rho), where
-    R_t sums (c + c^dag)^[m != t] P_m rho P_m (c + c^dag)^[m != t] over
-    the outcomes m."""
+    exactly as a density matrix: the unitary of the plan (or U, when
+    given), then for each contact rho -> p_none rho + p_in R_1(rho) +
+    p_out R_0(rho), where R_t sums (c + c^dag)^[m != t] P_m rho P_m (c +
+    c^dag)^[m != t] over the outcomes m."""
     L = plan.L
-    U = np.eye(1 << L, dtype=complex)
-    apply_step(U, plan)  # row k becomes U applied to basis state k
-    U = U.T
+    if U is None:
+        U = np.eye(1 << L, dtype=complex)
+        apply_step(U, plan)  # row k becomes U applied to basis state k
+        U = U.T
     bits = np.arange(1 << L)
     occupation = (bits[:, None] >> np.arange(L)) & 1
     psi = np.zeros(1 << L)
@@ -363,14 +365,31 @@ def exact_channel_densities(plan, contacts, cfg, init):
     return np.array(densities)
 
 
-@pytest.mark.parametrize("symmetric", [False, True], ids=["first-order", "symmetric"])
-def test_ensemble_realises_the_exact_discrete_channel(symmetric):
+@pytest.mark.parametrize(
+    "L, symmetric",
+    [(3, False), (3, True), (7, False), (7, True)],
+    ids=["first-order", "symmetric", "L7-first-order", "L7-symmetric"],
+)
+def test_ensemble_realises_the_exact_discrete_channel(L, symmetric):
     # contacts at both ends and an interior one; only Monte-Carlo noise
-    # separates the ensemble from the exact propagation of its process
-    plan = build_step(build_chain_hamiltonian(ChainSpec(L=3, gamma=3.0, v=10.0)), 0.5,
-                      symmetric=symmetric)
-    contacts = (ContactSpec(0, 0.5, 1.0), ContactSpec(1, 0.4, 0.5), ContactSpec(2, 0.5, 0.0))
+    # separates the ensemble from the exact propagation of its process.
+    # At L = 7 the contacts at qubits 5 and 6 act on sites of the step's
+    # gauge frame, and the exact channel's U is the physical one.  The
+    # densities cannot see a hopping sign on any bond of an open chain
+    # (that is a gauge too); test_trotter.py pins the frame's amplitudes.
+    spec = ChainSpec(L=L, gamma=3.0, v=10.0)
+    plan = build_step(build_chain_hamiltonian(spec), 0.5, symmetric=symmetric)
+    contacts = (ContactSpec(0, 0.5, 1.0), ContactSpec(L - 2, 0.4, 0.5), ContactSpec(L - 1, 0.5, 0.0))
     cfg = RunConfig(t_final=6.0, N_t=12, N_traj=4000, seed=3)
     ens = run_ensemble(plan, contacts, cfg, (0,), workers=1)
-    exact = exact_channel_densities(plan, contacts, cfg, (0,))
-    assert np.all(np.abs(ens.mean_density - exact) <= 4.5 * ens.stderr + 1e-12)
+    if L == 3:
+        exact = exact_channel_densities(plan, contacts, cfg, (0,))
+        sigma = ens.stderr
+    else:
+        U = step_matrix(spec, 0.5, symmetric)
+        exact = exact_channel_densities(plan, contacts, cfg, (0,), U=U)
+        # each density lies in [0, 1], so sqrt(m (1 - m) / N) bounds the
+        # true standard error where the sample one collapses near 0 and 1
+        m = np.clip(exact, 0.0, 1.0)
+        sigma = np.maximum(ens.stderr, np.sqrt(m * (1 - m) / cfg.N_traj))
+    assert np.all(np.abs(ens.mean_density - exact) <= 4.5 * sigma + 1e-12)

@@ -1,5 +1,6 @@
 """Trotter step construction and application, against the chain's Pauli
-strings and their dense propagator."""
+strings and their dense propagator.  `apply_step` runs in a diagonal
+gauge frame (`pauli.gauge`), so amplitudes are compared in it."""
 
 import math
 import pickle
@@ -11,8 +12,8 @@ from hypothesis import strategies as st
 
 from openchain.model import ChainSpec, build_chain_hamiltonian
 from openchain.state import init_basis_state
-from openchain.trotter import WINDOW, Block, apply_step, build_step
-from pauli import chain_matrix, chain_terms, propagator, string_matrix
+from openchain.trotter import WINDOW, Block, _phase_vector, apply_step, build_step
+from pauli import chain_matrix, chain_terms, gauge, propagator, rotations
 
 
 def evolve(state, plan, n):
@@ -37,14 +38,6 @@ def reference_apply_step(amps, spec, dt, symmetric=False):
         src = k ^ flip
         theta = coeff * tau
         amps[...] = math.cos(theta) * amps - 1j * math.sin(theta) * (phase[src] * amps[..., src])
-
-
-def rotations(amps, dt, terms):
-    """prod_s (cos theta_s I - i sin theta_s P_s) applied to amps, theta_s
-    = coeff_s * dt, from the dense Pauli matrices."""
-    for coeff, letters in terms:
-        amps = np.cos(coeff * dt) * amps - 1j * np.sin(coeff * dt) * (string_matrix(letters) @ amps)
-    return amps
 
 
 def chain_blocks(L, symmetric=False):
@@ -85,6 +78,62 @@ def test_blocks_are_unitary_and_conserve_particle_number(L, symmetric):
         assert np.max(np.abs(b.m @ b.m.conj().T - np.eye(n))) <= 1e-14
         N = np.bitwise_count(np.arange(n))
         assert np.all(b.m[N[:, None] != N] == 0)
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+@pytest.mark.parametrize("symmetric", [False, True], ids=["first-order", "symmetric"])
+@pytest.mark.parametrize("L", [2, 3, 5, 6, 8, 13])
+def test_apply_step_maps_the_gauged_state_to_the_gauged_step(L, symmetric, rows):
+    # apply_step(conj(D) a) = conj(D) U a, with U the physical step
+    spec = ChainSpec(L=L, gamma=3.0, v=10.0)
+    plan = build_step(build_chain_hamiltonian(spec), 0.37, symmetric)
+    gen = np.random.default_rng(L)
+    shape = (1 << L,) if rows == 1 else (rows, 1 << L)
+    amps = gen.normal(size=shape) + 1j * gen.normal(size=shape)
+    expected = amps.copy()
+    reference_apply_step(expected, spec, 0.37, symmetric)
+    expected *= gauge(L).conj()
+    amps *= gauge(L).conj()
+    apply_step(amps, plan)
+    assert np.max(np.abs(amps - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("symmetric", [False, True], ids=["first-order", "symmetric"])
+def test_blocks_above_qubit_zero_are_real(symmetric):
+    # the frame is the identity up to WINDOW qubits, where the step is one
+    # complex block; above that every block at lo > 0 is float64
+    for L in range(2, 17):
+        plan = build_step(build_chain_hamiltonian(ChainSpec(L=L, gamma=3.0, v=10.0)), 0.37, symmetric)
+        blocks = [g for g in plan.gates if isinstance(g, Block)]
+        assert blocks
+        for b in blocks:
+            assert b.m.dtype == (np.float64 if b.lo > 0 else np.complex128)
+        assert any(b.lo > 0 for b in blocks) == (L > WINDOW)
+        if L <= WINDOW:
+            assert np.all(gauge(L) == 1)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex64])
+def test_apply_step_rejects_other_dtypes(dtype):
+    # a float64 view of other bytes would be silently wrong
+    plan = build_step(build_chain_hamiltonian(ChainSpec(L=6, gamma=1.0, v=1.0)), 0.1)
+    for shape in ((64,), (2, 64)):
+        with pytest.raises(ValueError, match="complex128"):
+            apply_step(np.zeros(shape, dtype=dtype), plan)
+
+
+def test_phase_vector_matches_complex_exponential():
+    # dyadic angles make every Walsh-Hadamard sum exact, so phi is known
+    # exactly and only cos / -sin against exp(-i phi) is compared
+    L = 10
+    gen = np.random.default_rng(5)
+    theta = gen.integers(-64, 65, size=1 << L) / 16
+    k = np.arange(1 << L)
+    signs = np.where(np.bitwise_count(k[:, None] & k) & 1, -1.0, 1.0)
+    phi = signs @ theta
+    phases = _phase_vector(dict(enumerate(theta)), L)
+    assert phases.dtype == np.complex128
+    assert np.max(np.abs(phases - np.exp(-1j * phi))) <= 4e-16
 
 
 def test_build_step_rejects_bad_dt():
@@ -144,7 +193,11 @@ def test_apply_step_agrees_with_the_term_by_term_sweep(L, rows, symmetric, gamma
     amps = gen.normal(size=shape) + 1j * gen.normal(size=shape)
     expected = amps.copy()
     reference_apply_step(expected, spec, 0.37, symmetric)
+    # into the gauge frame and back; multiplying by powers of i is exact
+    d = gauge(L)
+    amps *= d.conj()
     apply_step(amps, plan)
+    amps *= d
     assert np.max(np.abs(amps - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
@@ -290,9 +343,9 @@ def test_step_equals_dense_product_of_rotations(L, gamma, v, dt, seed):
     amps /= np.linalg.norm(amps)
     expected = rotations(amps, dt, chain_terms(spec))
     s = init_basis_state(L, ())
-    s[:] = amps
+    s[:] = gauge(L).conj() * amps
     apply_step(s, build_step(build_chain_hamiltonian(spec), dt))
-    assert np.max(np.abs(s - expected)) <= 1e-12
+    assert np.max(np.abs(gauge(L) * s - expected)) <= 1e-12
 
 
 def test_plan_size_is_one_state_vector():
