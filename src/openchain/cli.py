@@ -37,7 +37,10 @@ def _lindblad_run(cfg: ScenarioConfig):
     """Integrate the master-equation oracle on the trajectory recording
     grid.  Its Hamiltonian comes from fermion operators, not from the
     Jordan-Wigner form the trajectories run, so a fault in that form's
-    hopping or diagonal shows up as a compare FAIL."""
+    hopping shows up as a compare FAIL, and one in its diagonal from
+    L = 3: at L = 2 the pair term sits on the one-state N = 2 sector
+    alone, where it is a phase.  A flipped sign of v cannot show at any
+    L; it is the conjugate step in a staggered gauge."""
     J = build_jump_operators(
         cfg.contacts, cfg.chain.L, include_depolarizing=cfg.include_depolarizing
     )

@@ -264,17 +264,18 @@ def parse_config(text: str) -> ScenarioConfig:
     v = _number(raw.get("v_meV", 0.0), "v_meV", errors)
     chain = None if None in (gamma, v) else ChainSpec(L, gamma, v)
 
+    # every run field checked under its own key; the run is built only if
+    # none of them is wrong
+    n_errors = len(errors)
     t_final = _number(raw.get("t_final", 0.0), "t_final", errors)
-    counts = {key: _count(raw.get(key, default), key, errors)
-              for key, default in (("N_t", 0), ("N_traj", 1), ("seed", 0), ("record_every", 1))}
-    if counts["seed"] is not None and counts["seed"] < 0:
-        errors.append(f"seed: must be >= 0, got {counts['seed']}")
-    run = None
-    if t_final is not None and None not in counts.values():
-        try:
-            run = RunConfig(t_final=t_final, **counts)
-        except ValueError as exc:
-            errors.append(f"run: {exc}")
+    if t_final is not None and t_final <= 0.0:
+        errors.append(f"t_final: must be positive, got {t_final!r}")
+    counts = {}
+    for key, default, least in (("N_t", 0, 1), ("N_traj", 1, 1), ("seed", 0, 0), ("record_every", 1, 1)):
+        counts[key] = _count(raw.get(key, default), key, errors)
+        if counts[key] is not None and counts[key] < least:
+            errors.append(f"{key}: must be >= {least}, got {counts[key]}")
+    run = RunConfig(t_final=t_final, **counts) if len(errors) == n_errors else None
     if run is not None:
         if mode == "compare" and run.N_t % run.record_every:
             errors.append(

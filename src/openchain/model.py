@@ -47,30 +47,19 @@ class ChainHamiltonian:
     """Jordan-Wigner image of the chain, in the form the step runs.
 
     Every bond (q, q+1) carries the hopping (gamma/2)(X_q X_{q+1} +
-    Y_q Y_{q+1}); the interaction is the diagonal sum of coeff * Z_mask
-    over `diagonal`, with Z_mask the product of Z on the bits of mask and
-    mask 0 the constant.
+    Y_q Y_{q+1}) and the interaction v n_q n_{q+1}, n = (I - Z)/2: a
+    diagonal whose value on basis state k is v times the adjacent
+    occupied pairs of k.
     """
 
     L: int
     gamma: float
-    diagonal: dict[int, float]
+    v: float
 
 
 def build_chain_hamiltonian(spec: ChainSpec) -> ChainHamiltonian:
-    """The chain in its Jordan-Wigner form.
-
-    The interaction n_q n_{q+1} maps to (v/4)(I - Z_q)(I - Z_{q+1}); its
-    expansion is summed per Z mask, bonds ascending.  The constant (mask
-    0) is kept so the spectrum matches the Fock-space oracle exactly.
-    """
-    diagonal: dict[int, float] = {}
-    if spec.v != 0.0:
-        quarter = spec.v / 4.0
-        for b in range(spec.L - 1):
-            for mask, coeff in ((0, quarter), (1 << b, -quarter), (2 << b, -quarter), (3 << b, quarter)):
-                diagonal[mask] = diagonal.get(mask, 0.0) + coeff
-    return ChainHamiltonian(spec.L, spec.gamma, diagonal)
+    """The chain in its Jordan-Wigner form."""
+    return ChainHamiltonian(spec.L, spec.gamma, spec.v)
 
 
 def _check_dense_size(L: int) -> None:

@@ -60,14 +60,14 @@ def chain_matrix(spec) -> np.ndarray:
 
 
 def form_matrix(h) -> np.ndarray:
-    """The dense matrix of a `ChainHamiltonian`: gamma/2 (XX + YY) on
-    every bond plus sum coeff * Z_mask over its diagonal."""
+    """The dense matrix of a `ChainHamiltonian`: gamma/2 (XX + YY) plus
+    (v/4)(I - Z_q)(I - Z_{q+1}) on every bond (q, q+1)."""
     terms = []
     for b in range(h.L - 1):
-        bond = "I" * b + "{0}{0}" + "I" * (h.L - b - 2)
-        terms += [(h.gamma / 2, bond.format("X")), (h.gamma / 2, bond.format("Y"))]
-    for mask, coeff in h.diagonal.items():
-        terms.append((coeff, "".join("Z" if mask >> q & 1 else "I" for q in range(h.L))))
+        bond = "I" * b + "{0}{1}" + "I" * (h.L - b - 2)
+        terms += [(h.gamma / 2, bond.format("X", "X")), (h.gamma / 2, bond.format("Y", "Y")),
+                  (h.v / 4, bond.format("I", "I")), (-h.v / 4, bond.format("Z", "I")),
+                  (-h.v / 4, bond.format("I", "Z")), (h.v / 4, bond.format("Z", "Z"))]
     return to_matrix(terms, h.L)
 
 

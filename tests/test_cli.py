@@ -235,19 +235,17 @@ def test_compare_oracle_does_not_share_the_step_hopping(tmp_path, monkeypatch):
     assert run_scenario(cfg, tmp_path, workers=1) == 2
 
 
-@pytest.mark.parametrize("name, flipped", [("compare-l3", (3, 6)), ("compare-l2", (1,))],
-                         ids=["l3-zz-signs", "l2-site-1-z-sign"])
-def test_compare_oracle_does_not_share_the_step_diagonal(tmp_path, monkeypatch, name, flipped):
-    # a fault in the diagonal, some Z masks' signs flipped, also runs in the
-    # trajectories only.  At L = 2 the ZZ term is constant on each
-    # particle-number sector, and every trajectory stays in one sector, so
-    # its sign cannot show there; the fault flips site 1's Z instead
-    def faulty(chain):
-        h = build_chain_hamiltonian(chain)
-        return replace(h, diagonal={m: -c if m in flipped else c for m, c in h.diagonal.items()})
-
-    monkeypatch.setattr("openchain.cli.build_chain_hamiltonian", faulty)
-    cfg = get_preset(name, n_traj=2000)
+def test_compare_oracle_does_not_share_the_step_diagonal(tmp_path, monkeypatch):
+    # a fault in the interaction, here doubled, also runs in the
+    # trajectories only.  It shows from L = 3: at L = 2 the pair term sits
+    # on the one-state N = 2 sector alone, so no fault of v can show there.
+    # A flipped sign of v cannot show at any L (see
+    # test_trotter.py::test_negated_interaction_is_the_conjugate_step_in_a_staggered_gauge)
+    monkeypatch.setattr(
+        "openchain.cli.build_chain_hamiltonian",
+        lambda chain: replace(build_chain_hamiltonian(chain), v=2 * chain.v),
+    )
+    cfg = get_preset("compare-l3", n_traj=2000)
     assert run_scenario(cfg, tmp_path, workers=1) == 2
 
 

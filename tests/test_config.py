@@ -43,6 +43,10 @@ MALFORMED = {
     "seed-fraction": ("seed", {"seed": 1.5}),
     "seed-negative": ("seed", {"seed": -1}),
     "record_every-fraction": ("record_every", {"record_every": 1.5}),
+    "N_t-zero": ("N_t", {"N_t": 0}),
+    "N_traj-zero": ("N_traj", {"N_traj": 0}),
+    "t_final-zero": ("t_final", {"t_final": 0}),
+    "record_every-zero": ("record_every", {"record_every": 0}),
     "f-bool": ("contacts[0].f", {"contacts": [{"site": 1, "Gamma_meV": 0.5, "f": True}]}),
     "site-bool": ("contacts[0].site", {"contacts": [{"site": True, "Gamma_meV": 0.5, "f": 1.0}]}),
     "init_sites-bool": ("init_sites", {"init_sites": [True]}),
@@ -205,7 +209,7 @@ def test_preset_parses_to_pinned_values(name):
 
 
 @pytest.mark.parametrize("args, keys, memory", [
-    (["--traj", "0"], ("run",), None),
+    (["--traj", "0"], ("N_traj",), None),
     (["--seed", "-1", "--traj", "10"], ("seed",), None),
     # the records of 500 fig3a trajectories (1.8 MB) exceed 1 MiB
     (["--traj", "500"], ("N_traj", "L"), 2**20),
@@ -228,6 +232,12 @@ def test_main_rejects_malformed_value(tmp_path, capsys, key, override):
     assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
     assert f"config error: {key}: " in capsys.readouterr().err
     assert not out.exists()  # rejected before anything ran
+
+
+def test_every_bad_run_field_is_reported_under_its_key():
+    with pytest.raises(ConfigError) as exc:
+        parse_config(json.dumps(dict(MINIMAL_OPEN, N_t=0, record_every=-2)))
+    assert exc.value.errors == ["N_t: must be >= 1, got 0", "record_every: must be >= 1, got -2"]
 
 
 def test_main_rejects_state_beyond_physical_memory(tmp_path, capsys, monkeypatch):

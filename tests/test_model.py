@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from openchain.model import ChainSpec, build_chain_hamiltonian, fermion_lowering, fock_matrix_oracle
-from pauli import chain_terms, form_matrix
+from pauli import form_matrix
 
 
 def test_chainspec_rejects_bad_length():
@@ -26,13 +26,12 @@ def test_chainspec_rejects_nonfinite_couplings():
 
 def test_two_site_hopping_terms():
     h = build_chain_hamiltonian(ChainSpec(L=2, gamma=1.0, v=0.0))
-    assert (h.L, h.gamma, h.diagonal) == (2, 1.0, {})
+    assert (h.L, h.gamma, h.v) == (2, 1.0, 0.0)
 
 
 def test_single_site_has_no_terms():
     # no bond, so neither hopping nor interaction
     h = build_chain_hamiltonian(ChainSpec(L=1, gamma=5.0, v=7.0))
-    assert h.diagonal == {}
     assert np.array_equal(form_matrix(h), np.zeros((2, 2)))
 
 
@@ -40,18 +39,6 @@ def test_three_site_matches_fock_oracle():
     spec = ChainSpec(L=3, gamma=3.0, v=10.0)
     jw = form_matrix(build_chain_hamiltonian(spec))
     assert np.max(np.abs(jw - fock_matrix_oracle(spec))) <= 1e-12
-
-
-def test_term_ordering_is_deterministic():
-    # the diagonal is the Pauli strings' I/Z terms bit for bit, summed and
-    # ordered as their merge: mask 0 first, then first appearance
-    for L in (2, 3, 6):
-        spec = ChainSpec(L=L, gamma=3.0, v=-7.3)
-        strings = {sum(1 << q for q, c in enumerate(s) if c == "Z"): c
-                   for c, s in chain_terms(spec) if set(s) <= {"I", "Z"}}
-        diagonal = build_chain_hamiltonian(spec).diagonal
-        assert list(diagonal.items()) == list(strings.items())
-        assert next(iter(diagonal)) == 0
 
 
 def test_fock_oracle_two_site_hopping_matrix():

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from openchain.model import ChainSpec, build_chain_hamiltonian
+from openchain.model import ChainSpec, build_chain_hamiltonian, fock_matrix_oracle
 from openchain.state import init_basis_state
 from openchain.trotter import WINDOW, Block, _phase_vector, apply_step, build_step
 from pauli import chain_matrix, chain_terms, gauge, propagator, rotations
@@ -123,17 +123,34 @@ def test_apply_step_rejects_other_dtypes(dtype):
 
 
 def test_phase_vector_matches_complex_exponential():
-    # dyadic angles make every Walsh-Hadamard sum exact, so phi is known
-    # exactly and only cos / -sin against exp(-i phi) is compared
-    L = 10
-    gen = np.random.default_rng(5)
-    theta = gen.integers(-64, 65, size=1 << L) / 16
+    # the interaction's diagonal at v = 1 counts the adjacent occupied
+    # pairs of each basis state, so phi is the same product on both sides
+    # and only cos / -sin against exp(-i phi) is compared
+    for L in range(1, 10):
+        pairs = np.diag(fock_matrix_oracle(ChainSpec(L, 0.0, 1.0))).real
+        for theta in (1.25, -0.37, 2.9e3):
+            phases = _phase_vector(theta, L)
+            assert phases.dtype == np.complex128
+            assert np.max(np.abs(phases - np.exp(-1j * theta * pairs))) <= 4e-16
+
+
+@pytest.mark.parametrize("symmetric", [False, True], ids=["first-order", "symmetric"])
+def test_negated_interaction_is_the_conjugate_step_in_a_staggered_gauge(symmetric):
+    # U = prod of Z on the odd qubits negates every hopping term and keeps
+    # the diagonal, so the step at -v is U conj(step at v) U.  Densities
+    # read |a|^2 and the contacts are real and commute with U up to a
+    # sign, so from a basis state a flipped sign of v cannot show in any
+    # density, at any L
+    L = 8
     k = np.arange(1 << L)
-    signs = np.where(np.bitwise_count(k[:, None] & k) & 1, -1.0, 1.0)
-    phi = signs @ theta
-    phases = _phase_vector(dict(enumerate(theta)), L)
-    assert phases.dtype == np.complex128
-    assert np.max(np.abs(phases - np.exp(-1j * phi))) <= 4e-16
+    u = np.where(np.bitwise_count(k & 0b10101010) & 1, -1.0, 1.0)
+
+    def step(v):
+        m = np.eye(1 << L, dtype=complex)
+        apply_step(m, build_step(build_chain_hamiltonian(ChainSpec(L, 3.0, v)), 0.37, symmetric))
+        return gauge(L)[:, None] * m.T * gauge(L).conj()
+
+    assert np.max(np.abs(step(-10.0) - u[:, None] * step(10.0).conj() * u)) <= 1e-12
 
 
 def test_build_step_rejects_bad_dt():
@@ -146,12 +163,13 @@ def test_build_step_rejects_bad_dt():
 def test_empty_plan_is_identity():
     # no couplings, or no bond to carry them
     for spec in (ChainSpec(L=2, gamma=0.0), ChainSpec(L=1, gamma=5.0, v=7.0)):
-        plan = build_step(build_chain_hamiltonian(spec), 0.3)
-        assert plan.gates == ()
-        s = init_basis_state(spec.L, (0,))
-        before = s.copy()
-        apply_step(s, plan)
-        assert np.array_equal(s, before)
+        for symmetric in (False, True):
+            plan = build_step(build_chain_hamiltonian(spec), 0.3, symmetric)
+            assert plan.gates == ()
+            s = init_basis_state(spec.L, (0,))
+            before = s.copy()
+            apply_step(s, plan)
+            assert np.array_equal(s, before)
 
 
 def test_apply_step_rejects_size_mismatch():
