@@ -275,6 +275,10 @@ def parse_config(text: str) -> ScenarioConfig:
         counts[key] = _count(raw.get(key, default), key, errors)
         if counts[key] is not None and counts[key] < least:
             errors.append(f"{key}: must be >= {least}, got {counts[key]}")
+    if len(errors) == n_errors and not 0.0 < t_final / counts["N_t"] < math.inf:
+        # dt sizes every rate (eta / dt) and must not underflow: 5e-324 / 2 is 0.0
+        errors.append(f"t_final: t_final / N_t must be positive and finite, got "
+                      f"{t_final!r} / {counts['N_t']} = {t_final / counts['N_t']!r}")
     run = RunConfig(t_final=t_final, **counts) if len(errors) == n_errors else None
     if run is not None:
         if mode == "compare" and run.N_t % run.record_every:

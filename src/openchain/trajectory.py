@@ -9,6 +9,26 @@ as possible.  The partition depends only on L and N_traj, the pool hands
 out whole batches, and the reduction is ordered by trajectory id, so the
 result is byte-identical for any worker count.
 
+BATCH_AMPS = 2^15 comes from the cost per row of one first-order step
+(apply_step, one reset_to call, all_densities) against the batch size,
+with contacts (Gamma dt = 0.45) at the two ends / on every site, in us;
+2-core Intel Xeon host, one BLAS thread, the three sizes interleaved,
+median of 15 rounds of 10 steps:
+
+| L | 2^14 amplitudes | 2^15 | 2^16 |
+|---|---|---|---|
+| 3 | 0.4 / 0.6 | 0.4 / 0.5 | 0.4 / 0.6 |
+| 6 | 2.6 / 3.8 | 2.2 / 3.2 | 2.1 / 3.1 |
+| 8 | 6.5 / 15.5 | 5.6 / 12.7 | 5.3 / 11.5 |
+| 10 | 31.2 / 69.5 | 25.1 / 56.7 | 31.5 / 56.6 |
+| 12 | 105 / 279 | 90 / 236 | 94 / 218 |
+| 14 | 392 / 928 | 365 / 877 | 391 / 927 |
+
+2^15 is 10-20% cheaper than 2^14 from L = 6 to 12; a repeat run
+agreed to about 15%, except L = 10 on every site (108 / 83 / 82).
+2^16 gains little more and halves the batches a pool can spread over
+its workers: 200 trajectories of L = 8 would be a single batch.
+
 Draw discipline.  Trajectory k draws from its own stream (seed, k).
 Every (step, contact) takes exactly two uniforms from it, the action
 first and then the measurement, whether the contact acts, does nothing
@@ -35,9 +55,9 @@ import numpy as np
 from .state import RngStream, all_densities, init_basis_state, reset_to
 from .trotter import TrotterPlan, apply_step
 
-# amplitudes per batch, B * 2^L: 256 KiB of state, so B = 64 at L = 8
-# and B = 1 from L = 14 up
-BATCH_AMPS = 1 << 14
+# amplitudes per batch, B * 2^L: 512 KiB of state, so B = 128 at L = 8
+# and B = 1 from L = 15 up (see the table in the module docstring)
+BATCH_AMPS = 1 << 15
 # uniforms a batch draws at a time (128 KiB as float64, 0.75 MiB at the
 # peak of RngStream.uniform), so the draws take bounded memory for any N_t
 DRAW_CHUNK = 1 << 14
@@ -189,7 +209,8 @@ def run_trajectory(
 
     Per step: apply the Trotter step, then for each contact in list
     order inject (reset to |1>), remove (reset to |0>) or do nothing per
-    the step probabilities, every row by its own draws; a symmetric
+    the step probabilities, every row by its own draws, all in one
+    reset_to call (none when no contact acts on any row); a symmetric
     plan applies its half step once more after the contacts.  Densities
     are the exact state-vector expectations, recorded at the end of the
     step.  The contacts are validated by run_ensemble; here eta > 1 is
@@ -216,13 +237,12 @@ def run_trajectory(
         u = rng.uniform((n, n_c, 2))
         target = np.where(u[..., 0] < p_in, 1, np.where(u[..., 0] < p_act, 0, -1)).astype(np.int8)
         measured = np.full_like(target, -1)
-        acts = (target >= 0).any(axis=0).tolist()
+        acts = (target >= 0).any(axis=(0, 2)).tolist()
         for j in range(n):
             step = start + j + 1
             apply_step(state, plan)
-            for i, c in enumerate(contacts):
-                if acts[j][i]:
-                    measured[:, j, i] = reset_to(state, c.q, target[:, j, i], u[:, j, i, 1]).measured
+            if acts[j]:
+                measured[:, j] = reset_to(state, qs, target[:, j], u[:, j, :, 1]).measured
             if plan.symmetric:
                 apply_step(state, plan)
             if step % cfg.record_every == 0:

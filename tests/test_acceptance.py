@@ -265,8 +265,8 @@ def test_criterion_9_measurement_statistics():
         p1 = float(np.abs(amps[1]) ** 2)
         # one row per draw, each measured once with the stream's next uniform
         s = np.tile(amps, (draws, 1))
-        target = np.zeros(draws, dtype=np.int8)
-        ones = int(reset_to(s, 0, target, RngStream(900 + i).uniform(draws)[0]).measured.sum())
+        target = np.zeros((draws, 1), dtype=np.int8)
+        ones = int(reset_to(s, [0], target, RngStream(900 + i).uniform((draws, 1))[0]).measured.sum())
         z = (ones - draws * p1) / math.sqrt(draws * p1 * (1.0 - p1))
         worst_z = max(worst_z, abs(z))
         chi2 += z * z

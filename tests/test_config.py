@@ -46,6 +46,9 @@ MALFORMED = {
     "N_t-zero": ("N_t", {"N_t": 0}),
     "N_traj-zero": ("N_traj", {"N_traj": 0}),
     "t_final-zero": ("t_final", {"t_final": 0}),
+    # t_final / N_t underflows to a step of 0.0
+    "dt-underflow": ("t_final", {"t_final": 5e-324, "contacts": [{"site": 1, "eta": 0.5, "f": 1.0}]}),
+    "dt-underflow-closed": ("t_final", {"mode": "closed", "t_final": 5e-324, "contacts": []}),
     "record_every-zero": ("record_every", {"record_every": 0}),
     "f-bool": ("contacts[0].f", {"contacts": [{"site": 1, "Gamma_meV": 0.5, "f": True}]}),
     "site-bool": ("contacts[0].site", {"contacts": [{"site": True, "Gamma_meV": 0.5, "f": 1.0}]}),
@@ -292,9 +295,9 @@ def test_state_bytes_cover_the_measured_peak_of_a_batch(symmetric):
 
 @pytest.mark.parametrize("L, rows, n_contacts, N_t", [
     (14, 1, 2, 4), (14, 1, 2, 1024), (8, 64, 8, 40), (2, 1, 2, 4096),
-    (4, 1024, 4, 100), (2, 4096, 2, 200),
+    (4, 1024, 4, 100), (2, 4096, 2, 200), (8, 128, 8, 40), (14, 2, 2, 40),
 ], ids=["L14-short", "L14-full-chunk", "L8-every-site", "L2-full-table",
-        "L4-merged-events", "L2-merged-events"])
+        "L4-merged-events", "L2-merged-events", "L8-every-site-128-rows", "L14-two-rows"])
 def test_check_memory_covers_the_measured_peak_of_a_process(L, rows, n_contacts, N_t, monkeypatch):
     # what one process running one batch holds at its peak, its plan
     # included, from a fresh process's state: no jump table beyond its

@@ -11,6 +11,7 @@ from openchain.model import ChainSpec, build_chain_hamiltonian, fermion_lowering
 from openchain import state
 from openchain.state import (
     FORCED_EPS,
+    Resets,
     RngStream,
     _jw_signs,
     _outcomes,
@@ -60,6 +61,13 @@ def reference_reset_to(amps, q, target, u):
     amps[acting] = sub
     measured[acting] = m
     return measured, flip.size
+
+
+def reset_one(amps, q, target, u):
+    """A single contact on qubit q through the step kernel: the contact
+    axis added to target and u, and taken off measured again."""
+    res = reset_to(amps, [q], np.expand_dims(target, -1), np.expand_dims(u, -1))
+    return Resets(res.measured[..., 0], res.changed)
 
 
 def test_init_vacuum():
@@ -137,19 +145,19 @@ def test_flip_is_involution():
     s, amps = random_state(3, 7)
     s[:] = amps
     rng = RngStream(0)
-    reset_to(s, 1, 0, rng.uniform()[0])
+    reset_one(s, 1, 0, rng.uniform()[0])
     after = s.copy()
-    assert reset_to(s, 1, 1, rng.uniform()[0]).changed and reset_to(s, 1, 0, rng.uniform()[0]).changed
+    assert reset_one(s, 1, 1, rng.uniform()[0]).changed and reset_one(s, 1, 0, rng.uniform()[0]).changed
     assert np.max(np.abs(s - after)) <= 1e-15
 
 
 def test_flip_swaps_amplitudes():
     s = init_basis_state(1, ())
-    assert reset_to(s, 0, 1, 0.5).changed
+    assert reset_one(s, 0, 1, 0.5).changed
     assert np.array_equal(s, [0, 1])
     # qubit 0 occupied: the flip of qubit 1 carries the sign -1
     s = init_basis_state(2, (0,))
-    reset_to(s, 1, 1, 0.5)
+    reset_one(s, 1, 1, 0.5)
     assert np.array_equal(s, [0, 0, 0, -1])
 
 
@@ -165,7 +173,7 @@ def test_flip_is_fermionic_c_plus_c_dag(L, seed):
         for target in (0, 1):
             s = init_basis_state(L, ())
             s[:] = amps
-            ev = reset_to(s, q, target, RngStream(seed, q).uniform()[0])
+            ev = reset_one(s, q, target, RngStream(seed, q).uniform()[0])
             projected = np.where((bits >> q) & 1 == ev.measured, amps, 0.0)
             expected = projected / np.linalg.norm(projected)
             if ev.measured != target:
@@ -190,7 +198,7 @@ def test_batched_reset_is_the_dense_formula_row_by_row(seed):
         for q in range(L):
             c = fermion_lowering(q, L)
             s = amps.copy()
-            res = reset_to(s, q, target, u)
+            res = reset_one(s, q, target, u)
             assert res.measured.tolist() == [1, 0, 1, 0, -1, -1]
             assert res.changed == 2
             for row, (t, m) in enumerate(zip(target, res.measured)):
@@ -206,17 +214,17 @@ def test_batched_reset_is_the_dense_formula_row_by_row(seed):
 def test_forced_outcome_ignores_the_uniform():
     # |00>: q=1 reads 0 even for u = 0; |01>: q=0 reads 1 even for u -> 1
     s = init_basis_state(2, ())
-    assert reset_to(s, 1, 0, 0.0).measured == 0
+    assert reset_one(s, 1, 0, 0.0).measured == 0
     assert np.array_equal(s, init_basis_state(2, ()))
     s = init_basis_state(2, (0,))
-    assert reset_to(s, 0, 1, 1 - 1e-16).measured == 1
+    assert reset_one(s, 0, 1, 1 - 1e-16).measured == 1
     assert np.array_equal(s, init_basis_state(2, (0,)))
 
 
 def test_measure_born_statistics():
     n = 10_000
     s = np.tile([1 / np.sqrt(2), 1 / np.sqrt(2)], (n, 1)).astype(complex)
-    ones = reset_to(s, 0, np.zeros(n, dtype=np.int8), RngStream(11).uniform(n)[0]).measured.sum()
+    ones = reset_one(s, 0, np.zeros(n, dtype=np.int8), RngStream(11).uniform(n)[0]).measured.sum()
     assert ones / n == pytest.approx(0.5, abs=0.02)
 
 
@@ -225,7 +233,7 @@ def test_measure_after_small_x_rotation():
     p_expected = np.sin(0.3) ** 2
     n = 10_000
     s = np.tile([np.cos(0.3), -1j * np.sin(0.3)], (n, 1))
-    ones = reset_to(s, 0, np.zeros(n, dtype=np.int8), RngStream(13).uniform(n)[0]).measured.sum()
+    ones = reset_one(s, 0, np.zeros(n, dtype=np.int8), RngStream(13).uniform(n)[0]).measured.sum()
     sigma = np.sqrt(p_expected * (1 - p_expected) / n)
     assert abs(ones / n - p_expected) <= 4 * sigma
 
@@ -234,8 +242,8 @@ def test_measure_collapses_and_renormalizes():
     # a reset to the measured outcome is the bare collapse
     s, amps = random_state(3, 3)
     s[:] = amps
-    measured = reset_to(amps.copy(), 1, 0, RngStream(0).uniform()[0]).measured
-    ev = reset_to(s, 1, measured, RngStream(0).uniform()[0])
+    measured = reset_one(amps.copy(), 1, 0, RngStream(0).uniform()[0]).measured
+    ev = reset_one(s, 1, measured, RngStream(0).uniform()[0])
     assert (ev.measured, ev.changed) == (measured, False)
     assert np.linalg.norm(s) == pytest.approx(1.0, abs=1e-12)
     assert all_densities(s)[1] == pytest.approx(float(measured), abs=1e-12)
@@ -244,18 +252,18 @@ def test_measure_collapses_and_renormalizes():
 def test_reset_examples():
     rng = RngStream(1)
     s = init_basis_state(1, (0,))
-    ev = reset_to(s, 0, 1, rng.uniform()[0])
+    ev = reset_one(s, 0, 1, rng.uniform()[0])
     assert (ev.measured, ev.changed) == (1, False)
     assert s[1] == 1.0
 
     s = init_basis_state(1, ())
-    ev = reset_to(s, 0, 1, rng.uniform()[0])
+    ev = reset_one(s, 0, 1, rng.uniform()[0])
     assert (ev.measured, ev.changed) == (0, True)
     assert s[1] == 1.0
 
     s = init_basis_state(1, ())
     s[:] = [1 / np.sqrt(2), 1 / np.sqrt(2)]
-    ev = reset_to(s, 0, 0, rng.uniform()[0])
+    ev = reset_one(s, 0, 0, rng.uniform()[0])
     assert abs(s[0]) == pytest.approx(1.0, abs=1e-12)
     assert ev.changed == (ev.measured == 1)
 
@@ -265,7 +273,7 @@ def test_reset_rejects_non_contiguous_input():
     big = np.tile(init_basis_state(3, (0,)), (4, 1))
     for amps in (big[::2], np.asfortranarray(big)):
         with pytest.raises(ValueError, match="C-contiguous"):
-            reset_to(amps, 0, np.zeros(len(amps), dtype=np.int8), np.zeros(len(amps)))
+            reset_one(amps, 0, np.zeros(len(amps), dtype=np.int8), np.zeros(len(amps)))
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.complex64])
@@ -277,7 +285,7 @@ def test_kernels_reject_other_dtypes(dtype):
             all_densities(amps)
         target = np.zeros(amps.shape[:-1], dtype=np.int8)
         with pytest.raises(ValueError, match="reset_to needs complex128"):
-            reset_to(amps, 0, target, np.zeros(amps.shape[:-1]))
+            reset_one(amps, 0, target, np.zeros(amps.shape[:-1]))
 
 
 @settings(max_examples=60, deadline=None)
@@ -302,16 +310,56 @@ def test_reset_is_bit_identical_to_the_two_pass_kernel(L, rows, seed):
         u = gen.random(shape[:-1])
         expected = amps.copy()
         measured, changed = reference_reset_to(expected, q, target, u)
-        res = reset_to(amps, q, target, u)
+        res = reset_one(amps, q, target, u)
         assert np.array_equal(amps, expected)
         assert np.array_equal(res.measured.reshape(-1), measured) and res.changed == changed
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    L=st.integers(min_value=1, max_value=8),
+    rows=st.sampled_from([1, 3, 50]),
+    seed=st.integers(min_value=0, max_value=999),
+)
+def test_step_kernel_is_the_contacts_one_by_one_in_list_order(L, rows, seed):
+    # one call over a step's contacts against the two-pass kernel applied
+    # contact by contact: every qubit, below and above K = L // 2, then
+    # two repeats, the first read forced by the earlier reset of its
+    # qubit and the last acting on no row; rows whose first outcome is
+    # forced because one half of its qubit is empty
+    gen = np.random.default_rng(seed)
+    qs = gen.permutation(L).tolist() + gen.integers(L, size=2).tolist()
+    shape = (1 << L,) if rows == 1 else (rows, 1 << L)
+    amps = gen.normal(size=shape) + 1j * gen.normal(size=shape)
+    halves = amps.reshape(-1, 1 << (L - qs[0] - 1), 2, 1 << qs[0])
+    forced = gen.integers(-1, 2, size=len(halves))
+    for r in np.flatnonzero(forced >= 0):
+        halves[r, :, forced[r], :] = 0.0
+    amps /= np.linalg.norm(amps, axis=-1, keepdims=True)
+    target = gen.integers(-1, 2, size=shape[:-1] + (len(qs),)).astype(np.int8)
+    target[..., -1] = -1
+    u = gen.random(target.shape)
+    expected = amps.copy()
+    want = [reference_reset_to(expected, q, target[..., i], u[..., i]) for i, q in enumerate(qs)]
+    res = reset_to(amps, qs, target, u)
+    assert np.array_equal(amps, expected)
+    assert res.measured.shape == target.shape and (res.measured[..., -1] == -1).all()
+    assert np.array_equal(res.measured.reshape(-1, len(qs)), np.stack([m for m, _ in want], axis=1))
+    assert res.changed == sum(c for _, c in want)
+
+
 def test_reset_rejects_bad_target():
     with pytest.raises(ValueError):
-        reset_to(init_basis_state(1, ()), 0, 2, 0.5)
+        reset_one(init_basis_state(1, ()), 0, 2, 0.5)
     with pytest.raises(ValueError):
-        reset_to(init_basis_state(1, ()), 0, np.zeros(2, dtype=np.int8), np.zeros(2))
+        reset_one(init_basis_state(1, ()), 0, np.zeros(2, dtype=np.int8), np.zeros(2))
+    # the contact axis must match the qubit list, and every qubit the state
+    s = init_basis_state(2, ())
+    with pytest.raises(ValueError, match="shape"):
+        reset_to(s, [0, 1], np.zeros(1, dtype=np.int8), np.zeros(1))
+    with pytest.raises(ValueError, match="out of range"):
+        reset_to(s, [0, 2], np.zeros(2, dtype=np.int8), np.zeros(2))
+    assert np.array_equal(s, init_basis_state(2, ()))
 
 
 @settings(max_examples=40, deadline=None)
@@ -323,7 +371,7 @@ def test_reset_rejects_bad_target():
 def test_reset_pins_expectation_exactly(seed, q, target):
     s, amps = random_state(3, seed)
     s[:] = amps
-    reset_to(s, q, target, RngStream(seed).uniform()[0])
+    reset_one(s, q, target, RngStream(seed).uniform()[0])
     assert all_densities(s)[q] == pytest.approx(float(target), abs=1e-12)
     assert np.linalg.norm(s) == pytest.approx(1.0, abs=1e-10)
 

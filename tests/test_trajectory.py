@@ -236,9 +236,10 @@ def test_batches_partition_the_trajectories(L, n_traj):
 
 
 def test_batch_sizes_follow_the_byte_budget():
-    assert batches(8, 64) == [(0, 64)]
+    assert batches(8, 128) == [(0, 128)]
     assert batches(3, 400) == [(0, 400)]
-    assert batches(14, 3) == [(0, 1), (1, 1), (2, 1)]
+    assert batches(14, 3) == [(0, 2), (2, 1)]
+    assert batches(15, 3) == [(0, 1), (1, 1), (2, 1)]
 
 
 def test_default_workers_follow_the_affinity_mask(monkeypatch):
@@ -252,7 +253,8 @@ def test_default_workers_follow_the_affinity_mask(monkeypatch):
 def test_draw_layout_two_uniforms_per_contact_step(monkeypatch):
     # trajectory k's uniforms are its (seed, k) stream in (step, contact,
     # {action, measurement}) order, forced outcomes included, however
-    # many steps are drawn at a time: here 2 steps per chunk
+    # many steps are drawn at a time: here 2 steps per chunk.  reset_to
+    # runs once per step in which any contact acts, on all its contacts
     monkeypatch.setattr(trajectory, "DRAW_CHUNK", 24)
     steps, calls = [0], []
     real_step, real_reset = trajectory.apply_step, trajectory.reset_to
@@ -261,9 +263,9 @@ def test_draw_layout_two_uniforms_per_contact_step(monkeypatch):
         steps[0] += 1
         return real_step(state, plan)
 
-    def recording_reset(state, q, target, u):
-        calls.append((steps[0], q, target.tolist(), u.tolist()))
-        return real_reset(state, q, target, u)
+    def recording_reset(state, qs, target, u):
+        calls.append((steps[0], list(qs), target.tolist(), u.tolist()))
+        return real_reset(state, qs, target, u)
 
     monkeypatch.setattr(trajectory, "apply_step", counting_step)
     monkeypatch.setattr(trajectory, "reset_to", recording_reset)
@@ -280,14 +282,14 @@ def test_draw_layout_two_uniforms_per_contact_step(monkeypatch):
         a = draws[:, :, i, 0]
         want[:, :, i] = np.where(a < p_in, 1, np.where(a < p_in + p_out, 0, -1))
     called = set()
-    for step, q, target, u in calls:
-        assert target == want[:, step - 1, q].tolist()
-        assert u == draws[:, step - 1, q, 1].tolist()
-        called.add((step, q))
+    for step, qs, target, u in calls:
+        assert qs == [c.q for c in contacts]
+        assert target == want[:, step - 1].tolist()
+        assert u == draws[:, step - 1, :, 1].tolist()
+        called.add(step)
     for step in range(1, 11):
-        for i in range(2):
-            if (step, i) not in called:
-                assert (want[:, step - 1, i] == -1).all()
+        if step not in called:
+            assert (want[:, step - 1] == -1).all()
     acting = [[5 + b, s + 1, i, want[b, s, i]]
               for b in range(3) for s in range(10) for i in range(2) if want[b, s, i] >= 0]
     assert rec.events[:, :4].tolist() == acting
