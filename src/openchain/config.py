@@ -156,8 +156,10 @@ def _running_bytes(L: int, rows: int, contacts, run: RunConfig) -> float:
 def check_memory(cfg: ScenarioConfig, workers: int) -> None:
     """Raise ConfigError, under the key of the largest factor, if the
     estimated peak memory of `cfg` run on `workers` processes exceeds
-    physical memory.  It counts a batch in flight on each of
-    min(workers, batches) processes, as many as run_ensemble starts."""
+    physical memory.  It counts a batch in flight in each process that
+    holds one: min(workers, batches) processes, which is the calling
+    process alone when that number is 1, and in compare mode the
+    calling process's oracle on top."""
     L, run, contacts = cfg.chain.L, cfg.run, cfg.contacts
     n_traj = 1 if cfg.mode == "closed" else run.N_traj
     n_batches = batch_count(L, n_traj)
@@ -275,6 +277,10 @@ def parse_config(text: str) -> ScenarioConfig:
         counts[key] = _count(raw.get(key, default), key, errors)
         if counts[key] is not None and counts[key] < least:
             errors.append(f"{key}: must be >= {least}, got {counts[key]}")
+    n_t, every = counts["N_t"], counts["record_every"]
+    if n_t is not None and every is not None and 1 <= n_t < every:
+        # the first record would fall after the last step: only t = 0 is recorded
+        errors.append(f"record_every: must not exceed N_t, got record_every={every}, N_t={n_t}")
     if len(errors) == n_errors and not 0.0 < t_final / counts["N_t"] < math.inf:
         # dt sizes every rate (eta / dt) and must not underflow: 5e-324 / 2 is 0.0
         errors.append(f"t_final: t_final / N_t must be positive and finite, got "

@@ -299,8 +299,8 @@ def run_ensemble(
     The trajectories run in the batches of `batches(L, N_traj)`, which
     no worker count changes, and the reduction is ordered by trajectory
     id, so the result is bit-identical for any worker count.  With one
-    worker or one trajectory the batches run in this process; otherwise
-    a pool of min(workers, batches) processes runs them, at most one per
+    worker or one batch the batches run in this process; otherwise a
+    pool of min(workers, batches) processes runs them, at most one per
     batch.  `workers` defaults to default_workers().
     """
     errors = validate_contacts(contacts, plan.L, cfg.dt)
@@ -311,15 +311,14 @@ def run_ensemble(
     elif workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     todo = batches(plan.L, cfg.N_traj)
-    if min(workers, cfg.N_traj) == 1:
+    procs = min(workers, len(todo))
+    if procs == 1:
+        # nothing to spread: a pool would only add its start-up and
+        # shutdown while this process waits for its one worker
         records = [run_trajectory(plan, contacts, cfg, init, *b) for b in todo]
     else:
-        # a one-batch ensemble of many trajectories still runs in a worker:
-        # the calling process keeps the reduction and, in compare mode, the
-        # oracle, while the engine's state, draw chunks and their
-        # temporaries stay in the worker
         with ProcessPoolExecutor(
-            max_workers=min(workers, len(todo)),
+            max_workers=procs,
             initializer=_init_worker,
             initargs=(plan, contacts, cfg, init),
         ) as pool:

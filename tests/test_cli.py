@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import openchain
+from openchain import trajectory
 from openchain.cli import compare_verdict, main, run_scenario, scenario_step
 from openchain.config import get_preset, parse_config
 from openchain.model import build_chain_hamiltonian
@@ -305,19 +306,72 @@ def test_scenario_writes_exact_file_set(tmp_path, raw, files):
     assert {p.name for p in tmp_path.iterdir()} == files
 
 
+def assert_same_files_at_1_2_and_8_workers(tmp_path, raw, codes=(0,)):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    for workers in ("1", "2", "8"):
+        out = tmp_path / workers
+        assert main(["run", "--config", str(cfg_path), "--out", str(out), "--workers", workers]) in codes
+    for name in SCENARIO_FILES[raw["mode"]][1]:
+        serial = (tmp_path / "1" / name).read_bytes()
+        assert serial == (tmp_path / "2" / name).read_bytes() == (tmp_path / "8" / name).read_bytes()
+
+
 def test_outputs_byte_identical_for_any_worker_count(tmp_path):
     # at L = 8 a batch holds at most 64 trajectories: 150 are three batches of 50
     raw = {"mode": "open", "L": 8, "gamma_meV": 3.0, "v_meV": 10.0,
            "contacts": [{"site": s, "Gamma_meV": 0.9, "f": float(s % 2)} for s in (1, 4, 8)],
            "t_final": 4.0, "N_t": 8, "N_traj": 150, "seed": 5, "init_sites": [1, 3]}
+    assert_same_files_at_1_2_and_8_workers(tmp_path, raw)
+
+
+def test_compare_outputs_byte_identical_for_any_worker_count(tmp_path):
+    # shaped like the compare-l3 preset, with few trajectories: one batch
+    raw = dict(COMPARE_CONFIG, L=3, contacts=[{"site": 1, "Gamma_meV": 0.5, "f": 1.0},
+                                              {"site": 3, "Gamma_meV": 0.5, "f": 0.0}], N_traj=60)
+    assert_same_files_at_1_2_and_8_workers(tmp_path, raw, codes=(0, 2))
+
+
+def test_one_batch_starts_no_pool(tmp_path, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise RuntimeError("a process pool was started")
+
+    monkeypatch.setattr(trajectory, "ProcessPoolExecutor", no_pool)
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(raw))
-    for workers in ("1", "2", "8"):
-        out = tmp_path / workers
-        assert main(["run", "--config", str(cfg_path), "--out", str(out), "--workers", workers]) == 0
-    for name in ("density.csv", "events.csv"):
-        serial = (tmp_path / "1" / name).read_bytes()
-        assert serial == (tmp_path / "2" / name).read_bytes() == (tmp_path / "8" / name).read_bytes()
+    cfg_path.write_text(json.dumps(OPEN_CONFIG))  # 20 trajectories of L = 2: one batch
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "one"), "--workers", "2"]) == 0
+    # two batches are spread over a pool
+    cfg_path.write_text(json.dumps(dict(OPEN_CONFIG, L=8, N_traj=150)))
+    with pytest.raises(RuntimeError, match="pool"):
+        main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "two"), "--workers", "2"])
+
+
+def test_verdict_names_the_cell_of_the_largest_excess():
+    class FakeLind:
+        densities = np.array([[0.5, 0.0, 0.0], [0.0, 0.0, 0.1], [0.0, 0.2, 0.0]])
+        max_trace_drift = max_hermiticity_defect = min_eigenvalue = 0.0
+
+    # the largest deviation, at (site 1, t = 0), lies within 3 stderr
+    stderr = np.zeros((3, 3))
+    stderr[0, 0] = 0.2
+    verdict = compare_verdict(one_point_result(np.zeros((3, 3)), stderr), FakeLind())
+    assert verdict["max_abs_deviation"] == 0.5
+    assert verdict["max_excess_over_sigma"] == 0.2
+    assert (verdict["worst_site"], verdict["worst_t"]) == (2, 2.0)
+
+
+def test_compare_names_its_worst_cell(tmp_path, capsys):
+    # no hopping: site 1 stays empty in both, while site 2 fills at
+    # eta = 0.95 per step against 1 - exp(-0.95 t / dt) in the oracle;
+    # the gap, 0.34 after one step, 0.15 after two, peaks at t = dt = 0.5
+    raw = dict(COMPARE_CONFIG, gamma_meV=0.0, v_meV=0.0,
+               contacts=[{"site": 2, "Gamma_meV": 1.9, "f": 1.0}],
+               N_t=20, N_traj=300, init_sites=[])
+    code = run_scenario(parse_config(json.dumps(raw)), tmp_path, workers=1)
+    verdict = json.loads((tmp_path / "verdict.json").read_text())
+    assert code == 2
+    assert (verdict["worst_site"], verdict["worst_t"]) == (2, 0.5)
+    assert "at site 2, t = 0.5, FAIL" in capsys.readouterr().out
 
 
 def test_verdict_includes_oracle_health():

@@ -6,7 +6,7 @@ import tracemalloc
 import pytest
 
 from openchain import config, state
-from openchain.cli import main
+from openchain.cli import main, run_scenario
 from openchain.config import (
     ConfigError,
     PRESETS,
@@ -62,6 +62,10 @@ MALFORMED = {
     "emit_heatmap-string": ("emit_heatmap", {"emit_heatmap": "false"}),
     "include_depolarizing-number": ("include_depolarizing", {"include_depolarizing": 0}),
     "compare-off-grid": ("record_every", {"mode": "compare", "N_t": 40, "record_every": 3}),
+    # nothing would be recorded after t = 0
+    "record_every-beyond-N_t": ("record_every", {"L": 3, "N_t": 2, "record_every": 5}),
+    "record_every-beyond-N_t-closed": ("record_every", {"mode": "closed", "contacts": [],
+                                                       "N_t": 2, "record_every": 5}),
     "N_t-beyond-memory": ("N_t", {"N_t": 10**12}),
     "N_traj-beyond-memory": ("N_traj", {"N_traj": 10**12}),
     # eta = 0.5 on each of two contacts: one event row per step and
@@ -241,6 +245,10 @@ def test_every_bad_run_field_is_reported_under_its_key():
     with pytest.raises(ConfigError) as exc:
         parse_config(json.dumps(dict(MINIMAL_OPEN, N_t=0, record_every=-2)))
     assert exc.value.errors == ["N_t: must be >= 1, got 0", "record_every: must be >= 1, got -2"]
+    with pytest.raises(ConfigError) as exc:
+        parse_config(json.dumps(dict(MINIMAL_OPEN, t_final=0, record_every=5)))
+    assert exc.value.errors == ["t_final: must be positive, got 0.0",
+                                "record_every: must not exceed N_t, got record_every=5, N_t=2"]
 
 
 def test_main_rejects_state_beyond_physical_memory(tmp_path, capsys, monkeypatch):
@@ -317,6 +325,27 @@ def test_check_memory_covers_the_measured_peak_of_a_process(L, rows, n_contacts,
     estimate = (config._engine_bytes(L, rows, len(contacts), N_t)
                 + config._running_bytes(L, rows, contacts, cfg))
     assert estimate / 2 < peak <= estimate
+
+
+@pytest.mark.parametrize("L", [3, 6])
+def test_check_memory_covers_a_one_batch_compare_run_in_the_calling_process(L, tmp_path, monkeypatch):
+    # 400 trajectories are one batch at L <= 6, so at two workers the
+    # calling process holds that batch and, after it, the oracle
+    monkeypatch.setattr(state, "_JUMPS", state._JUMPS[:, :1].copy())
+    for cached in (state._bits, state._outcomes, state._jw_signs):
+        cached.cache_clear()
+    cfg = parse_config(json.dumps(dict(PRESETS["compare-l3"], L=L, N_traj=400,
+                                       contacts=config._source_drain(L))))
+    assert config.batch_count(L, cfg.run.N_traj) == 1
+    tracemalloc.start()
+    try:
+        run_scenario(cfg, tmp_path, workers=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    monkeypatch.setattr(config, "_physical_memory", lambda: peak - 1)
+    with pytest.raises(ConfigError):
+        config.check_memory(cfg, 2)
 
 
 def test_check_memory_counts_the_oracle_propagator(monkeypatch):

@@ -214,13 +214,17 @@ def test_no_more_workers_than_batches(monkeypatch):
     serial = run_ensemble(plan, (ContactSpec(1, 0.5, 0.0),), cfg, (0,), workers=1)
     assert np.array_equal(pooled.mean_density, serial.mean_density)
     assert np.array_equal(pooled.events, serial.events)
-    # one batch of two trajectories: one worker; one trajectory or
-    # --workers 1: none
+    # one batch of two trajectories, one trajectory or --workers 1: no
+    # pool, and the one batch gives the serial result bit for bit
     started.clear()
-    run_ensemble(plan, (ContactSpec(1, 0.5, 0.0),), replace(cfg, N_traj=2), (0,), workers=64)
+    one = replace(cfg, N_traj=2)
+    lone = run_ensemble(plan, (ContactSpec(1, 0.5, 0.0),), one, (0,), workers=64)
     run_ensemble(plan, (ContactSpec(1, 0.5, 0.0),), replace(cfg, N_traj=1), (0,), workers=64)
     run_ensemble(plan, (ContactSpec(1, 0.5, 0.0),), cfg, (0,), workers=1)
-    assert started == [1]
+    assert started == []
+    serial = run_ensemble(plan, (ContactSpec(1, 0.5, 0.0),), one, (0,), workers=1)
+    for name in ("times", "mean_density", "stderr", "events"):
+        assert getattr(lone, name).tobytes() == getattr(serial, name).tobytes(), name
 
 
 @pytest.mark.parametrize("L, n_traj", [(8, 150), (8, 64), (3, 400), (2, 8000), (7, 2000),
