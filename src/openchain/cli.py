@@ -61,11 +61,14 @@ def scenario_step(cfg: ScenarioConfig, ham: ChainHamiltonian) -> TrotterPlan:
 
 def compare_verdict(ens: EnsembleResult, lind) -> dict:
     """The verdict on the ensemble against the oracle, with the (site,
-    t) of the largest excess over SIGMA_FACTOR * stderr (the first such
-    cell in time, then site, on a tie); sites are 1-based."""
+    t) of the largest excess over SIGMA_FACTOR * stderr after t = 0 (the
+    first such cell in time, then site, on a tie); sites are 1-based.
+    At t = 0 both sides start from the same basis state, so that row
+    would only name a trivial cell; it still counts for the pass."""
     diff = np.abs(ens.mean_density - lind.densities)
     excess = diff - SIGMA_FACTOR * ens.stderr
-    row, col = np.unravel_index(np.argmax(excess), excess.shape)
+    row, col = np.unravel_index(np.argmax(excess[1:]), excess[1:].shape)
+    row += 1
     return {
         "sigma_factor": SIGMA_FACTOR,
         "abs_budget": ABS_BUDGET,
@@ -73,7 +76,7 @@ def compare_verdict(ens: EnsembleResult, lind) -> dict:
         "max_excess_over_sigma": float(excess[row, col]),
         "worst_site": int(col) + 1,
         "worst_t": float(ens.times[row]),
-        "pass": bool(excess[row, col] <= ABS_BUDGET),
+        "pass": bool(excess.max() <= ABS_BUDGET),
         "oracle_max_trace_drift": lind.max_trace_drift,
         "oracle_max_hermiticity_defect": lind.max_hermiticity_defect,
         "oracle_min_eigenvalue": lind.min_eigenvalue,

@@ -360,6 +360,22 @@ def test_verdict_names_the_cell_of_the_largest_excess():
     assert (verdict["worst_site"], verdict["worst_t"]) == (2, 2.0)
 
 
+def test_verdict_skips_the_exact_first_row():
+    class FakeLind:
+        densities = np.array([[1.0, 0.0], [0.6, 0.3], [0.5, 0.4]])
+        max_trace_drift = max_hermiticity_defect = min_eigenvalue = 0.0
+
+    # t = 0 agrees exactly; every later cell lies within 3 stderr, the
+    # closest to its bound at (site 2, t = 2): 0.1 - 0.15 = -0.05
+    dens = np.array([[1.0, 0.0], [0.55, 0.25], [0.45, 0.3]])
+    stderr = np.array([[0.0, 0.0], [0.1, 0.1], [0.1, 0.05]])
+    verdict = compare_verdict(one_point_result(dens, stderr), FakeLind())
+    assert verdict["max_excess_over_sigma"] == pytest.approx(-0.05)
+    assert (verdict["worst_site"], verdict["worst_t"]) == (2, 2.0)
+    assert verdict["max_abs_deviation"] == pytest.approx(0.1)
+    assert verdict["pass"] is True
+
+
 def test_compare_names_its_worst_cell(tmp_path, capsys):
     # no hopping: site 1 stays empty in both, while site 2 fills at
     # eta = 0.95 per step against 1 - exp(-0.95 t / dt) in the oracle;
