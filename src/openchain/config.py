@@ -59,11 +59,14 @@ RUNNING_EVENT_ROW_BYTES = 81
 # tracemalloc measured peaks of 3.0 to 3.1 times 16 B per amplitude for
 # one trajectory at L = 16 to 20, so this keeps some room
 STATE_BYTES = 56
-# per (row, step, contact) of a draw chunk: state.RngStream.uniform's
-# two uint64 arrays, a tracemalloc peak of 16 B per uniform, for its two
-# uniforms, and the previous chunk's two float64 uniforms and int8
-# target and outcome, still held while the next is drawn
-DRAW_BYTES = 2 * 16 + 2 * 8 + 2
+# per (row, step, contact) of a draw chunk: the uint64 temporaries of
+# state.RngStream.uniform, whose tracemalloc peak is 48 B per uniform,
+# for its two uniforms, and the previous chunk's two float64 uniforms
+# and int8 target and outcome, still held while the next is drawn
+DRAW_BYTES = 2 * 48 + 2 * 8 + 2
+# per uniform that a row draws in one chunk: its 64 B column of the
+# process's jump table (state._jumps), 96 B at the peak of its growth
+JUMP_BYTES = 96
 # per batch whatever its size: the plan's blocks, the kernels' cached
 # index tables and small arrays; tracemalloc measured 8 to 210 KiB of
 # peak beyond the 3.0 x 16 B per amplitude for one trajectory at
@@ -138,9 +141,10 @@ def _events_per_traj(contacts, run: RunConfig) -> float:
 
 def _engine_bytes(L: int, rows: int, n_contacts: int, N_t: int) -> int:
     """A batch of `rows` trajectories in flight: its state with the
-    step's copies, a draw chunk, the fixed rest."""
+    step's copies, a draw chunk with its jump table, the fixed rest."""
     steps = min(N_t, chunk_steps(rows, n_contacts))
-    return (STATE_BYTES * rows << L) + DRAW_BYTES * rows * steps * n_contacts + BATCH_FIXED_BYTES
+    return ((STATE_BYTES * rows << L) + (DRAW_BYTES * rows + 2 * JUMP_BYTES) * steps * n_contacts
+            + BATCH_FIXED_BYTES)
 
 
 def _running_bytes(L: int, rows: int, contacts, run: RunConfig) -> float:
@@ -273,9 +277,6 @@ def parse_config(text: str) -> ScenarioConfig:
         counts[key] = _count(raw.get(key, default), key, errors)
         if counts[key] is not None and counts[key] < least:
             errors.append(f"{key}: must be >= {least}, got {counts[key]}")
-    if counts["N_traj"] is not None and counts["N_traj"] >= 1 << 32:
-        # trajectory k draws from random stream k, and stream ids are 32-bit
-        errors.append(f"N_traj: must be below 2^32, got {counts['N_traj']}")
     n_t, every = counts["N_t"], counts["record_every"]
     if n_t is not None and every is not None and 1 <= n_t < every:
         # the first record would fall after the last step: only t = 0 is recorded
@@ -306,8 +307,6 @@ def parse_config(text: str) -> ScenarioConfig:
             if c is not None:
                 contacts.append(c)
         errors.extend(validate_contacts(contacts, L, run.dt))
-        if 2 * run.N_t * len(contacts) >= 1 << 32:  # a stream holds 2^32 draws
-            errors.append(f"N_t: 2 * N_t * contacts must be below 2^32, got 2 * {run.N_t} * {len(contacts)}")
 
     include_depolarizing = _flag(raw, "include_depolarizing", True, errors)
     emit_heatmap = _flag(raw, "emit_heatmap", False, errors)

@@ -33,15 +33,33 @@ BLAS thread), median of 300 calls interleaved in one process, two runs:
 | 128 (a batch of 2^15 amplitudes) | 1039-1954 us | 959-1676 us |
 
 Random streams.  `RngStream(seed, first, count)` is the streams first
-.. first + count - 1 of `seed`, a counter-based SplitMix64 (Steele, Lea
-& Flood, OOPSLA 2014, in the style of Salmon et al., SC11) and this
-repo's own layout, not numpy's Generator: draw k of stream j is
-SplitMix64's finalizer on key + (j * 2^32 + k + 1) * GOLDEN mod 2^64,
-then (z >> 11) * 2^-53, where key = finalizer(key + w + GOLDEN) over
-the seed's 64-bit words w, lowest first, from key = 0.  A chunk of
-draws is one (count, n) uint64 array and its scratch, 16 B per
-uniform; 50 x 320, 400 x 40 or 1 x 16384 draws take 0.09-0.19 ms
-(2-core Intel Xeon, numpy 2.4.6, median of 41 calls, two runs).
+.. first + count - 1 of a batch, stream k bit for bit the numbers of
+numpy's Generator(PCG64(SeedSequence(seed, spawn_key=(k,)))).random,
+computed as one vectorized PCG64 in plain numpy: no numpy random module
+is imported and no Generator is built per trajectory.
+- SeedSequence's uint32 hash mixing runs on Python ints for the seed
+  words, the same for every stream, and on (count,) arrays from the
+  stream id on.
+- The 128-bit LCG state and increment are (hi, lo) pairs of (count, 1)
+  uint64 arrays.
+- A chunk of n draws per stream is one jump ahead,
+  s_j = A_j s + C_j inc with A_j = M^j and C_j = M^(j-1) + ... + 1.
+  The (A_j, C_j) table is built by doubling, kept for the process and
+  grown to the largest chunk; its entries are pre-split into 32-bit
+  halves, 64 B each, at most DRAW_CHUNK of them (1 MiB).  The 64-bit
+  high products are summed from those halves with in-place uint64 ops.
+- The output is XSL-RR, then (x >> 11) * 2^-53.
+Measured on a 2-core Intel Xeon host (Python 3.11, numpy 2.4.6), median
+of 9 x 30 calls in one process:
+
+| one chunk | RngStream | the Generator calls it replaces |
+|---|---|---|
+| 50 streams x 320 draws (`contacts-l8`) | 0.44 ms | 0.13 ms |
+| 400 streams x 40 draws (`compare-l3`) | 0.50 ms | 0.60 ms |
+| set-up, 1 / 50 / 400 streams | 0.13-0.15 ms | 0.013 / 0.63 / 5.0 ms |
+
+Importing numpy's random module, which the per-trajectory Generators
+needed, took a further 11-15 ms in each process.
 """
 
 from __future__ import annotations
@@ -61,24 +79,120 @@ MAX_QUBITS = 26
 FORCED_EPS = 1e-12
 
 
-# SplitMix64's increment and finalizer (Steele, Lea & Flood 2014)
-_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
-_MIX = ((30, np.uint64(0xBF58476D1CE4E5B9)), (27, np.uint64(0x94D049BB133111EB)))
+# SeedSequence's hash constants (numpy/random/bit_generator.pyx) and
+# PCG64's 128-bit LCG multiplier
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+_M32 = 0xFFFFFFFF
 
 
-def _finalize(z: np.ndarray) -> np.ndarray:
-    """SplitMix64's finalizer on uint64 z, in place; returns its scratch."""
-    tmp = np.empty_like(z)
-    for shift, mult in _MIX:
-        z ^= np.right_shift(z, shift, out=tmp)
-        z *= mult
-    z ^= np.right_shift(z, 31, out=tmp)
-    return tmp
+def _split(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """128-bit values as rows (hi, lo, lo & 2^32 - 1, lo >> 32)."""
+    return np.stack([hi, lo, lo & _M32, lo >> 32])
+
+
+def _mul(x_hi: np.ndarray, x_lo: np.ndarray, t: np.ndarray):
+    """(hi, lo) of x * t mod 2^128, x of shape (rows, 1) and t a `_split`
+    table of shape (4, n): (rows, n) arrays.  The high word of the
+    64 x 64-bit product x_lo * t_lo is summed from 32-bit halves; three
+    (rows, n) arrays are live at a time."""
+    x0, x1 = x_lo & _M32, x_lo >> 32
+    tmp = x0 * t[2]
+    tmp >>= 32
+    mid = x1 * t[2]
+    mid += tmp
+    hi = mid >> 32
+    mid &= _M32
+    mid += np.multiply(x0, t[3], out=tmp)
+    mid >>= 32
+    hi += mid
+    hi += np.multiply(x1, t[3], out=tmp)
+    hi += np.multiply(x_hi, t[1], out=tmp)
+    hi += np.multiply(x_lo, t[0], out=tmp)
+    return hi, np.multiply(x_lo, t[1], out=mid)
+
+
+def _add(x, y):
+    """(hi, lo) of x + y mod 2^128, in place on x."""
+    x_hi, x_lo = x
+    x_lo += y[1]
+    x_hi += y[0]
+    x_hi += x_lo < y[1]
+    return x_hi, x_lo
+
+
+# Column j - 1 holds (A_j, C_j) = (M^j, M^(j-1) + ... + 1) mod 2^128,
+# j = 1, 2, ...: PCG64's state j draws ahead of s is A_j s + C_j inc.
+# Rows 0-3 are A_j as `_split` gives it, rows 4-7 C_j; here A_1 = M and
+# C_1 = 1.
+_JUMPS = np.array([[_PCG_MULT >> 64], [_PCG_MULT & (1 << 64) - 1], [_PCG_MULT & _M32],
+                   [_PCG_MULT >> 32 & _M32], [0], [1], [1], [0]], np.uint64)
+
+
+def _jumps(n: int) -> np.ndarray:
+    """The jump table up to j = n, grown by doubling and kept for the
+    process: with A_m and C_m, the entries m + j are A_m A_j and
+    A_j C_m + C_j."""
+    global _JUMPS
+    m = _JUMPS.shape[1]
+    if m < n:
+        table = np.empty((8, n), np.uint64)
+        table[:, :m] = _JUMPS
+        while m < n:
+            k = min(m, n - m)
+            head, last = table[:, :k], table[:, m - 1:m]
+            table[:4, m:m + k] = _split(*_mul(last[0], last[1], head[:4]))
+            table[4:, m:m + k] = _split(*_add(_mul(last[4], last[5], head[:4]), head[4:6]))
+            m += k
+        _JUMPS = table
+    return _JUMPS[:, :n]
+
+
+def _seed_words(seed: int, ids: np.ndarray) -> list[np.ndarray]:
+    """SeedSequence(seed, spawn_key=(k,)).generate_state(8) for every k
+    in the uint32 array `ids`: eight uint32 arrays shaped like ids.
+
+    The hash constants run through the same values for every k, and the
+    stream id is the last entropy word, so the mixing runs on Python
+    ints up to that word and on arrays from there."""
+    words = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    entropy = words + [0] * (_POOL - len(words)) + [ids]
+    const = _INIT_A
+
+    def hashmix(v):
+        nonlocal const
+        v = v ^ const
+        const = const * _MULT_A & _M32
+        v = v * const & _M32
+        return v ^ v >> 16
+
+    def mix(x, y):
+        r = ((x * _MIX_L & _M32) - y * _MIX_R) & _M32
+        return r ^ r >> 16
+
+    pool = [hashmix(v) for v in entropy[:_POOL]]
+    for i in range(_POOL):
+        for j in range(_POOL):
+            if i != j:
+                pool[j] = mix(pool[j], hashmix(pool[i]))
+    for v in entropy[_POOL:]:
+        for j in range(_POOL):
+            pool[j] = mix(pool[j], hashmix(v))
+    const, out = _INIT_B, []
+    for i in range(8):
+        v = pool[i % _POOL] ^ const
+        const = const * _MULT_B & _M32
+        v *= const
+        out.append(v ^ v >> 16)
+    return out
 
 
 class RngStream:
-    """The uniform streams first .. first + count - 1 of `seed` (see the
-    module docstring), 2^32 draws each."""
+    """The uniform streams first .. first + count - 1 of `seed`, drawn
+    together as one vectorized PCG64 (see the module docstring)."""
 
     def __init__(self, seed: int, first: int = 0, count: int = 1):
         if seed < 0:
@@ -86,14 +200,18 @@ class RngStream:
         if count < 1 or first < 0 or first + count > 1 << 32:
             raise ValueError(f"stream ids {first} .. {first + count - 1} are not in [0, 2^32)")
         self.count = count
-        self._taken = 0
-        key = np.zeros(1, np.uint64)
-        for s in range(0, max(seed.bit_length(), 1), 64):
-            key += np.uint64(seed >> s & (1 << 64) - 1)
-            key += _GOLDEN
-            _finalize(key)
-        # key + j * 2^32 * GOLDEN for each stream j, mod 2^64
-        self._base = key + (np.arange(first, first + count, dtype=np.uint64) << np.uint64(32)) * _GOLDEN
+        w = [v.astype(np.uint64)[:, None] for v in
+             _seed_words(seed, np.arange(first, first + count, dtype=np.uint32))]
+        # PCG64 takes (state, inc) = words (0-1 << 64 | 2-3, 4-5 << 64 | 6-7)
+        # and seeds as state = (inc + state) M + inc with inc = 2 inc + 1
+        s_hi, s_lo = w[0] | w[1] << 32, w[2] | w[3] << 32
+        i_hi, i_lo = w[4] | w[5] << 32, w[6] | w[7] << 32
+        self._inc = (i_hi << 1 | i_lo >> 63, i_lo << 1 | 1)
+        self._state = self._advance(*_add((s_hi, s_lo), self._inc), _jumps(1))
+
+    def _advance(self, hi, lo, table):
+        """A_j (hi, lo) + C_j inc for the j of `table`."""
+        return _add(_mul(hi, lo, table[:4]), _mul(*self._inc, table[4:]))
 
     def uniform(self, shape=()):
         """(count, *shape) float64 draws, in C order per stream.  Draws
@@ -102,14 +220,22 @@ class RngStream:
         empty array and leaves the streams where they were."""
         shape = (shape,) if isinstance(shape, int) else tuple(shape)
         n = math.prod(shape)
-        if self._taken + n > 1 << 32:
-            raise ValueError(f"a stream holds 2^32 draws; {self._taken} taken, {n} more asked")
-        k = np.arange(self._taken + 1, self._taken + n + 1, dtype=np.uint64) * _GOLDEN
-        z = np.add.outer(self._base, k)  # (count, n)
-        self._taken += n
-        tmp = _finalize(z)
-        out = z.view(np.float64)
-        np.multiply(np.right_shift(z, 11, out=tmp), 2.0 ** -53, out=out)
+        if n == 0:
+            return np.empty((self.count, *shape))
+        hi, lo = self._advance(*self._state, _jumps(n))  # (count, n)
+        self._state = hi[:, -1:].copy(), lo[:, -1:].copy()
+        # XSL-RR output: hi ^ lo rotated right by the top six bits of hi
+        rot = hi >> 58
+        lo ^= hi
+        np.right_shift(lo, rot, out=hi)
+        np.subtract(64, rot, out=rot)
+        rot &= 63
+        lo <<= rot
+        lo |= hi
+        del hi, rot
+        lo >>= 11
+        out = lo.astype(np.float64)
+        out *= 2.0 ** -53
         return out.reshape(self.count, *shape)
 
 

@@ -29,14 +29,14 @@ agreed to about 15%, except L = 10 on every site (108 / 83 / 82).
 2^16 gains little more and halves the batches a pool can spread over
 its workers: 200 trajectories of L = 8 would be a single batch.
 
-Draw discipline.  Trajectory k draws from its own SplitMix64 stream,
-draw i a pure function of (seed, k, i) (state.RngStream).  Every (step,
-contact) takes exactly two uniforms from it, the action first and then
-the measurement, whether the contact acts, does nothing or meets a
-forced outcome.  A batch holds one RngStream for all its rows and draws
-up to DRAW_CHUNK uniforms at a time, one (rows, steps, contacts, 2)
-block per call, row b from stream traj_id + b; consecutive blocks are
-the numbers one long draw would give, so the chunk size changes nothing.
+Draw discipline.  Trajectory k draws from its own stream (seed, k).
+Every (step, contact) takes exactly two uniforms from it, the action
+first and then the measurement, whether the contact acts, does nothing
+or meets a forced outcome.  A batch holds one RngStream for all its
+rows and draws up to DRAW_CHUNK uniforms at a time, one
+(rows, steps, contacts, 2) block per call, row b from stream
+traj_id + b; consecutive blocks are the numbers one long draw would
+give, so the chunk size changes nothing.
 
 Contact events are one (E, 5) int64 array per batch, one row
 (traj, step, q, target, changed) per acting contact, in trajectory
@@ -58,7 +58,7 @@ from .trotter import TrotterPlan, apply_step
 # amplitudes per batch, B * 2^L: 512 KiB of state, so B = 128 at L = 8
 # and B = 1 from L = 15 up (see the table in the module docstring)
 BATCH_AMPS = 1 << 15
-# uniforms a batch draws at a time (128 KiB as float64, 256 KiB at the
+# uniforms a batch draws at a time (128 KiB as float64, 0.75 MiB at the
 # peak of RngStream.uniform), so the draws take bounded memory for any N_t
 DRAW_CHUNK = 1 << 14
 

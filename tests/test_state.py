@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from openchain.model import ChainSpec, build_chain_hamiltonian, fermion_lowering
+from openchain import state
 from openchain.state import (
     FORCED_EPS,
     Resets,
@@ -424,41 +425,6 @@ def test_rng_block_draws_equal_single_draws():
     assert blocks.tolist() == np.stack([b.uniform() for _ in range(16)], axis=1).tolist()
 
 
-M64 = (1 << 64) - 1
-GOLDEN = 0x9E3779B97F4A7C15
-
-
-def splitmix64_mix(z):
-    z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 & M64
-    z = (z ^ z >> 27) * 0x94D049BB133111EB & M64
-    return z ^ z >> 31
-
-
-def reference_streams(seed, first, count, n):
-    """n draws of each stream id, (count, n), from Python ints: draw k of
-    stream j is SplitMix64's finalizer on key + (j 2^32 + k + 1) GOLDEN,
-    the key each 64-bit word of the seed folded through the finalizer."""
-    key = 0
-    for s in range(0, max(seed.bit_length(), 1), 64):
-        key = splitmix64_mix((key + (seed >> s & M64) + GOLDEN) & M64)
-    return np.array([[(splitmix64_mix((key + ((j << 32) + k + 1) * GOLDEN) & M64) >> 11) * 2.0**-53
-                      for k in range(n)] for j in range(first, first + count)]).reshape(count, n)
-
-
-@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 1, 2**128 + 7])
-@pytest.mark.parametrize("first", [0, 2**31, 2**32 - 3])
-def test_rng_is_splitmix64(seed, first):
-    # consecutive chunks of 0, 1, 7 and 4096 draws per stream; an empty
-    # chunk (a run without contacts draws (steps, 0, 2)) moves no stream
-    count = 3
-    rng = RngStream(seed, first, count)
-    chunks = [rng.uniform(0), rng.uniform(1), rng.uniform((5, 0, 2)), rng.uniform(7), rng.uniform(4096)]
-    assert [c.shape for c in chunks] == [(3, 0), (3, 1), (3, 5, 0, 2), (3, 7), (3, 4096)]
-    got = np.concatenate([c.reshape(count, -1) for c in chunks], axis=1)
-    assert got.dtype == np.float64
-    assert got.tobytes() == reference_streams(seed, first, count, 1 + 7 + 4096).tobytes()
-
-
 def test_rng_streams_pass_a_statistical_smoke_test():
     # 400 streams x 4000 draws, N = 1.6e6; each bound is about five
     # standard errors of its statistic for independent uniforms
@@ -475,20 +441,37 @@ def test_rng_streams_pass_a_statistical_smoke_test():
     assert 63 - 5 * np.sqrt(2 * 63) < chi2 < 63 + 5 * np.sqrt(2 * 63)  # 63 dof: (7, 119)
 
 
+def numpy_streams(seed, first, count, n):
+    """n draws of numpy's own Generator for each stream id, (count, n)."""
+    return np.stack([
+        np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(k,)))).random(n)
+        for k in range(first, first + count)
+    ])
+
+
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 1, 2**128 + 7])
+@pytest.mark.parametrize("first", [0, 2**31, 2**32 - 3])
+def test_rng_streams_are_numpy_pcg64_bit_for_bit(seed, first, monkeypatch):
+    # consecutive chunks of 0, 1, 7 and 4096 draws per stream, the jump
+    # table grown from its first entry; an empty chunk (a run without
+    # contacts draws (steps, 0, 2)) moves no stream
+    monkeypatch.setattr(state, "_JUMPS", state._JUMPS[:, :1].copy())
+    count = 3
+    rng = RngStream(seed, first, count)
+    chunks = [rng.uniform(0), rng.uniform(1), rng.uniform((5, 0, 2)), rng.uniform(7), rng.uniform(4096)]
+    assert [c.shape for c in chunks] == [(3, 0), (3, 1), (3, 5, 0, 2), (3, 7), (3, 4096)]
+    got = np.concatenate([c.reshape(count, -1) for c in chunks], axis=1)
+    assert got.dtype == np.float64
+    assert got.tobytes() == numpy_streams(seed, first, count, 1 + 7 + 4096).tobytes()
+    assert state._JUMPS.shape == (8, 4096)
+
+
 def test_rng_stream_ids_must_fit_32_bits():
-    # a larger id would take the numbers of another stream
-    assert RngStream(5, 2**32 - 1).uniform(3).tobytes() == reference_streams(5, 2**32 - 1, 1, 3).tobytes()
+    # SeedSequence would take a larger id as two words; the batch streams
+    # refuse it instead of giving other streams
+    assert RngStream(5, 2**32 - 1).uniform(3).tobytes() == numpy_streams(5, 2**32 - 1, 1, 3).tobytes()
     for first, count in ((2**32 - 2, 3), (2**32, 1), (-1, 2), (0, 0)):
         with pytest.raises(ValueError, match="stream ids"):
             RngStream(5, first, count)
     with pytest.raises(ValueError, match="seed"):
         RngStream(-1)
-
-
-def test_rng_stream_draws_must_fit_32_bits():
-    # draw 2^32 of stream j would be draw 0 of stream j + 1
-    rng = RngStream(5)
-    rng._taken = 2**32 - 2
-    assert rng.uniform(2).shape == (1, 2)
-    with pytest.raises(ValueError, match="2\\^32 draws"):
-        rng.uniform(1)
