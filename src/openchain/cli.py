@@ -64,12 +64,15 @@ def compare_verdict(ens: EnsembleResult, lind) -> dict:
     t) of the largest excess over SIGMA_FACTOR * stderr after t = 0 (the
     first such cell in time, then site, on a tie); sites are 1-based.
     At t = 0 both sides start from the same basis state, so that row
-    would only name a trivial cell; it still counts for the pass."""
+    would only name a trivial cell; it still counts for the pass.
+    `oracle` names what the ensemble is checked against: "continuum",
+    the master-equation integration of `lindblad.integrate`."""
     diff = np.abs(ens.mean_density - lind.densities)
     excess = diff - SIGMA_FACTOR * ens.stderr
     row, col = np.unravel_index(np.argmax(excess[1:]), excess[1:].shape)
     row += 1
     return {
+        "oracle": "continuum",
         "sigma_factor": SIGMA_FACTOR,
         "abs_budget": ABS_BUDGET,
         "max_abs_deviation": float(diff.max()),

@@ -54,9 +54,13 @@ of 9 x 30 calls in one process:
 
 | one chunk | RngStream | the Generator calls it replaces |
 |---|---|---|
-| 50 streams x 320 draws (`contacts-l8`) | 0.44 ms | 0.13 ms |
+| 100 streams x 160 draws (`contacts-l8`) | 0.57 ms | 0.14 ms |
 | 400 streams x 40 draws (`compare-l3`) | 0.50 ms | 0.60 ms |
 | set-up, 1 / 50 / 400 streams | 0.13-0.15 ms | 0.013 / 0.63 / 5.0 ms |
+
+The 100 x 160 row (`trajectory.chunk_steps(100, 8)` = 10 steps of 16
+draws) was measured later, in runs where the 400 x 40 chunk read 0.61 /
+0.40 ms.
 
 Importing numpy's random module, which the per-trajectory Generators
 needed, took a further 11-15 ms in each process.

@@ -103,3 +103,16 @@ def gauge(L: int) -> np.ndarray:
     for j in range(WINDOW, L):
         e += (j - WINDOW + 1) * (k >> j & 1)
     return np.array([1, 1j, -1, -1j])[e % 4]
+
+
+def phase_vector(theta: float, L: int) -> np.ndarray:
+    """exp(-i theta pairs(k)) evaluated at every amplitude, pairs(k) =
+    popcount(k & k >> 1): cos and -sin of the float64 product theta *
+    pairs(k), the values `trotter._phase_vector` must give bit for bit."""
+    k = np.arange(1 << L, dtype=np.uint32)
+    phi = theta * np.bitwise_count(k & k >> 1)
+    out = np.empty(phi.shape, complex)
+    np.cos(phi, out=out.real)
+    np.sin(phi, out=out.imag)
+    np.negative(out.imag, out=out.imag)
+    return out

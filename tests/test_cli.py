@@ -210,6 +210,7 @@ def test_compare_scenario_small_l2(tmp_path):
     code = run_scenario(cfg, tmp_path, workers=1)
     verdict = json.loads((tmp_path / "verdict.json").read_text())
     assert code == 0 and verdict["pass"] is True
+    assert verdict["oracle"] == "continuum"
     assert verdict["max_excess_over_sigma"] <= verdict["abs_budget"]
     assert (tmp_path / "lindblad.csv").exists()
 
@@ -400,6 +401,7 @@ def test_verdict_includes_oracle_health():
     ens = one_point_result(np.zeros((2, 1)))
     verdict = compare_verdict(ens, FakeLind())
     assert verdict["pass"] is True
+    assert verdict["oracle"] == "continuum"
     assert verdict["oracle_max_trace_drift"] == 1e-12
 
 

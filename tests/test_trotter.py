@@ -10,10 +10,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from openchain import trotter
 from openchain.model import ChainSpec, build_chain_hamiltonian, fock_matrix_oracle
 from openchain.state import init_basis_state
 from openchain.trotter import WINDOW, Block, _phase_vector, apply_step, build_step
-from pauli import chain_matrix, chain_terms, gauge, propagator, rotations
+from pauli import chain_matrix, chain_terms, gauge, phase_vector, propagator, rotations
 
 
 def evolve(state, plan, n):
@@ -132,6 +133,36 @@ def test_phase_vector_matches_complex_exponential():
             phases = _phase_vector(theta, L)
             assert phases.dtype == np.complex128
             assert np.max(np.abs(phases - np.exp(-1j * theta * pairs))) <= 4e-16
+
+
+@pytest.mark.parametrize("theta", [0.0, 1e-3, -0.37, 1.25, 5.0, 2.9e3])
+def test_phase_vector_is_the_per_amplitude_reference_bit_for_bit(theta):
+    # cos and -sin at the L products theta * n, gathered by pair count,
+    # are the same float64 values as at every amplitude
+    for L in [*range(1, 17), 20]:
+        phases = _phase_vector(theta, L)
+        assert phases.dtype == np.complex128
+        assert np.array_equal(phases.view(np.uint64), phase_vector(theta, L).view(np.uint64))
+
+
+@pytest.mark.parametrize("symmetric", [False, True], ids=["first-order", "symmetric"])
+def test_plans_are_unchanged_with_the_per_amplitude_phase_vector(symmetric, monkeypatch):
+    # every gate, the small-window blocks whose diagonal goes through
+    # _phase_vector included, equal to the plan built from the reference
+    cases = [(L, gamma, v, dt) for L in range(1, 17) for gamma in (0.0, 3.0)
+             for v in (0.0, 10.0, -7.5) for dt in (0.05, 0.5)]
+    plans = [build_step(build_chain_hamiltonian(ChainSpec(*case[:3])), case[3], symmetric)
+             for case in cases]
+    monkeypatch.setattr(trotter, "_phase_vector", phase_vector)
+    for case, plan in zip(cases, plans):
+        ref = build_step(build_chain_hamiltonian(ChainSpec(*case[:3])), case[3], symmetric)
+        assert len(plan.gates) == len(ref.gates), case
+        for g, r in zip(plan.gates, ref.gates):
+            assert type(g) is type(r), case
+            if isinstance(g, Block):
+                assert g.lo == r.lo and g.m.dtype == r.m.dtype, case
+                g, r = g.m, r.m
+            assert np.array_equal(g, r), case
 
 
 @pytest.mark.parametrize("symmetric", [False, True], ids=["first-order", "symmetric"])
