@@ -27,7 +27,7 @@ from .config import (
 )
 from .lindblad import build_jump_operators, integrate
 from .model import ChainHamiltonian, build_chain_hamiltonian, fock_matrix_oracle
-from .output import emit_csv, emit_events_csv, emit_heatmap
+from .output import emit_csv, emit_events_csv, emit_heatmap, open_events_csv
 from .state import init_basis_state
 from .trajectory import EnsembleResult, default_workers, run_ensemble
 from .trotter import TrotterPlan, build_step
@@ -99,17 +99,24 @@ def run_scenario(cfg: ScenarioConfig, out_dir, workers: int | None = None) -> in
     ham = build_chain_hamiltonian(cfg.chain)
     plan = scenario_step(cfg, ham)
     run = replace(cfg.run, N_traj=1) if cfg.mode == "closed" else cfg.run
-    ens = run_ensemble(plan, cfg.contacts, run, cfg.init_occupations, workers=workers)
+    changed = []  # the heatmap's markers: the rows of events that changed a site
+    with open_events_csv(out / "events.csv") as fh:
+
+        def write_events(rows: np.ndarray) -> None:
+            emit_events_csv(rows, fh)
+            if cfg.emit_heatmap:
+                changed.append(rows[rows[:, 4] == 1])
+
+        ens = run_ensemble(plan, cfg.contacts, run, cfg.init_occupations, workers=workers,
+                           events=write_events)
     emit_csv(ens, out / "density.csv")
-    emit_events_csv(ens.events, out / "events.csv")
     if cfg.emit_heatmap:
-        emit_heatmap(ens, out / "heatmap.svg", n_steps=cfg.run.N_t)
+        emit_heatmap(ens, np.concatenate(changed), out / "heatmap.svg", n_steps=cfg.run.N_t)
     if cfg.mode != "compare":
         return 0
 
     lind = _lindblad_run(cfg)
-    oracle = EnsembleResult(lind.times, lind.densities, np.zeros_like(lind.densities),
-                            np.zeros((0, 5), dtype=np.int64))
+    oracle = EnsembleResult(lind.times, lind.densities, np.zeros_like(lind.densities))
     emit_csv(oracle, out / "lindblad.csv")
     verdict = compare_verdict(ens, lind)
     (out / "verdict.json").write_text(json.dumps(verdict, indent=2) + "\n")

@@ -21,6 +21,7 @@ from .lindblad import MAX_LINDBLAD_QUBITS
 from .model import ChainSpec
 from .state import MAX_QUBITS
 from .trajectory import (
+    BATCH_AMPS,
     ContactSpec,
     RunConfig,
     batch_count,
@@ -45,8 +46,14 @@ CONFIG_KEYS = frozenset((
 CONTACT_KEYS = frozenset(("site", "f", "eps_meV", "mu_meV", "kT_meV", "Gamma_meV", "eta", "label"))
 FERMI_DIRAC_KEYS = ("eps_meV", "mu_meV", "kT_meV")
 
-# one (traj, step, q, target, changed) int64 event row
+# one (traj, step, q, target, changed) int64 event row, as a finished
+# batch hands it to the calling process
 EVENT_ROW_BYTES = 5 * 8
+# per event row that changed a site, with the heatmap on: the row that the
+# CLI keeps and its concatenation, 80 B, and emit_heatmap's marker, its
+# row as Python ints and its SVG element, which tracemalloc measured at
+# 310 B per row over 10^4 and 10^5 rows
+MARKER_BYTES = 400
 # a running batch keeps each chunk of steps' events as int64 rows and
 # concatenates them at the end; tracemalloc measured a peak of 80.9 B per
 # row (the blocks and their concatenation) over 10**6 rows of one
@@ -156,15 +163,16 @@ def _running_bytes(L: int, rows: int, contacts, run: RunConfig) -> float:
 def check_memory(cfg: ScenarioConfig, workers: int) -> None:
     """Raise ConfigError, under the key of the largest factor, if the
     estimated peak memory of `cfg` run on `workers` processes exceeds
-    physical memory.  It counts a batch in flight in each process that
-    holds one: min(workers, batches) processes, which is the calling
-    process alone when that number is 1, and in compare mode the
-    calling process's oracle on top."""
+    physical memory.  It counts a batch of the largest size the
+    partition allows in flight in each process that holds one:
+    min(workers, batches) processes, which is the calling process alone
+    when that number is 1.  With a pool it adds the calling process's
+    window of finished batches, in compare mode its oracle, and with
+    the heatmap on its markers; nothing else grows with N_traj."""
     L, run, contacts = cfg.chain.L, cfg.run, cfg.contacts
     n_traj = 1 if cfg.mode == "closed" else run.N_traj
-    n_batches = batch_count(L, n_traj)
-    rows_per_batch = -(-n_traj // n_batches)
-    workers = min(workers, n_batches)
+    rows_per_batch = min(n_traj, max(1, BATCH_AMPS >> L))
+    workers = min(workers, batch_count(L, n_traj))
     state = workers * _engine_bytes(L, rows_per_batch, len(contacts), run.N_t)
     if cfg.mode == "compare":
         # the oracle's record-step propagator on the C(2L, L) entries of the
@@ -175,11 +183,15 @@ def check_memory(cfg: ScenarioConfig, workers: int) -> None:
         D = math.comb(2 * L, L)
         state += 16 * (4 * D * D + (4 * n_ops << 2 * L))
     rows = run.N_t // run.record_every + 1
-    # every trajectory's records, their ensemble stack and the reduction
-    # temporary, every trajectory's event rows and their concatenation,
-    # and what the running batches build
-    held = (3 * n_traj * rows * L * 8 + 2 * n_traj * _events_per_traj(contacts, run) * EVENT_ROW_BYTES
-            + workers * _running_bytes(L, rows_per_batch, contacts, run))
+    per_traj = _events_per_traj(contacts, run)
+    # a pool's results wait in the calling process: the batch being folded,
+    # the at most workers + 1 submitted ahead of it and the pickled bytes of
+    # one of those in transit, each its records and event rows
+    window = (0 if workers == 1 else
+              (workers + 3) * rows_per_batch * (rows * L * 8 + per_traj * EVENT_ROW_BYTES))
+    # the heatmap's markers: at most every event row of the run
+    markers = n_traj * per_traj * MARKER_BYTES if cfg.emit_heatmap else 0
+    held = workers * _running_bytes(L, rows_per_batch, contacts, run) + window + markers
     need, have = state + held, _physical_memory()
     if need > have:
         key = "L" if state >= held else "N_traj" if n_traj > rows else "N_t"
@@ -277,6 +289,9 @@ def parse_config(text: str) -> ScenarioConfig:
         counts[key] = _count(raw.get(key, default), key, errors)
         if counts[key] is not None and counts[key] < least:
             errors.append(f"{key}: must be >= {least}, got {counts[key]}")
+    if counts["N_traj"] is not None and counts["N_traj"] > 1 << 32:
+        # trajectory k draws from random stream k, and stream ids stop at 2^32
+        errors.append(f"N_traj: must be <= 2^32, got {counts['N_traj']}")
     n_t, every = counts["N_t"], counts["record_every"]
     if n_t is not None and every is not None and 1 <= n_t < every:
         # the first record would fall after the last step: only t = 0 is recorded

@@ -7,6 +7,8 @@ artifacts for a given seed and config.
 
 from __future__ import annotations
 
+import os
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -73,22 +75,38 @@ def _events_block(block: np.ndarray) -> str:
     return chars[keep].tobytes().decode("ascii")
 
 
-def emit_events_csv(events: np.ndarray, path) -> None:
-    """Write the (E, 5) event rows as `traj,step,site,action` (site
-    1-based), EVENTS_BLOCK rows at a time, each block formatted as one
-    byte matrix."""
-    with open(path, "w") as fh:
-        fh.write("traj,step,site,action\n")
-        for start in range(0, len(events), EVENTS_BLOCK):
-            fh.write(_events_block(events[start:start + EVENTS_BLOCK]))
+@contextmanager
+def open_events_csv(path):
+    """A text file for emit_events_csv, its header written, that becomes
+    `path` only when the block exits without an error.  The rows go to
+    `<path>.part` beside it, removed on an error, so a failed run leaves
+    no partial events.csv."""
+    path = Path(path)
+    part = path.with_name(path.name + ".part")
+    try:
+        with open(part, "w") as fh:
+            fh.write("traj,step,site,action\n")
+            yield fh
+        os.replace(part, path)
+    finally:
+        part.unlink(missing_ok=True)
 
 
-def emit_heatmap(result: EnsembleResult, path, n_steps: int) -> None:
+def emit_events_csv(events: np.ndarray, fh) -> None:
+    """Append the (E, 5) event rows to the open file `fh` as
+    `traj,step,site,action` (site 1-based), EVENTS_BLOCK rows at a time,
+    each block formatted as one byte matrix.  Each row's bytes depend on
+    that row alone, so the rows may come in any number of calls."""
+    for start in range(0, len(events), EVENTS_BLOCK):
+        fh.write(_events_block(events[start:start + EVENTS_BLOCK]))
+
+
+def emit_heatmap(result: EnsembleResult, events: np.ndarray, path, n_steps: int) -> None:
     """Self-contained SVG raster of n_i(t) over a run of `n_steps` steps.
 
     x = time, y = site (site 1 on top); grayscale from 0 = black to
-    1 = white.  Effective injections are drawn as filled markers,
-    effective removals as hollow ones.
+    1 = white.  Of the (E, 5) event rows, effective injections are drawn
+    as filled markers, effective removals as hollow ones.
     """
     times = result.times
     dens = result.mean_density
@@ -112,7 +130,6 @@ def emit_heatmap(result: EnsembleResult, path, n_steps: int) -> None:
             )
     # event steps are trajectory steps 1..n_steps; map onto the T raster
     # columns (column 0 is t=0)
-    events = result.events
     for step, q, target in events[events[:, 4] == 1, 1:4].tolist():
         x = MARGIN + (step / n_steps) * ((T - 1) * CELL) + CELL / 2.0
         y = MARGIN + q * CELL + CELL / 2.0

@@ -17,7 +17,14 @@ from openchain import trajectory
 from openchain.cli import compare_verdict, main, run_scenario, scenario_step
 from openchain.config import get_preset, parse_config
 from openchain.model import build_chain_hamiltonian
-from openchain.output import ACTIONS, EVENTS_BLOCK, emit_csv, emit_events_csv, emit_heatmap
+from openchain.output import (
+    ACTIONS,
+    EVENTS_BLOCK,
+    emit_csv,
+    emit_events_csv,
+    emit_heatmap,
+    open_events_csv,
+)
 from openchain.trajectory import EnsembleResult
 
 CLOSED_CONFIG = {
@@ -71,15 +78,15 @@ def parse_density_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return data[:, 0], data[:, 1 : 1 + L], data[:, 1 + L :]
 
 
-def one_point_result(densities, stderr=None, events=()):
+def one_point_result(densities, stderr=None):
     dens = np.atleast_2d(np.asarray(densities, dtype=float))
     se = np.zeros_like(dens) if stderr is None else np.atleast_2d(stderr)
-    return EnsembleResult(
-        times=np.arange(dens.shape[0], dtype=float),
-        mean_density=dens,
-        stderr=se,
-        events=np.array(events, dtype=np.int64).reshape(-1, 5),
-    )
+    return EnsembleResult(times=np.arange(dens.shape[0], dtype=float), mean_density=dens, stderr=se)
+
+
+def write_events_csv(events, path):
+    with open_events_csv(path) as fh:
+        emit_events_csv(events, fh)
 
 
 def test_emit_csv_single_point(tmp_path):
@@ -115,7 +122,7 @@ def test_emit_events_csv(tmp_path):
     # rows (traj, step, q, target, changed)
     events = np.array([(0, 3, 1, 1, 1), (2, 5, 0, 0, 0)], dtype=np.int64)
     path = tmp_path / "events.csv"
-    emit_events_csv(events, path)
+    write_events_csv(events, path)
     assert path.read_text().splitlines() == [
         "traj,step,site,action",
         "0,3,2,inject",
@@ -140,7 +147,7 @@ def test_emit_events_csv_in_blocks_matches_row_by_row(tmp_path):
     for name, columns in cases.items():
         events = np.column_stack(columns).astype(np.int64)
         path = tmp_path / f"{name}.csv"
-        emit_events_csv(events, path)
+        write_events_csv(events, path)
         reference = "traj,step,site,action\n" + "".join(
             f"{int(traj)},{int(step)},{int(q) + 1},{ACTIONS[2 * int(target) + int(changed)]}\n"
             for traj, step, q, target, changed in events
@@ -150,20 +157,20 @@ def test_emit_events_csv_in_blocks_matches_row_by_row(tmp_path):
 
 def test_heatmap_constant_density_is_mid_gray(tmp_path):
     path = tmp_path / "heatmap.svg"
-    emit_heatmap(one_point_result(np.full((4, 2), 0.5)), path, n_steps=3)
+    emit_heatmap(one_point_result(np.full((4, 2), 0.5)), np.zeros((0, 5), dtype=np.int64), path, n_steps=3)
     svg = path.read_text()
     assert svg.count('fill="#808080"') == 8
     assert "<circle" not in svg
 
 
 def test_heatmap_event_overlay_count(tmp_path):
-    events = [
+    events = np.array([
         (0, 1, 0, 1, 1),
         (0, 2, 1, 0, 1),
         (0, 3, 0, 1, 0),  # null action: no marker
-    ]
+    ], dtype=np.int64)
     path = tmp_path / "heatmap.svg"
-    emit_heatmap(one_point_result(np.zeros((4, 2)), events=events), path, n_steps=3)
+    emit_heatmap(one_point_result(np.zeros((4, 2))), events, path, n_steps=3)
     assert path.read_text().count("<circle") == 2
 
 
@@ -319,7 +326,7 @@ def assert_same_files_at_1_2_and_8_workers(tmp_path, raw, codes=(0,)):
 
 
 def test_outputs_byte_identical_for_any_worker_count(tmp_path):
-    # at L = 8 a batch holds at most 64 trajectories: 150 are three batches of 50
+    # at L = 8 a batch holds at most 128 trajectories: 150 are two batches of 75
     raw = {"mode": "open", "L": 8, "gamma_meV": 3.0, "v_meV": 10.0,
            "contacts": [{"site": s, "Gamma_meV": 0.9, "f": float(s % 2)} for s in (1, 4, 8)],
            "t_final": 4.0, "N_t": 8, "N_traj": 150, "seed": 5, "init_sites": [1, 3]}
@@ -331,6 +338,55 @@ def test_compare_outputs_byte_identical_for_any_worker_count(tmp_path):
     raw = dict(COMPARE_CONFIG, L=3, contacts=[{"site": 1, "Gamma_meV": 0.5, "f": 1.0},
                                               {"site": 3, "Gamma_meV": 0.5, "f": 0.0}], N_traj=60)
     assert_same_files_at_1_2_and_8_workers(tmp_path, raw, codes=(0, 2))
+
+
+# open, L = 8, with the heatmap on: at most 128 trajectories a batch, so
+# 300 are three batches of 100
+STREAMED_CONFIG = {"mode": "open", "L": 8, "gamma_meV": 3.0, "v_meV": 10.0,
+                   "contacts": [{"site": s, "Gamma_meV": 0.9, "f": float(s % 2)} for s in (1, 4, 8)],
+                   "t_final": 4.0, "N_t": 8, "N_traj": 300, "seed": 5, "init_sites": [1, 3],
+                   "emit_heatmap": True}
+
+
+def test_heatmap_markers_survive_the_stream(tmp_path):
+    # the CLI keeps only the changed rows of each batch as it arrives; the
+    # heatmap must be the one drawn from every batch's rows, joined
+    cfg = parse_config(json.dumps(STREAMED_CONFIG))
+    plan = scenario_step(cfg, build_chain_hamiltonian(cfg.chain))
+    records = [trajectory.run_trajectory(plan, cfg.contacts, cfg.run, cfg.init_occupations, *b)
+               for b in trajectory.batches(cfg.chain.L, cfg.run.N_traj)]
+    assert len(records) == 3
+    stack = np.concatenate([r.density for r in records])
+    ens = EnsembleResult(records[0].times, stack.mean(axis=0), np.zeros_like(stack[0]))
+    emit_heatmap(ens, np.concatenate([r.events for r in records]), tmp_path / "reference.svg",
+                 n_steps=cfg.run.N_t)
+    reference = (tmp_path / "reference.svg").read_bytes()
+    assert reference.count(b"<circle") > 0
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(STREAMED_CONFIG))
+    for workers in ("1", "3"):
+        out = tmp_path / workers
+        assert main(["run", "--config", str(cfg_path), "--out", str(out), "--workers", workers]) == 0
+        assert (out / "heatmap.svg").read_bytes() == reference, workers
+
+
+def test_failed_run_leaves_no_events_csv(tmp_path, monkeypatch, capsys):
+    real, calls = trajectory.run_trajectory, []
+
+    def fail_on_the_second_batch(*args):
+        calls.append(args[-2:])
+        if len(calls) == 2:
+            raise ValueError("the second batch failed")
+        return real(*args)
+
+    monkeypatch.setattr(trajectory, "run_trajectory", fail_on_the_second_batch)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(STREAMED_CONFIG))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg_path), "--out", str(out), "--workers", "1"]) == 1
+    assert "the second batch failed" in capsys.readouterr().err
+    assert calls == [(0, 100), (100, 100)]
+    assert list(out.iterdir()) == []  # no events.csv, and nothing of it left behind
 
 
 def test_one_batch_starts_no_pool(tmp_path, monkeypatch):

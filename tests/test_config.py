@@ -1,6 +1,7 @@
 """Config parsing, validation error collection, and presets."""
 
 import json
+import re
 import tracemalloc
 
 import pytest
@@ -218,7 +219,7 @@ def test_preset_parses_to_pinned_values(name):
 @pytest.mark.parametrize("args, keys, memory", [
     (["--traj", "0"], ("N_traj",), None),
     (["--seed", "-1", "--traj", "10"], ("seed",), None),
-    # the records of 500 fig3a trajectories (1.8 MB) exceed 1 MiB
+    # a batch of 256 fig3a trajectories in each of two processes exceeds 1 MiB
     (["--traj", "500"], ("N_traj", "L"), 2**20),
 ], ids=["traj-zero", "seed-negative", "memory"])
 def test_main_rejects_malformed_preset_override(tmp_path, capsys, monkeypatch, args, keys, memory):
@@ -346,6 +347,37 @@ def test_check_memory_covers_a_one_batch_compare_run_in_the_calling_process(L, t
     monkeypatch.setattr(config, "_physical_memory", lambda: peak - 1)
     with pytest.raises(ConfigError):
         config.check_memory(cfg, 2)
+
+
+def memory_estimate(cfg, workers, monkeypatch) -> str:
+    """check_memory's estimate of `cfg`, as its error reports it."""
+    monkeypatch.setattr(config, "_physical_memory", lambda: 0)
+    with pytest.raises(ConfigError) as exc:
+        config.check_memory(cfg, workers)
+    return re.search(r"needs ~(\S+) GiB", exc.value.errors[0]).group(1)
+
+
+def test_check_memory_does_not_grow_with_n_traj(monkeypatch):
+    # the ensemble folds each batch as it arrives, so the calling process
+    # holds a window of batches whatever N_traj is
+    estimates = {n: memory_estimate(get_preset("compare-l3", n_traj=n), 2, monkeypatch)
+                 for n in (10**4, 10**7)}
+    assert estimates[10**4] == estimates[10**7]
+    # 3 * 10^6 trajectories fit on a host of 7.8 GiB
+    monkeypatch.setattr(config, "_physical_memory", lambda: 8019 * 2**20)
+    config.check_memory(get_preset("compare-l3", n_traj=3 * 10**6), 2)
+    # the heatmap keeps every marker: that part still grows with N_traj
+    raw = dict(PRESETS["compare-l3"], emit_heatmap=True)
+    small, large = (memory_estimate(parse_config(json.dumps(dict(raw, N_traj=n))), 2, monkeypatch)
+                    for n in (10**4, 10**7))
+    assert float(large) > 100 * float(small)
+
+
+def test_n_traj_stops_at_the_stream_ids():
+    # trajectory k draws from random stream k, and stream ids stop at 2^32
+    assert parse_config(json.dumps(dict(MINIMAL_OPEN, N_traj=1 << 32))).run.N_traj == 1 << 32
+    with pytest.raises(ConfigError, match=r"N_traj: must be <= 2\^32"):
+        parse_config(json.dumps(dict(MINIMAL_OPEN, N_traj=(1 << 32) + 1)))
 
 
 def test_check_memory_counts_the_oracle_propagator(monkeypatch):

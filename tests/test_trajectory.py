@@ -2,6 +2,7 @@
 
 import math
 import os
+from concurrent.futures import Future
 from dataclasses import replace
 
 import numpy as np
@@ -31,6 +32,13 @@ def chain_plan(L, gamma, v, dt):
 
 
 EMPTY_L1 = chain_plan(1, 0.0, 0.0, 0.5)
+
+
+def ensemble_and_events(*args, **kwargs):
+    """run_ensemble's result and the event rows it handed out, joined."""
+    blocks = []
+    ens = run_ensemble(*args, events=blocks.append, **kwargs)
+    return ens, np.concatenate(blocks)
 
 
 def test_fermi_dirac_symmetry_point():
@@ -178,11 +186,32 @@ def test_worker_count_does_not_change_results():
     plan = chain_plan(3, 3.0, 10.0, 0.5)
     contacts = (ContactSpec(0, 0.5, 1.0), ContactSpec(2, 0.5, 0.0))
     cfg = RunConfig(t_final=5.0, N_t=10, N_traj=12, seed=6)
-    serial = run_ensemble(plan, contacts, cfg, (0,), workers=1)
-    parallel = run_ensemble(plan, contacts, cfg, (0,), workers=3)
+    serial, serial_events = ensemble_and_events(plan, contacts, cfg, (0,), workers=1)
+    parallel, parallel_events = ensemble_and_events(plan, contacts, cfg, (0,), workers=3)
     assert np.array_equal(serial.mean_density, parallel.mean_density)
     assert np.array_equal(serial.stderr, parallel.stderr)
-    assert np.array_equal(serial.events, parallel.events)
+    assert np.array_equal(serial_events, parallel_events)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_fold_matches_the_stacked_records(workers):
+    # 300 trajectories of L = 8 are three batches of 100, folded one at a
+    # time; the stack of all of them is what the fold must reproduce
+    plan = chain_plan(8, 3.0, 10.0, 0.5)
+    contacts = (ContactSpec(0, 0.9, 1.0), ContactSpec(3, 0.9, 0.0), ContactSpec(7, 0.9, 0.0))
+    cfg = RunConfig(t_final=4.0, N_t=8, N_traj=300, seed=5)
+    records = [run_trajectory(plan, contacts, cfg, (0, 2), *b) for b in batches(8, cfg.N_traj)]
+    assert [len(r.density) for r in records] == [100, 100, 100]
+    stack = np.concatenate([r.density for r in records])
+    ens, events = ensemble_and_events(plan, contacts, cfg, (0, 2), workers=workers)
+    assert np.array_equal(ens.times, records[0].times)
+    assert np.array_equal(ens.mean_density, stack.mean(axis=0))
+    agree = stack.max(axis=0) == stack.min(axis=0)
+    assert agree[0].all() and not agree.all()
+    assert np.all(ens.stderr[agree] == 0.0)
+    want = stack.std(axis=0, ddof=1) / math.sqrt(cfg.N_traj)
+    np.testing.assert_allclose(ens.stderr[~agree], want[~agree], rtol=1e-14, atol=0)
+    assert np.array_equal(events, np.concatenate([r.events for r in records]))
 
 
 def test_no_more_workers_than_batches(monkeypatch):
@@ -199,38 +228,74 @@ def test_no_more_workers_than_batches(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, todo, chunksize):
-            handed.extend(todo)
-            return map(fn, todo)
+        def submit(self, fn, batch):
+            handed.append(batch)
+            done = Future()
+            done.set_result(fn(batch))
+            return done
 
     monkeypatch.setattr(trajectory, "ProcessPoolExecutor", SerialPool)
     # at most two trajectories of L = 2 per batch: 5 trajectories are 3 batches
     monkeypatch.setattr(trajectory, "BATCH_AMPS", 8)
     plan = chain_plan(2, 1.0, 0.0, 0.5)
     cfg = RunConfig(t_final=2.0, N_t=4, N_traj=5, seed=2)
-    pooled = run_ensemble(plan, (ContactSpec(1, 0.5, 0.0),), cfg, (0,), workers=64)
+    pooled, pooled_events = ensemble_and_events(plan, (ContactSpec(1, 0.5, 0.0),), cfg, (0,), workers=64)
     assert started == [3]
     assert handed == [(0, 2), (2, 2), (4, 1)]
-    serial = run_ensemble(plan, (ContactSpec(1, 0.5, 0.0),), cfg, (0,), workers=1)
+    serial, serial_events = ensemble_and_events(plan, (ContactSpec(1, 0.5, 0.0),), cfg, (0,), workers=1)
     assert np.array_equal(pooled.mean_density, serial.mean_density)
-    assert np.array_equal(pooled.events, serial.events)
+    assert np.array_equal(pooled_events, serial_events)
     # one batch of two trajectories, one trajectory or --workers 1: no
     # pool, and the one batch gives the serial result bit for bit
     started.clear()
     one = replace(cfg, N_traj=2)
-    lone = run_ensemble(plan, (ContactSpec(1, 0.5, 0.0),), one, (0,), workers=64)
+    lone, lone_events = ensemble_and_events(plan, (ContactSpec(1, 0.5, 0.0),), one, (0,), workers=64)
     run_ensemble(plan, (ContactSpec(1, 0.5, 0.0),), replace(cfg, N_traj=1), (0,), workers=64)
     run_ensemble(plan, (ContactSpec(1, 0.5, 0.0),), cfg, (0,), workers=1)
     assert started == []
-    serial = run_ensemble(plan, (ContactSpec(1, 0.5, 0.0),), one, (0,), workers=1)
-    for name in ("times", "mean_density", "stderr", "events"):
+    serial, serial_events = ensemble_and_events(plan, (ContactSpec(1, 0.5, 0.0),), one, (0,), workers=1)
+    for name in ("times", "mean_density", "stderr"):
         assert getattr(lone, name).tobytes() == getattr(serial, name).tobytes(), name
+    assert lone_events.tobytes() == serial_events.tobytes()
+
+
+def test_the_pool_runs_at_most_a_window_ahead_of_the_fold(monkeypatch):
+    # at most procs + 1 batches are submitted beyond the one being folded,
+    # so the calling process holds a window of results, never all of them
+    log = []
+
+    class LoggingPool:
+        def __init__(self, max_workers, initializer, initargs):
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, batch):
+            log.append("submit")
+            done = Future()
+            done.set_result(fn(batch))
+            return done
+
+    monkeypatch.setattr(trajectory, "ProcessPoolExecutor", LoggingPool)
+    # two trajectories of L = 2 per batch: 20 are 10 batches
+    monkeypatch.setattr(trajectory, "BATCH_AMPS", 8)
+    cfg = RunConfig(t_final=2.0, N_t=4, N_traj=20, seed=2)
+    procs = 2
+    run_ensemble(chain_plan(2, 1.0, 0.0, 0.5), (ContactSpec(1, 0.5, 0.0),), cfg, (0,), workers=procs,
+                 events=lambda rows: log.append("fold"))
+    # batch k is folded once it and the procs + 1 after it are submitted
+    submitted = [log[:i].count("submit") for i, entry in enumerate(log) if entry == "fold"]
+    assert submitted == [min(10, k + 1 + procs + 1) for k in range(10)]
 
 
 @pytest.mark.parametrize("L, n_traj", [(8, 150), (8, 64), (3, 400), (2, 8000), (7, 2000),
                                        (14, 3), (20, 1)])
 def test_batches_partition_the_trajectories(L, n_traj):
-    parts = batches(L, n_traj)
+    parts = list(batches(L, n_traj))
     counts = [c for _, c in parts]
     assert [f for f, _ in parts] == np.cumsum([0] + counts[:-1]).tolist()
     assert sum(counts) == n_traj
@@ -240,10 +305,12 @@ def test_batches_partition_the_trajectories(L, n_traj):
 
 
 def test_batch_sizes_follow_the_byte_budget():
-    assert batches(8, 128) == [(0, 128)]
-    assert batches(3, 400) == [(0, 400)]
-    assert batches(14, 3) == [(0, 2), (2, 1)]
-    assert batches(15, 3) == [(0, 1), (1, 1), (2, 1)]
+    assert list(batches(8, 128)) == [(0, 128)]
+    assert list(batches(3, 400)) == [(0, 400)]
+    assert list(batches(14, 3)) == [(0, 2), (2, 1)]
+    assert list(batches(15, 3)) == [(0, 1), (1, 1), (2, 1)]
+    # one batch at a time: the partition of every id there is takes no memory
+    assert next(batches(20, 1 << 32)) == (0, 1)
 
 
 def test_default_workers_follow_the_affinity_mask(monkeypatch):
