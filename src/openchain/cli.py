@@ -99,19 +99,23 @@ def run_scenario(cfg: ScenarioConfig, out_dir, workers: int | None = None) -> in
     ham = build_chain_hamiltonian(cfg.chain)
     plan = scenario_step(cfg, ham)
     run = replace(cfg.run, N_traj=1) if cfg.mode == "closed" else cfg.run
-    changed = []  # the heatmap's markers: the rows of events that changed a site
+    # the heatmap's markers: one event row that changed a site per distinct
+    # (step, site, target), at most 2 * N_t * contacts rows for any N_traj
+    markers = np.zeros((0, 5), dtype=np.int64)
     with open_events_csv(out / "events.csv") as fh:
 
         def write_events(rows: np.ndarray) -> None:
+            nonlocal markers
             emit_events_csv(rows, fh)
             if cfg.emit_heatmap:
-                changed.append(rows[rows[:, 4] == 1])
+                markers = np.concatenate((markers, rows[rows[:, 4] == 1]))
+                markers = markers[np.unique(markers[:, 1:4], axis=0, return_index=True)[1]]
 
         ens = run_ensemble(plan, cfg.contacts, run, cfg.init_occupations, workers=workers,
                            events=write_events)
     emit_csv(ens, out / "density.csv")
     if cfg.emit_heatmap:
-        emit_heatmap(ens, np.concatenate(changed), out / "heatmap.svg", n_steps=cfg.run.N_t)
+        emit_heatmap(ens, markers, out / "heatmap.svg", n_steps=cfg.run.N_t)
     if cfg.mode != "compare":
         return 0
 

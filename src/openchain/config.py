@@ -46,21 +46,6 @@ CONFIG_KEYS = frozenset((
 CONTACT_KEYS = frozenset(("site", "f", "eps_meV", "mu_meV", "kT_meV", "Gamma_meV", "eta", "label"))
 FERMI_DIRAC_KEYS = ("eps_meV", "mu_meV", "kT_meV")
 
-# one (traj, step, q, target, changed) int64 event row, as a finished
-# batch hands it to the calling process
-EVENT_ROW_BYTES = 5 * 8
-# per event row that changed a site, with the heatmap on: the row that the
-# CLI keeps and its concatenation, 80 B, and emit_heatmap's marker, its
-# row as Python ints and its SVG element, which tracemalloc measured at
-# 310 B per row over 10^4 and 10^5 rows
-MARKER_BYTES = 400
-# a running batch keeps each chunk of steps' events as int64 rows and
-# concatenates them at the end; tracemalloc measured a peak of 80.9 B per
-# row (the blocks and their concatenation) over 10**6 rows of one
-# trajectory (L = 2, two eta = 0.5 contacts).  A batch of many rows then
-# merges its chunks in place, a column at a time with the blocks freed,
-# which holds the rows once plus two int64 columns, below that peak
-RUNNING_EVENT_ROW_BYTES = 81
 # per amplitude of a batch in flight: the state, the scratch buffer that
 # trotter.apply_step's blocks write into and the phase vector, 16 B each;
 # tracemalloc measured peaks of 3.0 to 3.1 times 16 B per amplitude for
@@ -140,12 +125,6 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def _events_per_traj(contacts, run: RunConfig) -> float:
-    """Expected event rows of one trajectory: eta = Gamma * dt per
-    contact and step."""
-    return run.N_t * sum(c.Gamma * run.dt for c in contacts)
-
-
 def _engine_bytes(L: int, rows: int, n_contacts: int, N_t: int) -> int:
     """A batch of `rows` trajectories in flight: its state with the
     step's copies, a draw chunk with its jump table, the fixed rest."""
@@ -154,21 +133,23 @@ def _engine_bytes(L: int, rows: int, n_contacts: int, N_t: int) -> int:
             + BATCH_FIXED_BYTES)
 
 
-def _running_bytes(L: int, rows: int, contacts, run: RunConfig) -> float:
-    """The records and event rows that a running batch builds."""
-    records = (run.N_t // run.record_every + 1) * L * 8
-    return rows * (records + _events_per_traj(contacts, run) * RUNNING_EVENT_ROW_BYTES)
+def _running_bytes(L: int, rows: int, contacts, run: RunConfig) -> int:
+    """The records and event codes of a batch of `rows` trajectories:
+    float64 densities per record and site, one int8 code per step and
+    contact."""
+    return rows * ((run.N_t // run.record_every + 1) * L * 8 + run.N_t * len(contacts))
 
 
 def check_memory(cfg: ScenarioConfig, workers: int) -> None:
-    """Raise ConfigError, under the key of the largest factor, if the
-    estimated peak memory of `cfg` run on `workers` processes exceeds
-    physical memory.  It counts a batch of the largest size the
+    """Raise ConfigError if the estimated peak memory of `cfg` run on
+    `workers` processes exceeds physical memory: under `L` when the
+    batches' states dominate, else under `N_t`, which sizes the records
+    and event codes.  It counts a batch of the largest size the
     partition allows in flight in each process that holds one:
     min(workers, batches) processes, which is the calling process alone
     when that number is 1.  With a pool it adds the calling process's
-    window of finished batches, in compare mode its oracle, and with
-    the heatmap on its markers; nothing else grows with N_traj."""
+    window of finished batches, and in compare mode its oracle; nothing
+    grows with N_traj."""
     L, run, contacts = cfg.chain.L, cfg.run, cfg.contacts
     n_traj = 1 if cfg.mode == "closed" else run.N_traj
     rows_per_batch = min(n_traj, max(1, BATCH_AMPS >> L))
@@ -182,19 +163,15 @@ def check_memory(cfg: ScenarioConfig, workers: int) -> None:
         n_ops = len(contacts) * (4 if cfg.include_depolarizing else 2)
         D = math.comb(2 * L, L)
         state += 16 * (4 * D * D + (4 * n_ops << 2 * L))
-    rows = run.N_t // run.record_every + 1
-    per_traj = _events_per_traj(contacts, run)
+    batch = _running_bytes(L, rows_per_batch, contacts, run)
     # a pool's results wait in the calling process: the batch being folded,
     # the at most workers + 1 submitted ahead of it and the pickled bytes of
-    # one of those in transit, each its records and event rows
-    window = (0 if workers == 1 else
-              (workers + 3) * rows_per_batch * (rows * L * 8 + per_traj * EVENT_ROW_BYTES))
-    # the heatmap's markers: at most every event row of the run
-    markers = n_traj * per_traj * MARKER_BYTES if cfg.emit_heatmap else 0
-    held = workers * _running_bytes(L, rows_per_batch, contacts, run) + window + markers
+    # one of those in transit
+    window = 0 if workers == 1 else (workers + 3) * batch
+    held = workers * batch + window
     need, have = state + held, _physical_memory()
     if need > have:
-        key = "L" if state >= held else "N_traj" if n_traj > rows else "N_t"
+        key = "L" if state >= held else "N_t"
         raise ConfigError([
             f"{key}: L={L}, N_t={run.N_t}, record_every={run.record_every}, "
             f"N_traj={run.N_traj} needs ~{need / 2**30:.3g} GiB, more than the "

@@ -13,14 +13,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .trajectory import EnsembleResult
+from .trajectory import EVENTS_BLOCK, EnsembleResult
 
 # the action label of an event row, indexed by 2 * target + changed
 ACTIONS = ("null_remove", "remove", "null_inject", "inject")
-# event rows formatted at a time: tracemalloc measured the writer's peak
-# at 0.5 MiB for ids of up to 5 digits and 1.0 MiB for 19-digit ones,
-# for any E
-EVENTS_BLOCK = 4096
 # 10 .. 10^18: a non-negative int64 has one digit more than it has of these
 _TENS = 10 ** np.arange(1, 19, dtype=np.int64)
 # each action label with its newline, padded to 12 bytes (the longest
@@ -106,7 +102,9 @@ def emit_heatmap(result: EnsembleResult, events: np.ndarray, path, n_steps: int)
 
     x = time, y = site (site 1 on top); grayscale from 0 = black to
     1 = white.  Of the (E, 5) event rows, effective injections are drawn
-    as filled markers, effective removals as hollow ones.
+    as filled markers, effective removals as hollow ones, one marker per
+    distinct (step, site, action), in that order, so a removal's hollow
+    marker lies under an injection's at the same step and site.
     """
     times = result.times
     dens = result.mean_density
@@ -130,7 +128,7 @@ def emit_heatmap(result: EnsembleResult, events: np.ndarray, path, n_steps: int)
             )
     # event steps are trajectory steps 1..n_steps; map onto the T raster
     # columns (column 0 is t=0)
-    for step, q, target in events[events[:, 4] == 1, 1:4].tolist():
+    for step, q, target in np.unique(events[events[:, 4] == 1, 1:4], axis=0).tolist():
         x = MARGIN + (step / n_steps) * ((T - 1) * CELL) + CELL / 2.0
         y = MARGIN + q * CELL + CELL / 2.0
         r = CELL * 0.3

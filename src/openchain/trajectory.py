@@ -52,10 +52,13 @@ rows and draws up to DRAW_CHUNK uniforms at a time, one
 traj_id + b; consecutive blocks are the numbers one long draw would
 give, so the chunk size changes nothing.
 
-Contact events are one (E, 5) int64 array per batch, one row
-(traj, step, q, target, changed) per acting contact, in trajectory
-order; the ensemble hands each batch's rows to its caller and keeps
-none.
+Contact events are one (count, N_t, contacts) int8 array per batch,
+one code per (trajectory, step, contact): 2 * target + changed where
+the contact acted and -1 where it did not, N_t * contacts bytes per
+trajectory whatever the rates.  `event_rows` is the only reader of
+that layout: the ensemble expands each batch's codes into (traj, step,
+q, target, changed) rows about EVENTS_BLOCK at a time, hands them to
+its caller and keeps none.
 """
 
 from __future__ import annotations
@@ -78,6 +81,18 @@ BATCH_AMPS = 1 << 15
 # uniforms a batch draws at a time (128 KiB as float64, 0.75 MiB at the
 # peak of RngStream.uniform), so the draws take bounded memory for any N_t
 DRAW_CHUNK = 1 << 14
+# event rows expanded from a batch's codes at a time, and formatted at a
+# time by output.emit_events_csv: tracemalloc measured the writer's peak
+# at 0.32 MiB for ids of up to 5 digits and 0.40 MiB for 19-digit ones
+# (0.53 / 0.75 MiB at 4096 rows, where the calling process of the
+# contacts-l8 benchmark peaked 0.4 MiB higher)
+EVENTS_BLOCK = 2048
+# (target, changed) of the event codes 0 .. 3, indexed by the code.  A
+# table and np.unravel_index rather than shifts, masks and divmod, whose
+# first use pages in more of numpy's loops: the calling process of the
+# contacts-l8 and wide-l16 benchmark workloads peaked 0.2-0.3 MiB higher
+# with them (2-core host, five runs each)
+_DECODE = np.array([[0, 0], [0, 1], [1, 0], [1, 1]], dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -125,7 +140,7 @@ class DensityRecord:
 
     times: np.ndarray  # (T,)
     density: np.ndarray  # (B, T, L)
-    events: np.ndarray  # (E, 5) int64 rows (traj, step, q, target, changed)
+    events: np.ndarray  # (B, N_t, contacts) int8 codes, read by event_rows
 
 
 @dataclass
@@ -229,8 +244,11 @@ def run_trajectory(
     reset_to call (none when no contact acts on any row); a symmetric
     plan applies its half step once more after the contacts.  Densities
     are the exact state-vector expectations, recorded at the end of the
-    step.  The contacts are validated by run_ensemble; here eta > 1 is
-    caught by step_probabilities and a bad qubit by reset_to.
+    step.  The events are one int8 code per (row, step, contact), 2 *
+    target + changed where the contact acted and -1 where it did not;
+    event_rows expands them.  The contacts are validated by
+    run_ensemble; here eta > 1 is caught by step_probabilities and a
+    bad qubit by reset_to.
     """
     rng = RngStream(cfg.seed, traj_id, count)
     state = np.tile(init_basis_state(plan.L, init), (count, 1))
@@ -243,7 +261,7 @@ def run_trajectory(
     times = np.arange(n_records) * cfg.record_every * cfg.dt
     density = np.empty((count, n_records, plan.L))
     density[:, 0] = all_densities(state)
-    blocks = []
+    events = np.empty((count, cfg.N_t, n_c), dtype=np.int8)
 
     row = 1
     chunk = chunk_steps(count, n_c)
@@ -264,20 +282,28 @@ def run_trajectory(
             if step % cfg.record_every == 0:
                 density[:, row] = all_densities(state)
                 row += 1
-        b, j, i = np.nonzero(target >= 0)
-        t = target[b, j, i]
-        blocks.append(np.column_stack(
-            (b + traj_id, j + (start + 1), qs[i], t, measured[b, j, i] != t)).astype(np.int64, copy=False))
-    events = np.concatenate(blocks)  # N_t >= 1, so there is at least one chunk
-    if count > 1 and len(blocks) > 1:
-        # each block is in (trajectory, step, contact) order; merge them in
-        # place a column at a time, with the blocks freed, so the merge
-        # holds one copy of the rows and not three
-        blocks.clear()
-        order = np.argsort(events[:, 0], kind="stable")
-        for col in events.T:
-            col[:] = col[order]
+        events[:, start:start + n] = np.where(target >= 0, 2 * target + (measured != target), -1)
     return DensityRecord(times, density, events)
+
+
+def event_rows(codes: np.ndarray, traj_id: int, qs):
+    """The events of a batch's (count, N_t, contacts) codes as (E, 5)
+    int64 rows (traj, step, q, target, changed), in trajectory, step and
+    contact-list order; the batch's rows are trajectories traj_id ..
+    traj_id + count - 1 and contact i acts on qubit qs[i].  The rows
+    come in the fewest blocks of about EVENTS_BLOCK rows: the codes are
+    cut into that many equal slices, so a block holds its share of the
+    events at the batch's mean rate.  A batch with any contact yields
+    at least one block."""
+    qs = np.asarray(qs, dtype=np.int64)
+    flat = codes.reshape(-1)
+    n_blocks = max(1, -(-np.count_nonzero(flat >= 0) // EVENTS_BLOCK))
+    span = max(1, -(-flat.size // n_blocks))
+    for start in range(0, flat.size, span):
+        piece = flat[start:start + span]
+        at = np.flatnonzero(piece >= 0)
+        traj, step, contact = np.unravel_index(at + start, codes.shape)
+        yield np.column_stack((traj + traj_id, step + 1, qs[contact], _DECODE[piece[at]]))
 
 
 # -- parallel ensemble -------------------------------------------------
@@ -398,8 +424,8 @@ def run_ensemble(
     them, at most one per batch, with at most one batch more than it
     has processes submitted ahead of the one being folded.  `workers`
     defaults to default_workers().  `events`, if given, is called with
-    each batch's (E, 5) event rows, in trajectory order; nothing keeps
-    them after the call.
+    the event rows of `event_rows`, each batch's in its blocks, in
+    trajectory order; nothing keeps them after the call.
     """
     errors = validate_contacts(contacts, plan.L, cfg.dt)
     if errors:
@@ -410,16 +436,18 @@ def run_ensemble(
         raise ValueError(f"workers must be >= 1, got {workers}")
     todo = batches(plan.L, cfg.N_traj)
     procs = min(workers, batch_count(plan.L, cfg.N_traj))
+    qs = [c.q for c in contacts]
     fold = _Fold()
     with contextlib.closing(_records(plan, contacts, cfg, init, todo, procs)) as records:
-        for rec in records:
+        for (traj_id, _), rec in zip(batches(plan.L, cfg.N_traj), records):
             times = rec.times
             fold.add(rec.density)
-            rows = rec.events
+            codes = rec.events
             # free the spent records before the caller formats the rows, and
-            # the rows before the next batch runs here
+            # the codes before the next batch runs here
             del rec
             if events is not None:
-                events(rows)
-            del rows
+                for rows in event_rows(codes, traj_id, qs):
+                    events(rows)
+            del codes
     return EnsembleResult(times=times, mean_density=fold.total / cfg.N_traj, stderr=fold.stderr())

@@ -349,17 +349,21 @@ STREAMED_CONFIG = {"mode": "open", "L": 8, "gamma_meV": 3.0, "v_meV": 10.0,
 
 
 def test_heatmap_markers_survive_the_stream(tmp_path):
-    # the CLI keeps only the changed rows of each batch as it arrives; the
-    # heatmap must be the one drawn from every batch's rows, joined
+    # the CLI keeps one changed row per distinct cell, merged block by
+    # block as the rows arrive; the heatmap must be the one drawn from
+    # every batch's rows, joined
     cfg = parse_config(json.dumps(STREAMED_CONFIG))
     plan = scenario_step(cfg, build_chain_hamiltonian(cfg.chain))
+    parts = list(trajectory.batches(cfg.chain.L, cfg.run.N_traj))
     records = [trajectory.run_trajectory(plan, cfg.contacts, cfg.run, cfg.init_occupations, *b)
-               for b in trajectory.batches(cfg.chain.L, cfg.run.N_traj)]
+               for b in parts]
     assert len(records) == 3
     stack = np.concatenate([r.density for r in records])
     ens = EnsembleResult(records[0].times, stack.mean(axis=0), np.zeros_like(stack[0]))
-    emit_heatmap(ens, np.concatenate([r.events for r in records]), tmp_path / "reference.svg",
-                 n_steps=cfg.run.N_t)
+    qs = [c.q for c in cfg.contacts]
+    events = np.concatenate([rows for r, (first, _) in zip(records, parts)
+                             for rows in trajectory.event_rows(r.events, first, qs)])
+    emit_heatmap(ens, events, tmp_path / "reference.svg", n_steps=cfg.run.N_t)
     reference = (tmp_path / "reference.svg").read_bytes()
     assert reference.count(b"<circle") > 0
     cfg_path = tmp_path / "cfg.json"
@@ -368,6 +372,49 @@ def test_heatmap_markers_survive_the_stream(tmp_path):
         out = tmp_path / workers
         assert main(["run", "--config", str(cfg_path), "--out", str(out), "--workers", workers]) == 0
         assert (out / "heatmap.svg").read_bytes() == reference, workers
+
+
+def test_heatmap_draws_one_marker_per_distinct_cell(tmp_path):
+    # three rows inject on site 1 at step 2 and one removes there: one
+    # filled marker over one hollow one, then the removal at step 3
+    events = np.array([(0, 2, 0, 1, 1), (1, 2, 0, 0, 1), (2, 2, 0, 1, 1), (3, 2, 0, 1, 1),
+                       (3, 3, 1, 0, 1), (4, 3, 1, 0, 1), (4, 3, 1, 1, 0)], dtype=np.int64)
+    path = tmp_path / "heatmap.svg"
+    emit_heatmap(one_point_result(np.zeros((4, 2))), events, path, n_steps=3)
+    fills = re.findall(r'<circle cx="([^"]+)" cy="([^"]+)" r="[^"]+" fill="([^"]+)"', path.read_text())
+    assert [fill for *_, fill in fills] == ["none", "#000", "none"]
+    assert fills[0][:2] == fills[1][:2] != fills[2][:2]
+
+
+def test_events_list_two_contacts_on_one_site_in_contact_order(tmp_path):
+    # two contacts on site 2 (eta 0.4 + 0.5 <= 1), then one on site 1;
+    # three trajectories are one batch, and N_t spans three draw chunks
+    raw = {"mode": "open", "L": 2, "gamma_meV": 1.0, "v_meV": 10.0,
+           "contacts": [{"site": 2, "eta": 0.4, "f": 1.0}, {"site": 2, "eta": 0.5, "f": 0.0},
+                        {"site": 1, "eta": 0.5, "f": 1.0}],
+           "t_final": 500.0, "N_t": 2000, "N_traj": 3, "seed": 4, "init_sites": [1]}
+    cfg = parse_config(json.dumps(raw))
+    assert list(trajectory.batches(2, 3)) == [(0, 3)]
+    assert cfg.run.N_t > 2 * trajectory.chunk_steps(3, 3)
+    assert run_scenario(cfg, tmp_path, workers=1) == 0
+    lines = (tmp_path / "events.csv").read_text().splitlines()[1:]
+    assert len(lines) > EVENTS_BLOCK
+    rows = [(int(traj), int(step), int(site), action)
+            for traj, step, site, action in (line.split(",") for line in lines)]
+    # the contact of each row: site 2 injects (contact 0) or removes (1)
+    contact = [2 if site == 1 else int(action.endswith("remove")) for _, _, site, action in rows]
+    keys = [(traj, step, i) for (traj, step, _, _), i in zip(rows, contact)]
+    assert keys == sorted(set(keys))
+    assert any(a[:2] == b[:2] and (a[2], b[2]) == (0, 1) for a, b in zip(keys, keys[1:]))
+    # and the batch's rows are those of each trajectory run on its own
+    plan = scenario_step(cfg, build_chain_hamiltonian(cfg.chain))
+    qs = [c.q for c in cfg.contacts]
+    for b in range(3):
+        lone = trajectory.run_trajectory(plan, cfg.contacts, cfg.run, cfg.init_occupations, b)
+        want = [(t, s, q + 1, ACTIONS[2 * target + changed])
+                for rows_b in trajectory.event_rows(lone.events, b, qs)
+                for t, s, q, target, changed in rows_b.tolist()]
+        assert [r for r in rows if r[0] == b] == want
 
 
 def test_failed_run_leaves_no_events_csv(tmp_path, monkeypatch, capsys):

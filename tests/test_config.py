@@ -69,9 +69,9 @@ MALFORMED = {
                                                        "N_t": 2, "record_every": 5}),
     "N_t-beyond-memory": ("N_t", {"N_t": 10**12}),
     "N_traj-beyond-memory": ("N_traj", {"N_traj": 10**12}),
-    # eta = 0.5 on each of two contacts: one event row per step and
-    # trajectory, 10**11 rows in all, while the records are two rows each
-    "events-beyond-memory": ("N_traj", {
+    # two contacts: one event code per step and contact, 2 * 10**11 bytes
+    # for the batch of 100 trajectories, while the records are two rows each
+    "events-beyond-memory": ("N_t", {
         "t_final": 10**9, "N_t": 10**9, "record_every": 10**9, "N_traj": 100,
         "contacts": [{"site": 1, "eta": 0.5, "f": 1.0}, {"site": 2, "eta": 0.5, "f": 0.0}]}),
     "mode-lindblad-check": ("mode", {"mode": "lindblad-check"}),
@@ -366,11 +366,23 @@ def test_check_memory_does_not_grow_with_n_traj(monkeypatch):
     # 3 * 10^6 trajectories fit on a host of 7.8 GiB
     monkeypatch.setattr(config, "_physical_memory", lambda: 8019 * 2**20)
     config.check_memory(get_preset("compare-l3", n_traj=3 * 10**6), 2)
-    # the heatmap keeps every marker: that part still grows with N_traj
+    # the heatmap keeps one marker per distinct (step, site, action): that
+    # part does not grow with N_traj either
     raw = dict(PRESETS["compare-l3"], emit_heatmap=True)
     small, large = (memory_estimate(parse_config(json.dumps(dict(raw, N_traj=n))), 2, monkeypatch)
                     for n in (10**4, 10**7))
-    assert float(large) > 100 * float(small)
+    assert large == small
+
+
+def test_check_memory_names_n_t_when_records_and_codes_dominate(monkeypatch):
+    # L = 2 at N_t = 2 * 10^8: a batch's records and event codes exceed the
+    # host at 10^5 trajectories as at 4 * 10^9; N_traj past one batch
+    # changes nothing, and only N_t can make the run fit
+    monkeypatch.setattr(config, "_physical_memory", lambda: 8 * 2**30)
+    raw = dict(MINIMAL_OPEN, N_t=2 * 10**8)
+    for n_traj in (4 * 10**9, 10**5):
+        with pytest.raises(ConfigError, match="^N_t: "):
+            config.check_memory(parse_config(json.dumps(dict(raw, N_traj=n_traj))), 2)
 
 
 def test_n_traj_stops_at_the_stream_ids():

@@ -2,6 +2,7 @@
 
 import math
 import os
+import pickle
 from concurrent.futures import Future
 from dataclasses import replace
 
@@ -18,6 +19,7 @@ from openchain.trajectory import (
     ContactSpec,
     RunConfig,
     batches,
+    event_rows,
     fermi_dirac,
     run_ensemble,
     run_trajectory,
@@ -32,6 +34,11 @@ def chain_plan(L, gamma, v, dt):
 
 
 EMPTY_L1 = chain_plan(1, 0.0, 0.0, 0.5)
+
+
+def rows_of(rec, contacts, traj_id=0):
+    """A batch record's event rows, expanded from its codes."""
+    return np.concatenate(list(event_rows(rec.events, traj_id, [c.q for c in contacts])))
 
 
 def ensemble_and_events(*args, **kwargs):
@@ -122,7 +129,7 @@ def test_zero_gamma_contact_matches_closed_run():
     closed = run_trajectory(plan, (), cfg, (0,))
     gated = run_trajectory(plan, (ContactSpec(2, 0.0, 1.0),), cfg, (0,))
     assert np.array_equal(closed.density, gated.density)
-    assert gated.events.shape == (0, 5)
+    assert rows_of(gated, (ContactSpec(2, 0.0, 1.0),)).shape == (0, 5)
 
 
 def test_same_seed_reproduces_record():
@@ -148,9 +155,11 @@ def test_absorbing_injection_with_frozen_hamiltonian():
 def test_events_pin_density_to_target():
     plan = chain_plan(2, 1.0, 0.0, 0.5)
     cfg = RunConfig(t_final=10.0, N_t=20, seed=5)
-    rec = run_trajectory(plan, (ContactSpec(0, 1.0, 1.0),), cfg, (1,))
-    assert len(rec.events), "expected at least one contact event"
-    for _, step, q, target, _ in rec.events:
+    contacts = (ContactSpec(0, 1.0, 1.0),)
+    rec = run_trajectory(plan, contacts, cfg, (1,))
+    events = rows_of(rec, contacts)
+    assert len(events), "expected at least one contact event"
+    for _, step, q, target, _ in events:
         # recording happens after contact actions, so the recorded density
         # at the event step equals the reset target
         assert rec.density[0, step, q] == pytest.approx(float(target), abs=1e-12)
@@ -211,7 +220,8 @@ def test_fold_matches_the_stacked_records(workers):
     assert np.all(ens.stderr[agree] == 0.0)
     want = stack.std(axis=0, ddof=1) / math.sqrt(cfg.N_traj)
     np.testing.assert_allclose(ens.stderr[~agree], want[~agree], rtol=1e-14, atol=0)
-    assert np.array_equal(events, np.concatenate([r.events for r in records]))
+    assert np.array_equal(events, np.concatenate([rows_of(r, contacts, first)
+                                                  for r, (first, _) in zip(records, batches(8, cfg.N_traj))]))
 
 
 def test_no_more_workers_than_batches(monkeypatch):
@@ -363,7 +373,7 @@ def test_draw_layout_two_uniforms_per_contact_step(monkeypatch):
             assert (want[:, step - 1] == -1).all()
     acting = [[5 + b, s + 1, i, want[b, s, i]]
               for b in range(3) for s in range(10) for i in range(2) if want[b, s, i] >= 0]
-    assert rec.events[:, :4].tolist() == acting
+    assert rows_of(rec, contacts, 5)[:, :4].tolist() == acting
 
 
 def test_batch_rows_match_lone_trajectories():
@@ -371,10 +381,40 @@ def test_batch_rows_match_lone_trajectories():
     contacts = (ContactSpec(0, 0.5, 1.0), ContactSpec(1, 0.5, 0.5), ContactSpec(2, 0.5, 0.0))
     cfg = RunConfig(t_final=5.0, N_t=10, seed=4)
     batch = run_trajectory(plan, contacts, cfg, (0,), traj_id=2, count=4)
+    events = rows_of(batch, contacts, 2)
     for b in range(4):
         lone = run_trajectory(plan, contacts, cfg, (0,), traj_id=2 + b)
         assert np.max(np.abs(batch.density[b] - lone.density[0])) <= 1e-14
-        assert np.array_equal(batch.events[batch.events[:, 0] == 2 + b], lone.events)
+        assert np.array_equal(events[events[:, 0] == 2 + b], rows_of(lone, contacts, 2 + b))
+
+
+def test_the_batch_record_stays_compact():
+    # a batch shaped like the contacts-l8 benchmark's: 100 rows of L = 8
+    # with a contact on every site; its events take one byte per (row,
+    # step, contact) whatever the rates, so the record is its densities
+    plan = chain_plan(8, 3.0, 10.0, 0.5)
+    contacts = tuple(ContactSpec(q, 0.9, float((q + 1) % 2)) for q in range(8))
+    cfg = RunConfig(t_final=20.0, N_t=40, seed=2)
+    rec = run_trajectory(plan, contacts, cfg, (0, 2, 4, 6), 0, 100)
+    assert len(rows_of(rec, contacts)) > 100 * 40 * 8 / 4
+    assert len(pickle.dumps(rec)) <= rec.density.nbytes + 100 * 40 * 8 + 4096
+
+
+def test_event_rows_come_in_blocks_in_trajectory_step_and_contact_order(monkeypatch):
+    # contact i acts at every step of row b with b + i odd: rows 0 and 2
+    # have events only from contact 1, rows 1 and 3 only from contact 0
+    codes = np.full((4, 50, 2), -1, dtype=np.int8)
+    codes[1::2, :, 0] = 3
+    codes[0::2, :, 1] = 0
+    want = [(7 + b, s + 1, (5, 2)[(b + 1) % 2], (1, 0)[(b + 1) % 2], (1, 0)[(b + 1) % 2])
+            for b in range(4) for s in range(50)]
+    assert [len(rows) for rows in event_rows(codes, 7, [5, 2])] == [200]
+    monkeypatch.setattr(trajectory, "EVENTS_BLOCK", 30)
+    blocks = list(event_rows(codes, 7, [5, 2]))
+    assert all(rows.dtype == np.int64 and len(rows) <= 30 for rows in blocks)
+    assert list(map(tuple, np.concatenate(blocks).tolist())) == want
+    # no contact acted: one empty block
+    assert [rows.shape for rows in event_rows(np.full((2, 3, 1), -1, dtype=np.int8), 0, [0])] == [(0, 5)]
 
 
 def test_ensemble_rejects_worker_count_below_one():
