@@ -27,7 +27,7 @@ from .config import (
 )
 from .lindblad import build_jump_operators, integrate
 from .model import ChainHamiltonian, build_chain_hamiltonian, fock_matrix_oracle
-from .output import emit_csv, emit_events_csv, emit_heatmap, open_events_csv
+from .output import emit_csv, emit_events_csv, emit_heatmap, mark_changes, open_events_csv
 from .state import init_basis_state
 from .trajectory import EnsembleResult, default_workers, run_ensemble
 from .trotter import TrotterPlan, build_step
@@ -99,23 +99,22 @@ def run_scenario(cfg: ScenarioConfig, out_dir, workers: int | None = None) -> in
     ham = build_chain_hamiltonian(cfg.chain)
     plan = scenario_step(cfg, ham)
     run = replace(cfg.run, N_traj=1) if cfg.mode == "closed" else cfg.run
-    # the heatmap's markers: one event row that changed a site per distinct
-    # (step, site, target), at most 2 * N_t * contacts rows for any N_traj
-    markers = np.zeros((0, 5), dtype=np.int64)
+    qs = [c.q for c in cfg.contacts]
+    # the heatmap's markers, 2 * N_t * L bytes for any N_traj; a run
+    # without contacts marks none, so its raster needs no steps
+    cells = np.zeros((run.N_t if cfg.emit_heatmap and qs else 0, cfg.chain.L, 2), dtype=bool)
     with open_events_csv(out / "events.csv") as fh:
 
-        def write_events(rows: np.ndarray) -> None:
-            nonlocal markers
-            emit_events_csv(rows, fh)
+        def write_events(traj_id: int, codes: np.ndarray) -> None:
+            emit_events_csv(codes, traj_id, qs, fh)
             if cfg.emit_heatmap:
-                markers = np.concatenate((markers, rows[rows[:, 4] == 1]))
-                markers = markers[np.unique(markers[:, 1:4], axis=0, return_index=True)[1]]
+                mark_changes(cells, codes, qs)
 
         ens = run_ensemble(plan, cfg.contacts, run, cfg.init_occupations, workers=workers,
                            events=write_events)
     emit_csv(ens, out / "density.csv")
     if cfg.emit_heatmap:
-        emit_heatmap(ens, markers, out / "heatmap.svg", n_steps=cfg.run.N_t)
+        emit_heatmap(ens, cells, out / "heatmap.svg")
     if cfg.mode != "compare":
         return 0
 

@@ -143,13 +143,14 @@ def _running_bytes(L: int, rows: int, contacts, run: RunConfig) -> int:
 def check_memory(cfg: ScenarioConfig, workers: int) -> None:
     """Raise ConfigError if the estimated peak memory of `cfg` run on
     `workers` processes exceeds physical memory: under `L` when the
-    batches' states dominate, else under `N_t`, which sizes the records
-    and event codes.  It counts a batch of the largest size the
-    partition allows in flight in each process that holds one:
-    min(workers, batches) processes, which is the calling process alone
-    when that number is 1.  With a pool it adds the calling process's
-    window of finished batches, and in compare mode its oracle; nothing
-    grows with N_traj."""
+    batches' states dominate, else under `N_t`, which sizes the records,
+    the event codes and the heatmap's raster.  It counts a batch of the
+    largest size the partition allows in flight in each process that
+    holds one: min(workers, batches) processes, which is the calling
+    process alone when that number is 1.  It adds, with a pool, the
+    calling process's window of finished batches; in compare mode its
+    oracle; with the heatmap on and a contact, its raster of markers.
+    Nothing grows with N_traj."""
     L, run, contacts = cfg.chain.L, cfg.run, cfg.contacts
     n_traj = 1 if cfg.mode == "closed" else run.N_traj
     rows_per_batch = min(n_traj, max(1, BATCH_AMPS >> L))
@@ -168,7 +169,9 @@ def check_memory(cfg: ScenarioConfig, workers: int) -> None:
     # the at most workers + 1 submitted ahead of it and the pickled bytes of
     # one of those in transit
     window = 0 if workers == 1 else (workers + 3) * batch
-    held = workers * batch + window
+    # and the heatmap's raster, a flag per (step, site, target), if it marks
+    raster = 2 * run.N_t * L if cfg.emit_heatmap and contacts else 0
+    held = workers * batch + window + raster
     need, have = state + held, _physical_memory()
     if need > have:
         key = "L" if state >= held else "N_t"
@@ -210,19 +213,20 @@ def _contact_from_dict(entry: dict, L: int, dt: float, path: str, errors: list[s
     else:
         errors.append(f"{path}: needs either 'f' or (eps_meV, mu_meV, kT_meV)")
         return None
-    if "Gamma_meV" in entry:
-        gamma = _number(entry["Gamma_meV"], f"{path}.Gamma_meV", errors)
-    elif "eta" in entry:
-        # alternate reading: a dimensionless per-step probability
-        eta = _number(entry["eta"], f"{path}.eta", errors)
-        gamma = None if eta is None else eta / dt
-    else:
+    key = "Gamma_meV" if "Gamma_meV" in entry else "eta"
+    if key not in entry:
         errors.append(f"{path}: needs either 'Gamma_meV' or 'eta'")
         return None
-    if gamma is None:
+    rate = _number(entry[key], f"{path}.{key}", errors)
+    if rate is None:
         return None
-    if not (gamma >= 0 and math.isfinite(gamma)):
-        errors.append(f"{path}.Gamma_meV: must be >= 0, got {gamma!r}")
+    if rate < 0:
+        errors.append(f"{path}.{key}: must be >= 0, got {rate!r}")
+        return None
+    # eta, the alternate reading, is a dimensionless per-step probability
+    gamma = rate if key == "Gamma_meV" else rate / dt
+    if math.isinf(gamma):
+        errors.append(f"{path}.eta: eta / dt overflows, got {rate!r} / {dt!r}")
         return None
     return ContactSpec(q=site - 1, Gamma=gamma, f=f)
 

@@ -13,10 +13,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .trajectory import EVENTS_BLOCK, EnsembleResult
+from .trajectory import EnsembleResult
 
-# the action label of an event row, indexed by 2 * target + changed
+# the action label of an event, indexed by its code 2 * target + changed
 ACTIONS = ("null_remove", "remove", "null_inject", "inject")
+# event codes formatted at a time by emit_events_csv: tracemalloc
+# measured the writer's peak at 0.32 MiB for ids of up to 5 digits and
+# 0.40 MiB for 19-digit ones (0.53 / 0.75 MiB at 4096 events, where the
+# calling process of the contacts-l8 benchmark peaked 0.4 MiB higher)
+EVENTS_BLOCK = 2048
 # 10 .. 10^18: a non-negative int64 has one digit more than it has of these
 _TENS = 10 ** np.arange(1, 19, dtype=np.int64)
 # each action label with its newline, padded to 12 bytes (the longest
@@ -46,16 +51,16 @@ def emit_csv(result: EnsembleResult, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _events_block(block: np.ndarray) -> str:
-    # each row as bytes: the digits of traj, step and site, each field
-    # right-aligned in its column with a comma after it, then the action
-    # label; keep marks the bytes that print, so leading blanks drop out
-    fields = (block[:, 0], block[:, 1], block[:, 2] + 1)
+def _events_block(fields, codes: np.ndarray) -> str:
+    # each event as bytes: the digits of each non-negative int64 field
+    # (traj, step, site), right-aligned in its column with a comma after
+    # it, then the label of its code; keep marks the bytes that print, so
+    # leading blanks drop out
     n_digits = [np.searchsorted(_TENS, x, side="right") + 1 for x in fields]
     widths = [int(d.max()) for d in n_digits]
     width = sum(widths) + len(widths) + _LABELS.shape[1]
-    chars = np.empty((len(block), width), dtype=np.uint8)
-    keep = np.ones((len(block), width), dtype=bool)
+    chars = np.empty((len(codes), width), dtype=np.uint8)
+    keep = np.ones((len(codes), width), dtype=bool)
     end = 0
     for x, d, w in zip(fields, n_digits, widths):
         for col in range(end + w - 1, end - 1, -1):
@@ -65,9 +70,8 @@ def _events_block(block: np.ndarray) -> str:
         keep[:, end:end + w] = np.arange(w) >= w - d[:, None]
         chars[:, end + w] = ord(",")
         end += w + 1
-    action = 2 * block[:, 3] + block[:, 4]
-    chars[:, end:] = _LABELS[action]
-    keep[:, end:] = _LABEL_KEEP[action]
+    chars[:, end:] = _LABELS[codes]
+    keep[:, end:] = _LABEL_KEEP[codes]
     return chars[keep].tobytes().decode("ascii")
 
 
@@ -88,23 +92,49 @@ def open_events_csv(path):
         part.unlink(missing_ok=True)
 
 
-def emit_events_csv(events: np.ndarray, fh) -> None:
-    """Append the (E, 5) event rows to the open file `fh` as
-    `traj,step,site,action` (site 1-based), EVENTS_BLOCK rows at a time,
-    each block formatted as one byte matrix.  Each row's bytes depend on
-    that row alone, so the rows may come in any number of calls."""
-    for start in range(0, len(events), EVENTS_BLOCK):
-        fh.write(_events_block(events[start:start + EVENTS_BLOCK]))
+def emit_events_csv(codes: np.ndarray, traj_id: int, qs, fh) -> None:
+    """Append the events of the (count, N_t, contacts) codes of the batch
+    from trajectory traj_id to the open file `fh` as
+    `traj,step,site,action` (site 1-based, contact i on qubit qs[i]), in
+    trajectory, step and contact-list order: the fewest equal slices of
+    the codes that hold about EVENTS_BLOCK events at the batch's mean
+    rate, each slice's events formatted as one byte matrix."""
+    sites = np.asarray(qs, dtype=np.int64) + 1
+    flat = codes.reshape(-1)
+    n_slices = max(1, -(-np.count_nonzero(flat >= 0) // EVENTS_BLOCK))
+    span = max(1, -(-flat.size // n_slices))
+    for start in range(0, flat.size, span):
+        piece = flat[start:start + span]
+        at = np.flatnonzero(piece >= 0)
+        if len(at):
+            # np.unravel_index rather than shifts, masks and divmod, whose
+            # first use pages in more of numpy's loops: the calling process
+            # of the contacts-l8 and wide-l16 benchmark workloads peaked
+            # 0.2-0.3 MiB higher with them (2-core host, five runs each)
+            traj, step, contact = np.unravel_index(at + start, codes.shape)
+            fh.write(_events_block((traj + traj_id, step + 1, sites[contact]), piece[at]))
 
 
-def emit_heatmap(result: EnsembleResult, events: np.ndarray, path, n_steps: int) -> None:
-    """Self-contained SVG raster of n_i(t) over a run of `n_steps` steps.
+def mark_changes(cells: np.ndarray, codes: np.ndarray, qs) -> None:
+    """Set in `cells`, the (N_t, L, 2) bool raster of (step, site,
+    target), every cell where an event of a batch's (count, N_t,
+    contacts) codes changed its site, contact i on qubit qs[i]; one
+    contact at a time, so two on one site merge."""
+    for i, q in enumerate(qs):
+        for target in (0, 1):
+            cells[:, q, target] |= (codes[:, :, i] == 2 * target + 1).any(axis=0)
+
+
+def emit_heatmap(result: EnsembleResult, cells: np.ndarray, path) -> None:
+    """Self-contained SVG raster of n_i(t).
 
     x = time, y = site (site 1 on top); grayscale from 0 = black to
-    1 = white.  Of the (E, 5) event rows, effective injections are drawn
-    as filled markers, effective removals as hollow ones, one marker per
-    distinct (step, site, action), in that order, so a removal's hollow
-    marker lies under an injection's at the same step and site.
+    1 = white.  Of `cells`, the run's (N_t, L, 2) raster of the (step,
+    site, target) that an event changed (mark_changes), injections are
+    drawn as filled markers and removals as hollow ones, in (step, site,
+    target) order, so a removal's hollow marker lies under an
+    injection's at the same step and site.  A run without contacts may
+    pass a raster of no steps.
     """
     times = result.times
     dens = result.mean_density
@@ -126,10 +156,10 @@ def emit_heatmap(result: EnsembleResult, events: np.ndarray, path, n_steps: int)
             parts.append(
                 f'<rect x="{x}" y="{y}" width="{CELL}" height="{CELL}" fill="{color}"/>'
             )
-    # event steps are trajectory steps 1..n_steps; map onto the T raster
+    # event steps are trajectory steps 1..N_t; map onto the T raster
     # columns (column 0 is t=0)
-    for step, q, target in np.unique(events[events[:, 4] == 1, 1:4], axis=0).tolist():
-        x = MARGIN + (step / n_steps) * ((T - 1) * CELL) + CELL / 2.0
+    for step, q, target in np.argwhere(cells).tolist():
+        x = MARGIN + ((step + 1) / len(cells)) * ((T - 1) * CELL) + CELL / 2.0
         y = MARGIN + q * CELL + CELL / 2.0
         r = CELL * 0.3
         if target == 1:

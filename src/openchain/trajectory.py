@@ -55,10 +55,10 @@ give, so the chunk size changes nothing.
 Contact events are one (count, N_t, contacts) int8 array per batch,
 one code per (trajectory, step, contact): 2 * target + changed where
 the contact acted and -1 where it did not, N_t * contacts bytes per
-trajectory whatever the rates.  `event_rows` is the only reader of
-that layout: the ensemble expands each batch's codes into (traj, step,
-q, target, changed) rows about EVENTS_BLOCK at a time, hands them to
-its caller and keeps none.
+trajectory whatever the rates.  The code is the index of its action
+in output.ACTIONS.  The ensemble hands each batch's codes, with its
+first trajectory id, to its caller and keeps none; output is the only
+reader of the codes.
 """
 
 from __future__ import annotations
@@ -81,18 +81,6 @@ BATCH_AMPS = 1 << 15
 # uniforms a batch draws at a time (128 KiB as float64, 0.75 MiB at the
 # peak of RngStream.uniform), so the draws take bounded memory for any N_t
 DRAW_CHUNK = 1 << 14
-# event rows expanded from a batch's codes at a time, and formatted at a
-# time by output.emit_events_csv: tracemalloc measured the writer's peak
-# at 0.32 MiB for ids of up to 5 digits and 0.40 MiB for 19-digit ones
-# (0.53 / 0.75 MiB at 4096 rows, where the calling process of the
-# contacts-l8 benchmark peaked 0.4 MiB higher)
-EVENTS_BLOCK = 2048
-# (target, changed) of the event codes 0 .. 3, indexed by the code.  A
-# table and np.unravel_index rather than shifts, masks and divmod, whose
-# first use pages in more of numpy's loops: the calling process of the
-# contacts-l8 and wide-l16 benchmark workloads peaked 0.2-0.3 MiB higher
-# with them (2-core host, five runs each)
-_DECODE = np.array([[0, 0], [0, 1], [1, 0], [1, 1]], dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -140,7 +128,7 @@ class DensityRecord:
 
     times: np.ndarray  # (T,)
     density: np.ndarray  # (B, T, L)
-    events: np.ndarray  # (B, N_t, contacts) int8 codes, read by event_rows
+    events: np.ndarray  # (B, N_t, contacts) int8 codes, read by output
 
 
 @dataclass
@@ -188,22 +176,21 @@ def step_probabilities(c: ContactSpec, dt: float) -> tuple[float, float, float]:
 
 
 def validate_contacts(contacts, L: int, dt: float) -> list[str]:
-    """All contact-level constraint violations, as readable strings."""
+    """All contact-level constraint violations, as readable strings: a
+    qubit out of range, and once per site whose contacts' eta = Gamma*dt
+    sum past 1, under the contact that takes the sum past 1 in list
+    order (each eta is >= 0, so a lone contact over 1 is such a site)."""
     errors = []
-    eta_per_qubit: dict[int, float] = {}
+    total: dict[int, float] = {}
     for i, c in enumerate(contacts):
         if not 0 <= c.q < L:
             errors.append(f"contacts[{i}]: qubit {c.q} out of range for L={L}")
             continue
-        eta = c.Gamma * dt
-        if eta > 1.0:
-            errors.append(
-                f"contacts[{i}]: eta = Gamma*dt = {eta:.6g} exceeds 1"
-            )
-        eta_per_qubit[c.q] = eta_per_qubit.get(c.q, 0.0) + eta
-    for q, eta in eta_per_qubit.items():
-        if eta > 1.0:
-            errors.append(f"total eta on qubit {q} is {eta:.6g} > 1")
+        before = total.get(c.q, 0.0)
+        total[c.q] = before + c.Gamma * dt
+        if total[c.q] > 1.0 >= before:
+            errors.append(f"contacts[{i}]: total eta = Gamma*dt on site {c.q + 1} reaches "
+                          f"{total[c.q]:.6g} with this contact, which exceeds 1")
     return errors
 
 
@@ -245,10 +232,9 @@ def run_trajectory(
     plan applies its half step once more after the contacts.  Densities
     are the exact state-vector expectations, recorded at the end of the
     step.  The events are one int8 code per (row, step, contact), 2 *
-    target + changed where the contact acted and -1 where it did not;
-    event_rows expands them.  The contacts are validated by
-    run_ensemble; here eta > 1 is caught by step_probabilities and a
-    bad qubit by reset_to.
+    target + changed where the contact acted and -1 where it did not.
+    The contacts are validated by run_ensemble; here eta > 1 is caught
+    by step_probabilities and a bad qubit by reset_to.
     """
     rng = RngStream(cfg.seed, traj_id, count)
     state = np.tile(init_basis_state(plan.L, init), (count, 1))
@@ -284,26 +270,6 @@ def run_trajectory(
                 row += 1
         events[:, start:start + n] = np.where(target >= 0, 2 * target + (measured != target), -1)
     return DensityRecord(times, density, events)
-
-
-def event_rows(codes: np.ndarray, traj_id: int, qs):
-    """The events of a batch's (count, N_t, contacts) codes as (E, 5)
-    int64 rows (traj, step, q, target, changed), in trajectory, step and
-    contact-list order; the batch's rows are trajectories traj_id ..
-    traj_id + count - 1 and contact i acts on qubit qs[i].  The rows
-    come in the fewest blocks of about EVENTS_BLOCK rows: the codes are
-    cut into that many equal slices, so a block holds its share of the
-    events at the batch's mean rate.  A batch with any contact yields
-    at least one block."""
-    qs = np.asarray(qs, dtype=np.int64)
-    flat = codes.reshape(-1)
-    n_blocks = max(1, -(-np.count_nonzero(flat >= 0) // EVENTS_BLOCK))
-    span = max(1, -(-flat.size // n_blocks))
-    for start in range(0, flat.size, span):
-        piece = flat[start:start + span]
-        at = np.flatnonzero(piece >= 0)
-        traj, step, contact = np.unravel_index(at + start, codes.shape)
-        yield np.column_stack((traj + traj_id, step + 1, qs[contact], _DECODE[piece[at]]))
 
 
 # -- parallel ensemble -------------------------------------------------
@@ -423,9 +389,10 @@ def run_ensemble(
     process; otherwise a pool of min(workers, batches) processes runs
     them, at most one per batch, with at most one batch more than it
     has processes submitted ahead of the one being folded.  `workers`
-    defaults to default_workers().  `events`, if given, is called with
-    the event rows of `event_rows`, each batch's in its blocks, in
-    trajectory order; nothing keeps them after the call.
+    defaults to default_workers().  `events`, if given, is called as
+    events(traj_id, codes) once per batch, in trajectory order, with the
+    batch's first trajectory id and its (count, N_t, contacts) event
+    codes; nothing keeps them after the call.
     """
     errors = validate_contacts(contacts, plan.L, cfg.dt)
     if errors:
@@ -436,18 +403,16 @@ def run_ensemble(
         raise ValueError(f"workers must be >= 1, got {workers}")
     todo = batches(plan.L, cfg.N_traj)
     procs = min(workers, batch_count(plan.L, cfg.N_traj))
-    qs = [c.q for c in contacts]
     fold = _Fold()
     with contextlib.closing(_records(plan, contacts, cfg, init, todo, procs)) as records:
         for (traj_id, _), rec in zip(batches(plan.L, cfg.N_traj), records):
             times = rec.times
             fold.add(rec.density)
             codes = rec.events
-            # free the spent records before the caller formats the rows, and
+            # free the spent records before the caller reads the codes, and
             # the codes before the next batch runs here
             del rec
             if events is not None:
-                for rows in event_rows(codes, traj_id, qs):
-                    events(rows)
+                events(traj_id, codes)
             del codes
     return EnsembleResult(times=times, mean_density=fold.total / cfg.N_traj, stderr=fold.stderr())

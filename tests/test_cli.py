@@ -13,16 +13,20 @@ import numpy as np
 import pytest
 
 import openchain
-from openchain import trajectory
+from openchain import output, trajectory
 from openchain.cli import compare_verdict, main, run_scenario, scenario_step
 from openchain.config import get_preset, parse_config
 from openchain.model import build_chain_hamiltonian
 from openchain.output import (
     ACTIONS,
+    CELL,
     EVENTS_BLOCK,
+    MARGIN,
+    _events_block,
     emit_csv,
     emit_events_csv,
     emit_heatmap,
+    mark_changes,
     open_events_csv,
 )
 from openchain.trajectory import EnsembleResult
@@ -84,9 +88,22 @@ def one_point_result(densities, stderr=None):
     return EnsembleResult(times=np.arange(dens.shape[0], dtype=float), mean_density=dens, stderr=se)
 
 
-def write_events_csv(events, path):
+def write_events_csv(codes, traj_id, qs, path):
     with open_events_csv(path) as fh:
-        emit_events_csv(events, fh)
+        emit_events_csv(codes, traj_id, qs, fh)
+
+
+def events_text(codes, traj_id, qs):
+    """events.csv's rows of a batch's codes, formatted one by one."""
+    return "".join(f"{traj_id + b},{s + 1},{qs[i] + 1},{ACTIONS[codes[b, s, i]]}\n"
+                   for b, s, i in np.ndindex(codes.shape) if codes[b, s, i] >= 0)
+
+
+def raster(codes, qs, n_sites):
+    """The heatmap's (N_t, L, 2) raster of a batch's codes."""
+    cells = np.zeros((codes.shape[1], n_sites, 2), dtype=bool)
+    mark_changes(cells, codes, qs)
+    return cells
 
 
 def test_emit_csv_single_point(tmp_path):
@@ -119,58 +136,95 @@ def test_event_action_vocabulary():
 
 
 def test_emit_events_csv(tmp_path):
-    # rows (traj, step, q, target, changed)
-    events = np.array([(0, 3, 1, 1, 1), (2, 5, 0, 0, 0)], dtype=np.int64)
+    # two trajectories from id 4, three steps, contacts on qubits 1 and 0
+    codes = np.full((2, 3, 2), -1, dtype=np.int8)
+    codes[0, 2, 0] = 3
+    codes[1, 0, 1] = 0
+    codes[1, 0, 0] = 2
     path = tmp_path / "events.csv"
-    write_events_csv(events, path)
+    write_events_csv(codes, 4, [1, 0], path)
     assert path.read_text().splitlines() == [
         "traj,step,site,action",
-        "0,3,2,inject",
-        "2,5,1,null_remove",
+        "4,3,2,inject",
+        "5,1,2,null_inject",
+        "5,1,1,null_remove",
     ]
 
 
 def test_emit_events_csv_in_blocks_matches_row_by_row(tmp_path):
     gen = np.random.default_rng(5)
-    n = 2 * EVENTS_BLOCK + 17
-    k = np.arange(n)
-    m = k[:1200]
-    # (target, changed) cycles through all four actions
-    actions = [(m // 2) % 2, m % 2]
+    # about 2.3 * EVENTS_BLOCK events, so several slices, of all four codes
+    codes = gen.integers(-1, 4, (40, 100, 3)).astype(np.int8)
+    codes[gen.random(codes.shape) < 0.5] = -1
+    assert np.count_nonzero(codes >= 0) > 2 * EVENTS_BLOCK
     cases = {
-        "blocks": [k // 7, k, gen.integers(0, 8, n), gen.integers(0, 2, n), gen.integers(0, 2, n)],
-        "empty": [k[:0]] * 5,
-        # widths change inside one block: 9 -> 10, 99 -> 100, 999 -> 1000
-        "widths": [m, 1200 - m, m % 12] + actions,
-        "large": [10**9 - 600 + m, 2**63 - 1 - m, m % 3] + actions,
+        "blocks": (codes, 990, [7, 0, 7]),
+        "empty": (np.full((3, 4, 2), -1, dtype=np.int8), 0, [0, 1]),
+        "no-contacts": (np.zeros((3, 4, 0), dtype=np.int8), 0, []),
     }
-    for name, columns in cases.items():
-        events = np.column_stack(columns).astype(np.int64)
+    for name, (codes, traj_id, qs) in cases.items():
         path = tmp_path / f"{name}.csv"
-        write_events_csv(events, path)
-        reference = "traj,step,site,action\n" + "".join(
-            f"{int(traj)},{int(step)},{int(q) + 1},{ACTIONS[2 * int(target) + int(changed)]}\n"
-            for traj, step, q, target, changed in events
-        )
-        assert path.read_text() == reference, name
+        write_events_csv(codes, traj_id, qs, path)
+        assert path.read_text() == "traj,step,site,action\n" + events_text(codes, traj_id, qs), name
+
+
+def test_events_block_formats_every_width():
+    # fields no batch's codes reach: widths change inside one block
+    # (9 -> 10, 99 -> 100, 999 -> 1000) and 10- to 19-digit fields
+    m = np.arange(1200, dtype=np.int64)
+    codes = (m % 4).astype(np.int8)
+    cases = {
+        "widths": (m, 1200 - m, m % 12 + 1),
+        "large": (10**9 - 600 + m, 2**63 - 1 - m, m % 3 + 1),
+    }
+    for name, fields in cases.items():
+        reference = "".join(f"{traj},{step},{site},{ACTIONS[code]}\n"
+                            for traj, step, site, code in zip(*fields, codes.tolist()))
+        assert _events_block(fields, codes) == reference, name
+
+
+def test_emit_events_csv_writes_blocks_in_trajectory_step_and_contact_order(monkeypatch):
+    # contact i acts at every step of row b with b + i odd: rows 0 and 2
+    # have events only from contact 1, rows 1 and 3 only from contact 0
+    codes = np.full((4, 50, 2), -1, dtype=np.int8)
+    codes[1::2, :, 0] = 3
+    codes[0::2, :, 1] = 0
+    want = "".join(f"{7 + b},{s + 1},{(6, 3)[(b + 1) % 2]},{('inject', 'null_remove')[(b + 1) % 2]}\n"
+                   for b in range(4) for s in range(50))
+
+    class Writes(list):
+        write = list.append
+
+    whole = Writes()
+    emit_events_csv(codes, 7, [5, 2], whole)
+    assert whole == [want]
+    monkeypatch.setattr(output, "EVENTS_BLOCK", 30)
+    blocks = Writes()
+    emit_events_csv(codes, 7, [5, 2], blocks)
+    assert len(blocks) == 7 and all(block.count("\n") <= 30 for block in blocks)
+    assert "".join(blocks) == want
+    # no contact acted: nothing is written
+    nothing = Writes()
+    emit_events_csv(np.full((2, 3, 1), -1, dtype=np.int8), 0, [0], nothing)
+    assert nothing == []
 
 
 def test_heatmap_constant_density_is_mid_gray(tmp_path):
     path = tmp_path / "heatmap.svg"
-    emit_heatmap(one_point_result(np.full((4, 2), 0.5)), np.zeros((0, 5), dtype=np.int64), path, n_steps=3)
+    emit_heatmap(one_point_result(np.full((4, 2), 0.5)), np.zeros((3, 2, 2), dtype=bool), path)
     svg = path.read_text()
     assert svg.count('fill="#808080"') == 8
     assert "<circle" not in svg
 
 
 def test_heatmap_event_overlay_count(tmp_path):
-    events = np.array([
-        (0, 1, 0, 1, 1),
-        (0, 2, 1, 0, 1),
-        (0, 3, 0, 1, 0),  # null action: no marker
-    ], dtype=np.int64)
+    # one trajectory, contacts on qubits 0 and 1
+    codes = np.full((1, 3, 2), -1, dtype=np.int8)
+    codes[0, 0, 0] = 3  # inject
+    codes[0, 1, 1] = 1  # remove
+    codes[0, 2, 0] = 2  # null action: no marker
     path = tmp_path / "heatmap.svg"
-    emit_heatmap(one_point_result(np.zeros((4, 2))), events, path, n_steps=3)
+    emit_heatmap(one_point_result(np.zeros((4, 2))), raster(codes, [0, 1], 2), path)
     assert path.read_text().count("<circle") == 2
 
 
@@ -349,41 +403,64 @@ STREAMED_CONFIG = {"mode": "open", "L": 8, "gamma_meV": 3.0, "v_meV": 10.0,
 
 
 def test_heatmap_markers_survive_the_stream(tmp_path):
-    # the CLI keeps one changed row per distinct cell, merged block by
-    # block as the rows arrive; the heatmap must be the one drawn from
-    # every batch's rows, joined
-    cfg = parse_config(json.dumps(STREAMED_CONFIG))
-    plan = scenario_step(cfg, build_chain_hamiltonian(cfg.chain))
-    parts = list(trajectory.batches(cfg.chain.L, cfg.run.N_traj))
-    records = [trajectory.run_trajectory(plan, cfg.contacts, cfg.run, cfg.init_occupations, *b)
-               for b in parts]
-    assert len(records) == 3
-    stack = np.concatenate([r.density for r in records])
-    ens = EnsembleResult(records[0].times, stack.mean(axis=0), np.zeros_like(stack[0]))
-    qs = [c.q for c in cfg.contacts]
-    events = np.concatenate([rows for r, (first, _) in zip(records, parts)
-                             for rows in trajectory.event_rows(r.events, first, qs)])
-    emit_heatmap(ens, events, tmp_path / "reference.svg", n_steps=cfg.run.N_t)
-    reference = (tmp_path / "reference.svg").read_bytes()
-    assert reference.count(b"<circle") > 0
+    # two contacts on site 4, a source and a drain, and three batches, at
+    # eta = 0.02 per contact and step so that each batch's events mark
+    # cells the others do not: the markers are the distinct (step, site,
+    # action) of the inject and remove rows of the run's own events.csv,
+    # whatever the worker count, read without the raster
+    raw = dict(STREAMED_CONFIG, t_final=20.0, N_t=40,
+               contacts=[{"site": s, "eta": 0.02, "f": f} for s, f in ((1, 1.0), (4, 1.0), (4, 0.0))])
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(STREAMED_CONFIG))
+    cfg_path.write_text(json.dumps(raw))
+    n_t, span = raw["N_t"], raw["N_t"] * CELL  # T - 1 = N_t raster columns
+
+    def marker(step, site, action):
+        return (f"{MARGIN + int(step) / n_t * span + CELL / 2:.1f}",
+                f"{MARGIN + (int(site) - 1) * CELL + CELL / 2:.1f}",
+                "#000" if action == "inject" else "none")
+
+    svgs = []
     for workers in ("1", "3"):
         out = tmp_path / workers
         assert main(["run", "--config", str(cfg_path), "--out", str(out), "--workers", workers]) == 0
-        assert (out / "heatmap.svg").read_bytes() == reference, workers
+        rows = [line.split(",") for line in (out / "events.csv").read_text().splitlines()[1:]]
+        changed = [row for row in rows if row[3] in ("inject", "remove")]
+        assert {(site, action) for _, _, site, action in changed} >= {("4", "inject"), ("4", "remove")}
+        want = {marker(*row[1:]) for row in changed}
+        for first in (0, 100, 200):
+            batch = {marker(*row[1:]) for row in changed if first <= int(row[0]) < first + 100}
+            assert batch and batch != want  # each batch marks some cells, none all
+        svgs.append((out / "heatmap.svg").read_text())
+        drawn = re.findall(r'<circle cx="([^"]+)" cy="([^"]+)" r="[^"]+" fill="([^"]+)"', svgs[-1])
+        assert len(drawn) == len(set(drawn)) and set(drawn) == want, workers
+    assert svgs[0] == svgs[1]
 
 
 def test_heatmap_draws_one_marker_per_distinct_cell(tmp_path):
-    # three rows inject on site 1 at step 2 and one removes there: one
-    # filled marker over one hollow one, then the removal at step 3
-    events = np.array([(0, 2, 0, 1, 1), (1, 2, 0, 0, 1), (2, 2, 0, 1, 1), (3, 2, 0, 1, 1),
-                       (3, 3, 1, 0, 1), (4, 3, 1, 0, 1), (4, 3, 1, 1, 0)], dtype=np.int64)
+    # three trajectories inject on site 1 at step 2 and one removes there:
+    # one filled marker over one hollow one, then the removal on site 2 at
+    # step 3 of two trajectories, beside a null injection
+    codes = np.full((5, 3, 2), -1, dtype=np.int8)
+    codes[[0, 2, 3], 1, 0] = 3
+    codes[1, 1, 0] = 1
+    codes[[3, 4], 2, 1] = 1
+    codes[2, 2, 1] = 2
     path = tmp_path / "heatmap.svg"
-    emit_heatmap(one_point_result(np.zeros((4, 2))), events, path, n_steps=3)
+    emit_heatmap(one_point_result(np.zeros((4, 2))), raster(codes, [0, 1], 2), path)
     fills = re.findall(r'<circle cx="([^"]+)" cy="([^"]+)" r="[^"]+" fill="([^"]+)"', path.read_text())
     assert [fill for *_, fill in fills] == ["none", "#000", "none"]
     assert fills[0][:2] == fills[1][:2] != fills[2][:2]
+
+
+def test_mark_changes_merges_contacts_on_one_site():
+    # contacts 0 and 2 both act on qubit 1: each one's injection is kept
+    codes = np.full((2, 3, 3), -1, dtype=np.int8)
+    codes[0, 0, 0] = 3
+    codes[1, 2, 2] = 3
+    codes[0, 1, 1] = 1
+    codes[1, 1, 2] = 0  # no change: no mark
+    cells = raster(codes, [1, 0, 1], 2)
+    assert np.argwhere(cells).tolist() == [[0, 1, 1], [1, 0, 0], [2, 1, 1]]
 
 
 def test_events_list_two_contacts_on_one_site_in_contact_order(tmp_path):
@@ -411,9 +488,8 @@ def test_events_list_two_contacts_on_one_site_in_contact_order(tmp_path):
     qs = [c.q for c in cfg.contacts]
     for b in range(3):
         lone = trajectory.run_trajectory(plan, cfg.contacts, cfg.run, cfg.init_occupations, b)
-        want = [(t, s, q + 1, ACTIONS[2 * target + changed])
-                for rows_b in trajectory.event_rows(lone.events, b, qs)
-                for t, s, q, target, changed in rows_b.tolist()]
+        want = [(b, s + 1, qs[i] + 1, ACTIONS[lone.events[0, s, i]])
+                for s, i in np.argwhere(lone.events[0] >= 0).tolist()]
         assert [r for r in rows if r[0] == b] == want
 
 

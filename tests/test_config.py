@@ -35,6 +35,10 @@ MINIMAL_OPEN = dict(MINIMAL_CLOSED, mode="open",
 # (key path in the error, override of MINIMAL_OPEN)
 MALFORMED = {
     "eta-string": ("contacts[0].eta", {"contacts": [{"site": 1, "eta": "x", "f": 1.0}]}),
+    "eta-negative": ("contacts[0].eta", {"contacts": [{"site": 1, "eta": -0.1, "f": 1.0}]}),
+    # eta 0.6 + 0.6 on site 2: the second contact takes the total past 1
+    "eta-total-over-one": ("contacts[1]", {"contacts": [{"site": 2, "eta": 0.6, "f": 1.0},
+                                                        {"site": 2, "eta": 0.6, "f": 0.0}]}),
     "L-bool": ("L", {"L": True}),
     "L-too-large": ("L", {"L": 40}),
     "Gamma-nan": ("contacts[0].Gamma_meV",
@@ -100,7 +104,8 @@ def test_eta_above_one_rejected():
                contacts=[{"site": 1, "Gamma_meV": 3.0, "f": 1.0}])
     with pytest.raises(ConfigError) as exc:
         parse_config(json.dumps(raw))
-    assert any("eta" in e and "exceeds 1" in e for e in exc.value.errors)
+    [error] = exc.value.errors
+    assert "eta" in error and "exceeds 1" in error
 
 
 def test_fig3a_preset_expansion():
@@ -366,8 +371,8 @@ def test_check_memory_does_not_grow_with_n_traj(monkeypatch):
     # 3 * 10^6 trajectories fit on a host of 7.8 GiB
     monkeypatch.setattr(config, "_physical_memory", lambda: 8019 * 2**20)
     config.check_memory(get_preset("compare-l3", n_traj=3 * 10**6), 2)
-    # the heatmap keeps one marker per distinct (step, site, action): that
-    # part does not grow with N_traj either
+    # the heatmap's raster is one flag per (step, site, target): that part
+    # does not grow with N_traj either
     raw = dict(PRESETS["compare-l3"], emit_heatmap=True)
     small, large = (memory_estimate(parse_config(json.dumps(dict(raw, N_traj=n))), 2, monkeypatch)
                     for n in (10**4, 10**7))
@@ -383,6 +388,17 @@ def test_check_memory_names_n_t_when_records_and_codes_dominate(monkeypatch):
     for n_traj in (4 * 10**9, 10**5):
         with pytest.raises(ConfigError, match="^N_t: "):
             config.check_memory(parse_config(json.dumps(dict(raw, N_traj=n_traj))), 2)
+
+
+def test_check_memory_counts_the_heatmap_raster(monkeypatch):
+    # L = 16, one trajectory and one contact at N_t = 10^7: the raster of
+    # markers, 2 * N_t * L = 320 MB, alone exceeds a host of 256 MiB,
+    # while the state, the records and the event codes take about 14 MB
+    monkeypatch.setattr(config, "_physical_memory", lambda: 256 * 2**20)
+    raw = dict(MINIMAL_OPEN, L=16, t_final=10**7, N_t=10**7, record_every=10**7)
+    config.check_memory(parse_config(json.dumps(raw)), 2)
+    with pytest.raises(ConfigError, match="^N_t: "):
+        config.check_memory(parse_config(json.dumps(dict(raw, emit_heatmap=True))), 2)
 
 
 def test_n_traj_stops_at_the_stream_ids():

@@ -19,7 +19,6 @@ from openchain.trajectory import (
     ContactSpec,
     RunConfig,
     batches,
-    event_rows,
     fermi_dirac,
     run_ensemble,
     run_trajectory,
@@ -36,15 +35,22 @@ def chain_plan(L, gamma, v, dt):
 EMPTY_L1 = chain_plan(1, 0.0, 0.0, 0.5)
 
 
-def rows_of(rec, contacts, traj_id=0):
-    """A batch record's event rows, expanded from its codes."""
-    return np.concatenate(list(event_rows(rec.events, traj_id, [c.q for c in contacts])))
+def rows_of(codes, contacts, traj_id=0):
+    """A batch's (count, N_t, contacts) event codes decoded as (traj,
+    step, q, target, changed) int64 rows, in trajectory, step and
+    contact-list order; a code is 2 * target + changed, -1 for none."""
+    traj, step, i = np.nonzero(codes >= 0)
+    code = codes[traj, step, i].astype(np.int64)
+    qs = np.array([c.q for c in contacts], dtype=np.int64)
+    return np.column_stack((traj + traj_id, step + 1, qs[i], code // 2, code % 2))
 
 
-def ensemble_and_events(*args, **kwargs):
-    """run_ensemble's result and the event rows it handed out, joined."""
+def ensemble_and_events(plan, contacts, *args, **kwargs):
+    """run_ensemble's result and the events it handed out, decoded and
+    joined in the order of the calls."""
     blocks = []
-    ens = run_ensemble(*args, events=blocks.append, **kwargs)
+    ens = run_ensemble(plan, contacts, *args, **kwargs,
+                       events=lambda traj_id, codes: blocks.append(rows_of(codes, contacts, traj_id)))
     return ens, np.concatenate(blocks)
 
 
@@ -119,8 +125,13 @@ def test_validate_contacts_reports_all_problems():
     contacts = [ContactSpec(5, 0.5, 1.0), ContactSpec(0, 9.0, 0.0),
                 ContactSpec(1, 1.5, 1.0), ContactSpec(1, 1.5, 0.0)]
     errors = validate_contacts(contacts, 2, 0.5)
-    # bad index, single-contact eta > 1, and per-qubit sums on 0 and 1
-    assert len(errors) == 4
+    # a bad index, then one error per site whose eta sum exceeds 1, under
+    # the contact that takes it past 1: the lone eta = 4.5 on site 1, and
+    # 0.75 + 0.75 on site 2
+    assert len(errors) == 3
+    assert errors[0].startswith("contacts[0]: qubit 5")
+    assert errors[1].startswith("contacts[1]: total eta = Gamma*dt on site 1 reaches 4.5")
+    assert errors[2].startswith("contacts[3]: total eta = Gamma*dt on site 2 reaches 1.5")
 
 
 def test_zero_gamma_contact_matches_closed_run():
@@ -129,7 +140,7 @@ def test_zero_gamma_contact_matches_closed_run():
     closed = run_trajectory(plan, (), cfg, (0,))
     gated = run_trajectory(plan, (ContactSpec(2, 0.0, 1.0),), cfg, (0,))
     assert np.array_equal(closed.density, gated.density)
-    assert rows_of(gated, (ContactSpec(2, 0.0, 1.0),)).shape == (0, 5)
+    assert rows_of(gated.events, (ContactSpec(2, 0.0, 1.0),)).shape == (0, 5)
 
 
 def test_same_seed_reproduces_record():
@@ -157,7 +168,7 @@ def test_events_pin_density_to_target():
     cfg = RunConfig(t_final=10.0, N_t=20, seed=5)
     contacts = (ContactSpec(0, 1.0, 1.0),)
     rec = run_trajectory(plan, contacts, cfg, (1,))
-    events = rows_of(rec, contacts)
+    events = rows_of(rec.events, contacts)
     assert len(events), "expected at least one contact event"
     for _, step, q, target, _ in events:
         # recording happens after contact actions, so the recorded density
@@ -212,7 +223,9 @@ def test_fold_matches_the_stacked_records(workers):
     records = [run_trajectory(plan, contacts, cfg, (0, 2), *b) for b in batches(8, cfg.N_traj)]
     assert [len(r.density) for r in records] == [100, 100, 100]
     stack = np.concatenate([r.density for r in records])
-    ens, events = ensemble_and_events(plan, contacts, cfg, (0, 2), workers=workers)
+    calls = []
+    ens = run_ensemble(plan, contacts, cfg, (0, 2), workers=workers,
+                       events=lambda traj_id, codes: calls.append((traj_id, codes.copy())))
     assert np.array_equal(ens.times, records[0].times)
     assert np.array_equal(ens.mean_density, stack.mean(axis=0))
     agree = stack.max(axis=0) == stack.min(axis=0)
@@ -220,8 +233,11 @@ def test_fold_matches_the_stacked_records(workers):
     assert np.all(ens.stderr[agree] == 0.0)
     want = stack.std(axis=0, ddof=1) / math.sqrt(cfg.N_traj)
     np.testing.assert_allclose(ens.stderr[~agree], want[~agree], rtol=1e-14, atol=0)
-    assert np.array_equal(events, np.concatenate([rows_of(r, contacts, first)
-                                                  for r, (first, _) in zip(records, batches(8, cfg.N_traj))]))
+    # the event codes come once per batch, in trajectory order, with the
+    # batch's first trajectory id
+    assert [traj_id for traj_id, _ in calls] == [0, 100, 200]
+    for (_, codes), r in zip(calls, records):
+        assert codes.dtype == np.int8 and np.array_equal(codes, r.events)
 
 
 def test_no_more_workers_than_batches(monkeypatch):
@@ -296,7 +312,7 @@ def test_the_pool_runs_at_most_a_window_ahead_of_the_fold(monkeypatch):
     cfg = RunConfig(t_final=2.0, N_t=4, N_traj=20, seed=2)
     procs = 2
     run_ensemble(chain_plan(2, 1.0, 0.0, 0.5), (ContactSpec(1, 0.5, 0.0),), cfg, (0,), workers=procs,
-                 events=lambda rows: log.append("fold"))
+                 events=lambda traj_id, codes: log.append("fold"))
     # batch k is folded once it and the procs + 1 after it are submitted
     submitted = [log[:i].count("submit") for i, entry in enumerate(log) if entry == "fold"]
     assert submitted == [min(10, k + 1 + procs + 1) for k in range(10)]
@@ -373,7 +389,7 @@ def test_draw_layout_two_uniforms_per_contact_step(monkeypatch):
             assert (want[:, step - 1] == -1).all()
     acting = [[5 + b, s + 1, i, want[b, s, i]]
               for b in range(3) for s in range(10) for i in range(2) if want[b, s, i] >= 0]
-    assert rows_of(rec, contacts, 5)[:, :4].tolist() == acting
+    assert rows_of(rec.events, contacts, 5)[:, :4].tolist() == acting
 
 
 def test_batch_rows_match_lone_trajectories():
@@ -381,11 +397,11 @@ def test_batch_rows_match_lone_trajectories():
     contacts = (ContactSpec(0, 0.5, 1.0), ContactSpec(1, 0.5, 0.5), ContactSpec(2, 0.5, 0.0))
     cfg = RunConfig(t_final=5.0, N_t=10, seed=4)
     batch = run_trajectory(plan, contacts, cfg, (0,), traj_id=2, count=4)
-    events = rows_of(batch, contacts, 2)
+    events = rows_of(batch.events, contacts, 2)
     for b in range(4):
         lone = run_trajectory(plan, contacts, cfg, (0,), traj_id=2 + b)
         assert np.max(np.abs(batch.density[b] - lone.density[0])) <= 1e-14
-        assert np.array_equal(events[events[:, 0] == 2 + b], rows_of(lone, contacts, 2 + b))
+        assert np.array_equal(events[events[:, 0] == 2 + b], rows_of(lone.events, contacts, 2 + b))
 
 
 def test_the_batch_record_stays_compact():
@@ -396,25 +412,8 @@ def test_the_batch_record_stays_compact():
     contacts = tuple(ContactSpec(q, 0.9, float((q + 1) % 2)) for q in range(8))
     cfg = RunConfig(t_final=20.0, N_t=40, seed=2)
     rec = run_trajectory(plan, contacts, cfg, (0, 2, 4, 6), 0, 100)
-    assert len(rows_of(rec, contacts)) > 100 * 40 * 8 / 4
+    assert len(rows_of(rec.events, contacts)) > 100 * 40 * 8 / 4
     assert len(pickle.dumps(rec)) <= rec.density.nbytes + 100 * 40 * 8 + 4096
-
-
-def test_event_rows_come_in_blocks_in_trajectory_step_and_contact_order(monkeypatch):
-    # contact i acts at every step of row b with b + i odd: rows 0 and 2
-    # have events only from contact 1, rows 1 and 3 only from contact 0
-    codes = np.full((4, 50, 2), -1, dtype=np.int8)
-    codes[1::2, :, 0] = 3
-    codes[0::2, :, 1] = 0
-    want = [(7 + b, s + 1, (5, 2)[(b + 1) % 2], (1, 0)[(b + 1) % 2], (1, 0)[(b + 1) % 2])
-            for b in range(4) for s in range(50)]
-    assert [len(rows) for rows in event_rows(codes, 7, [5, 2])] == [200]
-    monkeypatch.setattr(trajectory, "EVENTS_BLOCK", 30)
-    blocks = list(event_rows(codes, 7, [5, 2]))
-    assert all(rows.dtype == np.int64 and len(rows) <= 30 for rows in blocks)
-    assert list(map(tuple, np.concatenate(blocks).tolist())) == want
-    # no contact acted: one empty block
-    assert [rows.shape for rows in event_rows(np.full((2, 3, 1), -1, dtype=np.int8), 0, [0])] == [(0, 5)]
 
 
 def test_ensemble_rejects_worker_count_below_one():
