@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -98,11 +97,10 @@ def run_scenario(cfg: ScenarioConfig, out_dir, workers: int | None = None) -> in
     out.mkdir(parents=True, exist_ok=True)
     ham = build_chain_hamiltonian(cfg.chain)
     plan = scenario_step(cfg, ham)
-    run = replace(cfg.run, N_traj=1) if cfg.mode == "closed" else cfg.run
     qs = [c.q for c in cfg.contacts]
     # the heatmap's markers, 2 * N_t * L bytes for any N_traj; a run
     # without contacts marks none, so its raster needs no steps
-    cells = np.zeros((run.N_t if cfg.emit_heatmap and qs else 0, cfg.chain.L, 2), dtype=bool)
+    cells = np.zeros((cfg.run.N_t if cfg.emit_heatmap and qs else 0, cfg.chain.L, 2), dtype=bool)
     with open_events_csv(out / "events.csv") as fh:
 
         def write_events(traj_id: int, codes: np.ndarray) -> None:
@@ -110,7 +108,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir, workers: int | None = None) -> in
             if cfg.emit_heatmap:
                 mark_changes(cells, codes, qs)
 
-        ens = run_ensemble(plan, cfg.contacts, run, cfg.init_occupations, workers=workers,
+        ens = run_ensemble(plan, cfg.contacts, cfg.run, cfg.init_occupations, workers=workers,
                            events=write_events)
     emit_csv(ens, out / "density.csv")
     if cfg.emit_heatmap:

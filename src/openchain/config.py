@@ -1,9 +1,10 @@
 """Scenario configuration: JSON ingestion, validation, presets.
 
 A scenario is one JSON document.  `parse_config` is the only thing that
-builds a `ScenarioConfig`; a preset is the dict that a config file would
-hold, checked by `parse_config` like any file.  `check_memory` is the
-one memory check; it needs the worker count, which the CLI resolves.
+builds a `ScenarioConfig`, a closed one with one trajectory; a preset is
+the dict that a config file would hold, checked like any file.
+`check_memory`, for the worker count the CLI resolves, adds up
+trajectory.ensemble_bytes, lindblad.oracle_bytes and the heatmap's raster.
 
 Sites are 1-based in config files and output (matching the physics
 convention used throughout the docs); internally they map to qubits
@@ -17,18 +18,10 @@ import math
 import os
 from dataclasses import dataclass
 
-from .lindblad import MAX_LINDBLAD_QUBITS
+from .lindblad import MAX_LINDBLAD_QUBITS, oracle_bytes
 from .model import ChainSpec
 from .state import MAX_QUBITS
-from .trajectory import (
-    BATCH_AMPS,
-    ContactSpec,
-    RunConfig,
-    batch_count,
-    chunk_steps,
-    fermi_dirac,
-    validate_contacts,
-)
+from .trajectory import ContactSpec, RunConfig, ensemble_bytes, fermi_dirac, validate_contacts
 
 MODES = ("closed", "open", "compare")
 
@@ -45,26 +38,6 @@ CONFIG_KEYS = frozenset((
 # "label" is a free-form annotation; nothing reads it
 CONTACT_KEYS = frozenset(("site", "f", "eps_meV", "mu_meV", "kT_meV", "Gamma_meV", "eta", "label"))
 FERMI_DIRAC_KEYS = ("eps_meV", "mu_meV", "kT_meV")
-
-# per amplitude of a batch in flight: the state, the scratch buffer that
-# trotter.apply_step's blocks write into and the phase vector, 16 B each;
-# tracemalloc measured peaks of 3.0 to 3.1 times 16 B per amplitude for
-# one trajectory at L = 16 to 20, so this keeps some room
-STATE_BYTES = 56
-# per (row, step, contact) of a draw chunk: the uint64 temporaries of
-# state.RngStream.uniform, whose tracemalloc peak is 48 B per uniform,
-# for its two uniforms, and the previous chunk's two float64 uniforms
-# and int8 target and outcome, still held while the next is drawn
-DRAW_BYTES = 2 * 48 + 2 * 8 + 2
-# per uniform that a row draws in one chunk: its 64 B column of the
-# process's jump table (state._jumps), 96 B at the peak of its growth
-JUMP_BYTES = 96
-# per batch whatever its size: the plan's blocks, the kernels' cached
-# index tables and small arrays; tracemalloc measured 8 to 210 KiB of
-# peak beyond the 3.0 x 16 B per amplitude for one trajectory at
-# L = 2 to 16
-BATCH_FIXED_BYTES = 256 << 10
-
 
 class ConfigError(ValueError):
     """All validation problems of a config, collected."""
@@ -125,53 +98,20 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def _engine_bytes(L: int, rows: int, n_contacts: int, N_t: int) -> int:
-    """A batch of `rows` trajectories in flight: its state with the
-    step's copies, a draw chunk with its jump table, the fixed rest."""
-    steps = min(N_t, chunk_steps(rows, n_contacts))
-    return ((STATE_BYTES * rows << L) + (DRAW_BYTES * rows + 2 * JUMP_BYTES) * steps * n_contacts
-            + BATCH_FIXED_BYTES)
-
-
-def _running_bytes(L: int, rows: int, contacts, run: RunConfig) -> int:
-    """The records and event codes of a batch of `rows` trajectories:
-    float64 densities per record and site, one int8 code per step and
-    contact."""
-    return rows * ((run.N_t // run.record_every + 1) * L * 8 + run.N_t * len(contacts))
-
-
 def check_memory(cfg: ScenarioConfig, workers: int) -> None:
     """Raise ConfigError if the estimated peak memory of `cfg` run on
     `workers` processes exceeds physical memory: under `L` when the
-    batches' states dominate, else under `N_t`, which sizes the records,
-    the event codes and the heatmap's raster.  It counts a batch of the
-    largest size the partition allows in flight in each process that
-    holds one: min(workers, batches) processes, which is the calling
-    process alone when that number is 1.  It adds, with a pool, the
-    calling process's window of finished batches; in compare mode its
-    oracle; with the heatmap on and a contact, its raster of markers.
-    Nothing grows with N_traj."""
+    batches in flight and the oracle dominate, else under `N_t`, which
+    sizes the records, the event codes and the heatmap's raster.  The
+    ensemble's part is trajectory.ensemble_bytes, the compare oracle's
+    lindblad.oracle_bytes; nothing grows with N_traj."""
     L, run, contacts = cfg.chain.L, cfg.run, cfg.contacts
-    n_traj = 1 if cfg.mode == "closed" else run.N_traj
-    rows_per_batch = min(n_traj, max(1, BATCH_AMPS >> L))
-    workers = min(workers, batch_count(L, n_traj))
-    state = workers * _engine_bytes(L, rows_per_batch, len(contacts), run.N_t)
+    state, held = ensemble_bytes(L, len(contacts), run, workers)
     if cfg.mode == "compare":
-        # the oracle's record-step propagator on the C(2L, L) entries of the
-        # particle-number blocks: four such square matrices at the peak of
-        # its powering (0.70 GiB at L = 7, 9.9 GiB at L = 8), plus the jump
-        # stack, its adjoint and the two J rho J^dag temporaries
-        n_ops = len(contacts) * (4 if cfg.include_depolarizing else 2)
-        D = math.comb(2 * L, L)
-        state += 16 * (4 * D * D + (4 * n_ops << 2 * L))
-    batch = _running_bytes(L, rows_per_batch, contacts, run)
-    # a pool's results wait in the calling process: the batch being folded,
-    # the at most workers + 1 submitted ahead of it and the pickled bytes of
-    # one of those in transit
-    window = 0 if workers == 1 else (workers + 3) * batch
-    # and the heatmap's raster, a flag per (step, site, target), if it marks
-    raster = 2 * run.N_t * L if cfg.emit_heatmap and contacts else 0
-    held = workers * batch + window + raster
+        state += oracle_bytes(contacts, L, cfg.include_depolarizing)
+    if cfg.emit_heatmap and contacts:
+        # the heatmap's raster, a flag per (step, site, target)
+        held += 2 * run.N_t * L
     need, have = state + held, _physical_memory()
     if need > have:
         key = "L" if state >= held else "N_t"
@@ -281,6 +221,9 @@ def parse_config(text: str) -> ScenarioConfig:
         # dt sizes every rate (eta / dt) and must not underflow: 5e-324 / 2 is 0.0
         errors.append(f"t_final: t_final / N_t must be positive and finite, got "
                       f"{t_final!r} / {counts['N_t']} = {t_final / counts['N_t']!r}")
+    if mode == "closed":
+        # no contacts, no randomness: a closed chain runs one trajectory
+        counts["N_traj"] = 1
     run = RunConfig(t_final=t_final, **counts) if len(errors) == n_errors else None
     if run is not None:
         if mode == "compare" and run.N_t % run.record_every:

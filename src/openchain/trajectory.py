@@ -82,6 +82,25 @@ BATCH_AMPS = 1 << 15
 # peak of RngStream.uniform), so the draws take bounded memory for any N_t
 DRAW_CHUNK = 1 << 14
 
+# per amplitude of a batch in flight: the state, the scratch buffer that
+# trotter.apply_step's blocks write into and the phase vector, 16 B each;
+# tracemalloc measured peaks of 3.0 to 3.1 times 16 B per amplitude for
+# one trajectory at L = 16 to 20, so this keeps some room
+STATE_BYTES = 56
+# per (row, step, contact) of a draw chunk: the uint64 temporaries of
+# state.RngStream.uniform, whose tracemalloc peak is 48 B per uniform,
+# for its two uniforms, and the previous chunk's two float64 uniforms
+# and int8 target and outcome, still held while the next is drawn
+DRAW_BYTES = 2 * 48 + 2 * 8 + 2
+# per uniform that a row draws in one chunk: its 64 B column of the
+# process's jump table (state._jumps), 96 B at the peak of its growth
+JUMP_BYTES = 96
+# per batch whatever its size: the plan's blocks, the kernels' cached
+# index tables and small arrays; tracemalloc measured 8 to 210 KiB of
+# peak beyond the 3.0 x 16 B per amplitude for one trajectory at
+# L = 2 to 16
+BATCH_FIXED_BYTES = 256 << 10
+
 
 @dataclass(frozen=True)
 class ContactSpec:
@@ -212,6 +231,33 @@ def batches(L: int, n_traj: int):
 def chunk_steps(count: int, n_contacts: int) -> int:
     """Steps whose uniforms a batch of `count` draws at a time."""
     return max(1, DRAW_CHUNK // (2 * count * max(1, n_contacts)))
+
+
+def _procs(L: int, n_traj: int, workers: int) -> int:
+    """The processes an ensemble runs on: at most one per batch."""
+    return min(workers, batch_count(L, n_traj))
+
+
+def ensemble_bytes(L: int, n_contacts: int, run: RunConfig, workers: int) -> tuple[int, int]:
+    """(in flight, held): what run_ensemble on `workers` processes holds
+    at its peak.  In flight is a batch of the largest size the partition
+    allows in each process that runs one: its state with the step's
+    copies, a draw chunk with its jump table and the fixed rest.  Held
+    is that batch's records and event codes, float64 densities per
+    record and site and one int8 code per step and contact, in each such
+    process and, with a pool, in the calling process's window.  Nothing
+    grows with N_traj."""
+    rows = min(run.N_traj, max(1, BATCH_AMPS >> L))
+    procs = _procs(L, run.N_traj, workers)
+    steps = min(run.N_t, chunk_steps(rows, n_contacts))
+    batch = ((STATE_BYTES * rows << L) + (DRAW_BYTES * rows + 2 * JUMP_BYTES) * steps * n_contacts
+             + BATCH_FIXED_BYTES)
+    records = rows * ((run.N_t // run.record_every + 1) * L * 8 + run.N_t * n_contacts)
+    # a pool's results wait in the calling process: the batch being folded,
+    # the at most procs + 1 submitted ahead of it and the pickled bytes of
+    # one of those in transit
+    window = 0 if procs == 1 else (procs + 3) * records
+    return procs * batch, procs * records + window
 
 
 def run_trajectory(
@@ -402,7 +448,7 @@ def run_ensemble(
     elif workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     todo = batches(plan.L, cfg.N_traj)
-    procs = min(workers, batch_count(plan.L, cfg.N_traj))
+    procs = _procs(plan.L, cfg.N_traj, workers)
     fold = _Fold()
     with contextlib.closing(_records(plan, contacts, cfg, init, todo, procs)) as records:
         for (traj_id, _), rec in zip(batches(plan.L, cfg.N_traj), records):

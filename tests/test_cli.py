@@ -247,6 +247,15 @@ def test_closed_scenario_outputs_are_byte_stable(tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
+def test_closed_scenario_runs_one_trajectory_whatever_n_traj_says(tmp_path):
+    cfg = parse_config(json.dumps(dict(CLOSED_CONFIG, N_traj=50)))
+    assert cfg.run.N_traj == 1
+    run_scenario(cfg, tmp_path / "a", workers=2)
+    run_scenario(parse_config(json.dumps(dict(CLOSED_CONFIG, N_traj=1))), tmp_path / "b", workers=2)
+    for name in ("density.csv", "events.csv", "heatmap.svg"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
 def test_fig2_preset_front_moves_monotonically(tmp_path):
     cfg = get_preset("fig2")
     run_scenario(cfg, tmp_path)

@@ -6,7 +6,7 @@ import tracemalloc
 
 import pytest
 
-from openchain import config, state
+from openchain import config, state, trajectory
 from openchain.cli import main, run_scenario
 from openchain.config import (
     ConfigError,
@@ -304,7 +304,7 @@ def test_state_bytes_cover_the_measured_peak_of_a_batch(symmetric):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert (config.STATE_BYTES - 16) << L < peak <= config.STATE_BYTES << L
+    assert (trajectory.STATE_BYTES - 16) << L < peak <= trajectory.STATE_BYTES << L
 
 
 @pytest.mark.parametrize("L, rows, n_contacts, N_t", [
@@ -321,15 +321,14 @@ def test_check_memory_covers_the_measured_peak_of_a_process(L, rows, n_contacts,
         cached.cache_clear()
     h = build_chain_hamiltonian(ChainSpec(L=L, gamma=3.0, v=10.0))
     contacts = [ContactSpec(q, 0.9, float(q % 2)) for q in ((0, L - 1) if n_contacts == 2 else range(L))]
-    cfg = RunConfig(t_final=0.5 * N_t, N_t=N_t, seed=5)
+    cfg = RunConfig(t_final=0.5 * N_t, N_t=N_t, N_traj=rows, seed=5)
     tracemalloc.start()
     try:
         run_trajectory(build_step(h, cfg.dt), contacts, cfg, [0], 0, rows)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    estimate = (config._engine_bytes(L, rows, len(contacts), N_t)
-                + config._running_bytes(L, rows, contacts, cfg))
+    estimate = sum(trajectory.ensemble_bytes(L, len(contacts), cfg, 1))
     assert estimate / 2 < peak <= estimate
 
 
@@ -342,7 +341,7 @@ def test_check_memory_covers_a_one_batch_compare_run_in_the_calling_process(L, t
         cached.cache_clear()
     cfg = parse_config(json.dumps(dict(PRESETS["compare-l3"], L=L, N_traj=400,
                                        contacts=config._source_drain(L))))
-    assert config.batch_count(L, cfg.run.N_traj) == 1
+    assert trajectory.batch_count(L, cfg.run.N_traj) == 1
     tracemalloc.start()
     try:
         run_scenario(cfg, tmp_path, workers=2)
@@ -360,6 +359,16 @@ def memory_estimate(cfg, workers, monkeypatch) -> str:
     with pytest.raises(ConfigError) as exc:
         config.check_memory(cfg, workers)
     return re.search(r"needs ~(\S+) GiB", exc.value.errors[0]).group(1)
+
+
+@pytest.mark.parametrize("name, value", [("BATCH_AMPS", 1 << 10), ("STATE_BYTES", 2 * 56)])
+def test_check_memory_reads_the_batch_model_of_trajectory(name, value, monkeypatch):
+    # the estimate is the ensemble's own model: a change to the batch size
+    # or to the bytes per amplitude reaches the check
+    cfg = get_preset("fig3a")
+    before = memory_estimate(cfg, 1, monkeypatch)
+    monkeypatch.setattr(trajectory, name, value)
+    assert memory_estimate(cfg, 1, monkeypatch) != before
 
 
 def test_check_memory_does_not_grow_with_n_traj(monkeypatch):

@@ -1,13 +1,16 @@
 """Lindblad oracle: jump operators, generator, and the record-step
 integration against a substep-by-substep RK4 reference."""
 
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from openchain import lindblad
+from openchain import lindblad, state
+from openchain.config import PRESETS, _source_drain, parse_config
 from openchain.lindblad import (
     RK4_STEP,
     LindbladResult,
@@ -15,9 +18,10 @@ from openchain.lindblad import (
     build_jump_operators,
     integrate,
     lindblad_rhs,
+    oracle_bytes,
     stability_bound,
 )
-from openchain.model import ChainSpec, build_chain_hamiltonian, fermion_lowering
+from openchain.model import ChainSpec, build_chain_hamiltonian, fermion_lowering, fock_matrix_oracle
 from openchain.state import init_basis_state
 from openchain.trajectory import ContactSpec
 from pauli import chain_matrix, propagator
@@ -340,3 +344,44 @@ def test_stability_bound_positive():
     H = chain_matrix(ChainSpec(L=2, gamma=3.0, v=10.0))
     jumps = build_jump_operators([ContactSpec(0, 0.5, 1.0)], 2)
     assert stability_bound(H, jumps) > 2.0 * np.linalg.norm(H, 2)
+
+
+@pytest.mark.parametrize("depolarizing", [True, False])
+@pytest.mark.parametrize("L", [4, 5])
+def test_oracle_bytes_cover_the_measured_peak_of_the_oracle(L, depolarizing):
+    # the compare-l3 preset at L sites, from a fresh process's caches
+    cfg = parse_config(json.dumps(dict(PRESETS["compare-l3"], L=L, contacts=_source_drain(L),
+                                       include_depolarizing=depolarizing)))
+    for cached in (state._bits, state._outcomes, state._jw_signs):
+        cached.cache_clear()
+    H = fock_matrix_oracle(cfg.chain)
+    rho0 = pure_dm(init_basis_state(L, cfg.init_occupations))
+    tracemalloc.start()
+    try:
+        J = build_jump_operators(cfg.contacts, L, cfg.include_depolarizing)
+        integrate(rho0, H, J, cfg.run.t_final, cfg.run.N_t, cfg.run.record_every)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    estimate = oracle_bytes(cfg.contacts, L, cfg.include_depolarizing)
+    assert estimate / 2 < peak <= estimate
+
+
+@pytest.mark.parametrize("L", range(1, 7))
+def test_oracle_bytes_size_the_sector_and_the_stack_the_oracle_builds(L, monkeypatch):
+    sizes = []
+
+    def record_step_map(H, J, sector, h, power):
+        sizes.append(sector.size)
+        return np.eye(sector.size, dtype=complex)
+
+    monkeypatch.setattr(lindblad, "_record_step_map", record_step_map)
+    integrate(pure_dm(init_basis_state(L, [0])), np.zeros((1 << L, 1 << L)), no_jumps(L), 1.0, 1)
+    D, = sizes
+    # four D-square complex matrices, and no stack without contacts
+    assert oracle_bytes([], L, True) == 4 * 16 * D * D
+    # the stack, its adjoint and two temporaries of its size
+    contacts = [ContactSpec(0, 0.5, 1.0), ContactSpec(L - 1, 0.5, 0.0)]
+    for depolarizing in (True, False):
+        J = build_jump_operators(contacts, L, depolarizing)
+        assert oracle_bytes(contacts, L, depolarizing) - oracle_bytes([], L, True) == 4 * J.nbytes
