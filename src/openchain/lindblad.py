@@ -47,6 +47,10 @@ MAX_LINDBLAD_QUBITS = 8
 RK4_STEP = 0.09
 # integrate rejects rho0 with a larger entry off the particle-number blocks
 OFF_BLOCK_TOL = 1e-14
+# the oracle's part that does not scale with its matrices: the sector's
+# index arrays, the records and small arrays; tracemalloc measured 5 to
+# 10 KiB of peak beyond the matrices at L = 1 and 2
+ORACLE_FIXED_BYTES = 12 << 10
 
 
 def build_jump_operators(contacts, L: int, include_depolarizing: bool = True) -> np.ndarray:
@@ -124,11 +128,12 @@ def oracle_bytes(contacts, L: int, include_depolarizing: bool) -> int:
     record-step propagator on the C(2L, L) entries of the particle-number
     blocks, four such square matrices at the peak of its powering
     (0.70 GiB at L = 7, 9.9 GiB at L = 8), plus the jump stack, its
-    adjoint and the two J rho J^dag temporaries.  With two contacts,
-    tracemalloc measured 0.96 and 0.99 of it at L = 5 and 6."""
+    adjoint and the two J rho J^dag temporaries, plus ORACLE_FIXED_BYTES.
+    With two contacts, tracemalloc measured 0.96 and 0.99 of it at L = 5
+    and 6, and 0.58 to 0.84 at L = 1 and 2."""
     n_ops = len(contacts) * (4 if include_depolarizing else 2)
     D = math.comb(2 * L, L)
-    return 16 * (4 * D * D + (4 * n_ops << 2 * L))
+    return 16 * (4 * D * D + (4 * n_ops << 2 * L)) + ORACLE_FIXED_BYTES
 
 
 def integrate(

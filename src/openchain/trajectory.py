@@ -5,19 +5,27 @@ injection/removal via measure-and-reset, and the ensemble average.
 Batches.  Trajectories run in batches, each the rows of one (B, 2^L)
 state with B * 2^L about BATCH_AMPS amplitudes; `batches(L, N_traj)`
 cuts 0 .. N_traj - 1 into the fewest such batches, their sizes as equal
-as possible.  The partition depends only on L and N_traj, the pool hands
-out whole batches, and the ensemble folds them in trajectory order, so
+as possible.  The partition depends only on L and N_traj, each worker
+runs whole batches, and the ensemble folds them in trajectory order, so
 the result is byte-identical for any worker count.
 
+Workers.  With more than one batch and worker, run_ensemble forks procs
+= min(workers, batches) workers (os.fork; the calling process starts
+no thread, and a platform without fork runs every batch in the calling
+process).  Worker w runs the batches w, w + procs, ... and pickles each
+record to its own pipe, and the calling process reads batch k from pipe
+k % procs.  A worker waits on its pipe until its record is read, so
+none runs more than one batch ahead of the fold.
+
 Fold.  The ensemble takes each batch as it arrives, in trajectory order,
-folds it into running statistics and drops it; at most procs + 1
-batches are submitted ahead of the one being folded, so the calling
-process holds a window of batches, never N_traj trajectories.  The
-records are summed row after row in trajectory order, which is
-`stack.mean(axis=0)` of all N_traj rows bit for bit.  The spread is a
-two-pass M2 per batch about the first batch's mean, combined in batch
-order by Chan, Golub & LeVeque (Am. Stat. 37, 242, 1983); the batches
-are fixed by L and N_traj, so it too is the same for any worker count.
+folds it into running statistics and drops it before it reads the
+next, so the calling process holds one batch's records, never N_traj
+trajectories.  The records are summed row after row in trajectory
+order, which is `stack.mean(axis=0)` of all N_traj rows bit for bit.
+The spread is a two-pass M2 per batch about the first batch's mean,
+combined in batch order by Chan, Golub & LeVeque (Am. Stat. 37, 242,
+1983); the batches are fixed by L and N_traj, so it too is the same
+for any worker count.
 For one batch it is `stack.std(ddof=1)` bit for bit; over several it
 differs from that in the last digits, and a long-double two-pass
 reference put it closer (largest relative errors 2.7e-14 against
@@ -40,8 +48,8 @@ median of 15 rounds of 10 steps:
 
 2^15 is 10-20% cheaper than 2^14 from L = 6 to 12; a repeat run
 agreed to about 15%, except L = 10 on every site (108 / 83 / 82).
-2^16 gains little more and halves the batches a pool can spread over
-its workers: 200 trajectories of L = 8 would be a single batch.
+2^16 gains little more and halves the batches that can be spread over
+the workers: 200 trajectories of L = 8 would be a single batch.
 
 Draw discipline.  Trajectory k draws from its own stream (seed, k).
 Every (step, contact) takes exactly two uniforms from it, the action
@@ -64,10 +72,11 @@ reader of the codes.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import math
 import os
-from collections import deque
-from concurrent.futures import ProcessPoolExecutor
+import pickle
+import signal
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,6 +109,12 @@ JUMP_BYTES = 96
 # peak beyond the 3.0 x 16 B per amplitude for one trajectory at
 # L = 2 to 16
 BATCH_FIXED_BYTES = 256 << 10
+# per record time and site, in the calling process beside the one batch's
+# records that it folds: the fold's six running float64 arrays and the
+# temporaries of _Fold.add; tracemalloc measured 14.2 to 14.8 x 8 B, and
+# up to 110 KiB that do not scale, over pooled runs of 2 to 4096 rows a
+# batch at L = 3 to 14
+FOLD_BYTES = 16 * 8
 
 
 @dataclass(frozen=True)
@@ -234,7 +249,10 @@ def chunk_steps(count: int, n_contacts: int) -> int:
 
 
 def _procs(L: int, n_traj: int, workers: int) -> int:
-    """The processes an ensemble runs on: at most one per batch."""
+    """The processes an ensemble runs on: at most one per batch, and
+    only the calling process where the platform cannot fork."""
+    if not hasattr(os, "fork"):
+        return 1
     return min(workers, batch_count(L, n_traj))
 
 
@@ -245,19 +263,21 @@ def ensemble_bytes(L: int, n_contacts: int, run: RunConfig, workers: int) -> tup
     copies, a draw chunk with its jump table and the fixed rest.  Held
     is that batch's records and event codes, float64 densities per
     record and site and one int8 code per step and contact, in each such
-    process and, with a pool, in the calling process's window.  Nothing
-    grows with N_traj."""
+    process.  With forked workers the calling process adds its fixed part,
+    the one batch's records that it folds at a time and the fold's
+    running statistics.  Nothing grows with N_traj."""
     rows = min(run.N_traj, max(1, BATCH_AMPS >> L))
     procs = _procs(L, run.N_traj, workers)
     steps = min(run.N_t, chunk_steps(rows, n_contacts))
     batch = ((STATE_BYTES * rows << L) + (DRAW_BYTES * rows + 2 * JUMP_BYTES) * steps * n_contacts
              + BATCH_FIXED_BYTES)
-    records = rows * ((run.N_t // run.record_every + 1) * L * 8 + run.N_t * n_contacts)
-    # a pool's results wait in the calling process: the batch being folded,
-    # the at most procs + 1 submitted ahead of it and the pickled bytes of
-    # one of those in transit
-    window = 0 if procs == 1 else (procs + 3) * records
-    return procs * batch, procs * records + window
+    times = run.N_t // run.record_every + 1
+    records = rows * (times * L * 8 + run.N_t * n_contacts)
+    # with workers the calling process runs no batch: it holds the fixed
+    # part, reads each record into place from its worker's pipe and folds
+    # it before it reads the next
+    caller = 0 if procs == 1 else BATCH_FIXED_BYTES + records + FOLD_BYTES * times * L
+    return procs * batch, procs * records + caller
 
 
 def run_trajectory(
@@ -320,39 +340,75 @@ def run_trajectory(
 
 # -- parallel ensemble -------------------------------------------------
 
-_WORKER: dict = {}
+
+def _work(plan, contacts, cfg, init, todo, w: int, procs: int, pipes, fd: int):
+    """Worker w, in a forked process: run the batches w, w + procs, ...
+    of the iterator `todo` and pickle each record, or the exception that
+    stops it, to the pipe `fd`.  It closes every inherited read end and
+    leaves by os._exit, so it runs no atexit handler and flushes none of
+    the calling process's buffers (stdout, events.csv.part) a second
+    time."""
+    code = 1
+    try:
+        for pipe in pipes:
+            pipe.close()
+        with open(fd, "wb") as out:
+            try:
+                for batch in itertools.islice(todo, w, None, procs):
+                    pickle.dump(run_trajectory(plan, contacts, cfg, init, *batch), out,
+                                pickle.HIGHEST_PROTOCOL)
+            except Exception as exc:
+                pickle.dump(exc, out, pickle.HIGHEST_PROTOCOL)
+        code = 0
+    finally:
+        os._exit(code)
 
 
-def _init_worker(plan, contacts, cfg, init):
-    _WORKER["args"] = (plan, contacts, cfg, init)
-
-
-def _run_batch(batch: tuple[int, int]) -> DensityRecord:
-    return run_trajectory(*_WORKER["args"], *batch)
-
-
-def _records(plan, contacts, cfg, init, todo, procs: int):
-    """The records of the batches `todo`, in order.  With procs = 1 they
-    run in this process; otherwise a pool of `procs` processes runs them,
-    with at most procs + 1 batches submitted beyond the one handed out."""
+def _records(plan, contacts, cfg, init, procs: int):
+    """(first id, records) of every batch of `batches(L, N_traj)`, in
+    order.  With procs = 1 they run in this process; otherwise `procs`
+    forked workers run them and this process reads batch k from worker
+    k % procs's pipe.  Every worker is killed and reaped before this
+    returns, raises or is closed."""
+    todo = batches(plan.L, cfg.N_traj)
     if procs == 1:
-        # nothing to spread: a pool would only add its start-up and
-        # shutdown while this process waits for its one worker
-        for batch in todo:
-            yield run_trajectory(plan, contacts, cfg, init, *batch)
+        # nothing to spread: a worker would only add its start-up while
+        # this process waits for it
+        for traj_id, count in todo:
+            yield traj_id, run_trajectory(plan, contacts, cfg, init, traj_id, count)
         return
-    with ProcessPoolExecutor(
-        max_workers=procs,
-        initializer=_init_worker,
-        initargs=(plan, contacts, cfg, init),
-    ) as pool:
-        window = deque()
-        for batch in todo:
-            window.append(pool.submit(_run_batch, batch))
-            if len(window) > procs + 1:
-                yield window.popleft().result()
-        while window:
-            yield window.popleft().result()
+    pids, pipes = [], []
+    try:
+        for w in range(procs):
+            r, fd = os.pipe()
+            pipes.append(open(r, "rb"))
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _work(plan, contacts, cfg, init, todo, w, procs, pipes, fd)
+                pids.append(pid)
+            finally:
+                os.close(fd)
+        for k, (traj_id, _) in enumerate(todo):
+            w = k % procs
+            try:
+                rec = pickle.load(pipes[w])
+            except (EOFError, pickle.UnpicklingError):
+                code = os.waitstatus_to_exitcode(os.waitpid(pids[w], 0)[1])
+                pids[w] = None
+                how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
+                raise ChildProcessError(f"ensemble worker {w} ended before sending batch {k} "
+                                        f"({how})") from None
+            if isinstance(rec, Exception):
+                raise rec
+            yield traj_id, rec
+            del rec  # before the next record is read
+    finally:
+        for pid in filter(None, pids):
+            os.kill(pid, signal.SIGKILL)  # a worker not yet reaped, if done a zombie
+            os.waitpid(pid, 0)
+        for pipe in pipes:
+            pipe.close()
 
 
 def default_workers() -> int:
@@ -432,10 +488,11 @@ def run_ensemble(
     no worker count changes, and each batch is folded in trajectory
     order as it arrives, so the result is bit-identical for any worker
     count.  With one worker or one batch the batches run in this
-    process; otherwise a pool of min(workers, batches) processes runs
-    them, at most one per batch, with at most one batch more than it
-    has processes submitted ahead of the one being folded.  `workers`
-    defaults to default_workers().  `events`, if given, is called as
+    process; otherwise min(workers, batches) forked workers run them,
+    each at most one batch ahead of the fold (see the module
+    docstring).  A failed batch raises its exception here, a worker
+    that dies raises ChildProcessError, and no worker outlives the call.
+    `workers` defaults to default_workers().  `events`, if given, is called as
     events(traj_id, codes) once per batch, in trajectory order, with the
     batch's first trajectory id and its (count, N_t, contacts) event
     codes; nothing keeps them after the call.
@@ -447,11 +504,10 @@ def run_ensemble(
         workers = default_workers()
     elif workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    todo = batches(plan.L, cfg.N_traj)
     procs = _procs(plan.L, cfg.N_traj, workers)
     fold = _Fold()
-    with contextlib.closing(_records(plan, contacts, cfg, init, todo, procs)) as records:
-        for (traj_id, _), rec in zip(batches(plan.L, cfg.N_traj), records):
+    with contextlib.closing(_records(plan, contacts, cfg, init, procs)) as records:
+        for traj_id, rec in records:
             times = rec.times
             fold.add(rec.density)
             codes = rec.events

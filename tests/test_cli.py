@@ -522,17 +522,62 @@ def test_failed_run_leaves_no_events_csv(tmp_path, monkeypatch, capsys):
 
 
 def test_one_batch_starts_no_pool(tmp_path, monkeypatch):
-    def no_pool(*args, **kwargs):
-        raise RuntimeError("a process pool was started")
+    def no_fork():
+        raise RuntimeError("a worker was forked")
 
-    monkeypatch.setattr(trajectory, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(trajectory.os, "fork", no_fork)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(OPEN_CONFIG))  # 20 trajectories of L = 2: one batch
     assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "one"), "--workers", "2"]) == 0
-    # two batches are spread over a pool
+    # two batches are spread over forked workers
     cfg_path.write_text(json.dumps(dict(OPEN_CONFIG, L=8, N_traj=150)))
-    with pytest.raises(RuntimeError, match="pool"):
+    with pytest.raises(RuntimeError, match="forked"):
         main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "two"), "--workers", "2"])
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_failed_batch_in_a_worker_fails_the_run(tmp_path, monkeypatch, capsys):
+    real = trajectory.run_trajectory
+
+    def fail_on_the_second_batch(*args):
+        if args[-2] == 100:
+            raise ValueError("the second batch failed")
+        return real(*args)
+
+    monkeypatch.setattr(trajectory, "run_trajectory", fail_on_the_second_batch)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(STREAMED_CONFIG))  # three batches, on two workers
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg_path), "--out", str(out), "--workers", "2"]) == 1
+    assert "error: the second batch failed" in capsys.readouterr().err
+    assert list(out.iterdir()) == []  # no events.csv, and nothing of it left behind
+    assert_no_child_left()
+
+
+def test_a_pooled_run_imports_no_multiprocessing(tmp_path):
+    # the workers are forked by trajectory itself, and leave by os._exit:
+    # text this process wrote to stdout before the run, never flushed, is
+    # printed once, by this process, not once more by each worker
+    assert trajectory.batch_count(STREAMED_CONFIG["L"], STREAMED_CONFIG["N_traj"]) == 3
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(STREAMED_CONFIG))
+    code = (
+        "import sys\n"
+        "from openchain.cli import main\n"
+        "sys.stdout.write('before the run\\n')\n"
+        f"code = main(['run', '--config', {str(cfg)!r}, '--out', {str(tmp_path / 'out')!r}, '--workers', '2'])\n"
+        "print(code, 'multiprocessing' in sys.modules, 'concurrent.futures' in sys.modules)\n"
+    )
+    src = str(Path(openchain.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    env.pop("PYTHONUNBUFFERED", None)  # stdout, a pipe, buffers the text
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines() == ["before the run", "0 False False"]
+    assert (tmp_path / "out" / "events.csv").read_text().count("traj,step,site,action") == 1
 
 
 def test_verdict_names_the_cell_of_the_largest_excess():

@@ -15,7 +15,7 @@ from openchain.config import (
     parse_config,
 )
 from openchain.model import ChainSpec, build_chain_hamiltonian
-from openchain.trajectory import ContactSpec, RunConfig, run_trajectory
+from openchain.trajectory import ContactSpec, RunConfig, run_ensemble, run_trajectory
 from openchain.trotter import build_step
 
 MINIMAL_CLOSED = {
@@ -330,6 +330,39 @@ def test_check_memory_covers_the_measured_peak_of_a_process(L, rows, n_contacts,
         tracemalloc.stop()
     estimate = sum(trajectory.ensemble_bytes(L, len(contacts), cfg, 1))
     assert estimate / 2 < peak <= estimate
+
+
+@pytest.mark.parametrize("L, amps, N_t", [(3, 1 << 15, 100), (2, 8, 4096)],
+                         ids=["L3-records", "L2-fold"])
+def test_ensemble_bytes_cover_the_calling_process_of_a_pooled_run(L, amps, N_t, monkeypatch):
+    # three and four batches on two forked workers: the calling process
+    # folds one batch's records at a time, 4096 rows of L = 3, or the
+    # running statistics of 4097 records of two rows of L = 2
+    monkeypatch.setattr(trajectory, "BATCH_AMPS", amps)
+    run_batch = trajectory.run_trajectory
+
+    def untraced(*args):
+        # a worker's allocations are its own, and tracing them is slow
+        tracemalloc.stop()
+        return run_batch(*args)
+
+    monkeypatch.setattr(trajectory, "run_trajectory", untraced)
+    h = build_chain_hamiltonian(ChainSpec(L=L, gamma=3.0, v=10.0))
+    contacts = [ContactSpec(0, 0.9, 1.0), ContactSpec(L - 1, 0.9, 0.0)]
+    rows = amps >> L
+    cfg = RunConfig(t_final=0.5 * N_t, N_t=N_t, N_traj=(3 if L == 3 else 4) * rows, seed=5)
+    plan = build_step(h, cfg.dt)
+    tracemalloc.start()
+    try:
+        run_ensemble(plan, contacts, cfg, [0], workers=2, events=lambda traj_id, codes: None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # what two workers add to the estimate beyond two processes' batches
+    _, one = trajectory.ensemble_bytes(L, len(contacts), cfg, 1)
+    _, pooled = trajectory.ensemble_bytes(L, len(contacts), cfg, 2)
+    caller = pooled - 2 * one
+    assert caller / 2 < peak <= caller
 
 
 @pytest.mark.parametrize("L", [3, 6])

@@ -347,7 +347,7 @@ def test_stability_bound_positive():
 
 
 @pytest.mark.parametrize("depolarizing", [True, False])
-@pytest.mark.parametrize("L", [4, 5])
+@pytest.mark.parametrize("L", [2, 3, 4, 5, 6])
 def test_oracle_bytes_cover_the_measured_peak_of_the_oracle(L, depolarizing):
     # the compare-l3 preset at L sites, from a fresh process's caches
     cfg = parse_config(json.dumps(dict(PRESETS["compare-l3"], L=L, contacts=_source_drain(L),
@@ -378,8 +378,9 @@ def test_oracle_bytes_size_the_sector_and_the_stack_the_oracle_builds(L, monkeyp
     monkeypatch.setattr(lindblad, "_record_step_map", record_step_map)
     integrate(pure_dm(init_basis_state(L, [0])), np.zeros((1 << L, 1 << L)), no_jumps(L), 1.0, 1)
     D, = sizes
-    # four D-square complex matrices, and no stack without contacts
-    assert oracle_bytes([], L, True) == 4 * 16 * D * D
+    # four D-square complex matrices and the fixed part, and no stack
+    # without contacts
+    assert oracle_bytes([], L, True) == 4 * 16 * D * D + lindblad.ORACLE_FIXED_BYTES
     # the stack, its adjoint and two temporaries of its size
     contacts = [ContactSpec(0, 0.5, 1.0), ContactSpec(L - 1, 0.5, 0.0)]
     for depolarizing in (True, False):

@@ -3,7 +3,7 @@
 import math
 import os
 import pickle
-from concurrent.futures import Future
+import signal
 from dataclasses import replace
 
 import numpy as np
@@ -240,82 +240,148 @@ def test_fold_matches_the_stacked_records(workers):
         assert codes.dtype == np.int8 and np.array_equal(codes, r.events)
 
 
-def test_no_more_workers_than_batches(monkeypatch):
-    started, handed = [], []
+def forked(monkeypatch) -> list:
+    """The pids of the workers that run_ensemble forks, in order."""
+    pids, fork = [], os.fork
 
-    class SerialPool:
-        def __init__(self, max_workers, initializer, initargs):
-            started.append(max_workers)
-            initializer(*initargs)
+    def logging_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
 
-        def __enter__(self):
-            return self
+    monkeypatch.setattr(trajectory.os, "fork", logging_fork)
+    return pids
 
-        def __exit__(self, *exc):
-            return False
 
-        def submit(self, fn, batch):
-            handed.append(batch)
-            done = Future()
-            done.set_result(fn(batch))
-            return done
+def log_batches(monkeypatch, log):
+    """Append `pid start first` to the file `log` as each batch starts,
+    from whichever process runs it."""
+    real = trajectory.run_trajectory
 
-    monkeypatch.setattr(trajectory, "ProcessPoolExecutor", SerialPool)
+    def logged(*args):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} start {args[-2]}\n")
+        return real(*args)
+
+    monkeypatch.setattr(trajectory, "run_trajectory", logged)
+
+
+def test_no_more_workers_than_batches(tmp_path, monkeypatch):
+    pids = forked(monkeypatch)
+    log = tmp_path / "log"
+    log_batches(monkeypatch, log)
     # at most two trajectories of L = 2 per batch: 5 trajectories are 3 batches
     monkeypatch.setattr(trajectory, "BATCH_AMPS", 8)
     plan = chain_plan(2, 1.0, 0.0, 0.5)
+    contacts = (ContactSpec(1, 0.5, 0.0),)
     cfg = RunConfig(t_final=2.0, N_t=4, N_traj=5, seed=2)
-    pooled, pooled_events = ensemble_and_events(plan, (ContactSpec(1, 0.5, 0.0),), cfg, (0,), workers=64)
-    assert started == [3]
-    assert handed == [(0, 2), (2, 2), (4, 1)]
-    serial, serial_events = ensemble_and_events(plan, (ContactSpec(1, 0.5, 0.0),), cfg, (0,), workers=1)
+    pooled, pooled_events = ensemble_and_events(plan, contacts, cfg, (0,), workers=64)
+    assert len(pids) == 3
+    ran = [line.split() for line in log.read_text().splitlines()]
+    assert sorted((int(first), pids.index(int(pid))) for pid, _, first in ran) == [(0, 0), (2, 1), (4, 2)]
+    serial, serial_events = ensemble_and_events(plan, contacts, cfg, (0,), workers=1)
     assert np.array_equal(pooled.mean_density, serial.mean_density)
     assert np.array_equal(pooled_events, serial_events)
+    # 9 trajectories are 5 batches: on two workers batch k runs on worker
+    # k % 2, and the result is the serial one bit for bit
+    pids.clear()
+    log.unlink()
+    nine = replace(cfg, N_traj=9)
+    pooled, pooled_events = ensemble_and_events(plan, contacts, nine, (0,), workers=2)
+    assert len(pids) == 2
+    ran = [line.split() for line in log.read_text().splitlines()]
+    assert sorted((int(first) // 2, pids.index(int(pid))) for pid, _, first in ran) == [
+        (k, k % 2) for k in range(5)]
+    serial, serial_events = ensemble_and_events(plan, contacts, nine, (0,), workers=1)
+    for name in ("times", "mean_density", "stderr"):
+        assert getattr(pooled, name).tobytes() == getattr(serial, name).tobytes(), name
+    assert pooled_events.tobytes() == serial_events.tobytes()
     # one batch of two trajectories, one trajectory or --workers 1: no
-    # pool, and the one batch gives the serial result bit for bit
-    started.clear()
+    # worker, and the one batch gives the serial result bit for bit
+    pids.clear()
     one = replace(cfg, N_traj=2)
-    lone, lone_events = ensemble_and_events(plan, (ContactSpec(1, 0.5, 0.0),), one, (0,), workers=64)
-    run_ensemble(plan, (ContactSpec(1, 0.5, 0.0),), replace(cfg, N_traj=1), (0,), workers=64)
-    run_ensemble(plan, (ContactSpec(1, 0.5, 0.0),), cfg, (0,), workers=1)
-    assert started == []
-    serial, serial_events = ensemble_and_events(plan, (ContactSpec(1, 0.5, 0.0),), one, (0,), workers=1)
+    lone, lone_events = ensemble_and_events(plan, contacts, one, (0,), workers=64)
+    run_ensemble(plan, contacts, replace(cfg, N_traj=1), (0,), workers=64)
+    run_ensemble(plan, contacts, cfg, (0,), workers=1)
+    assert pids == []
+    serial, serial_events = ensemble_and_events(plan, contacts, one, (0,), workers=1)
     for name in ("times", "mean_density", "stderr"):
         assert getattr(lone, name).tobytes() == getattr(serial, name).tobytes(), name
     assert lone_events.tobytes() == serial_events.tobytes()
 
 
-def test_the_pool_runs_at_most_a_window_ahead_of_the_fold(monkeypatch):
-    # at most procs + 1 batches are submitted beyond the one being folded,
-    # so the calling process holds a window of results, never all of them
-    log = []
+def test_the_pool_runs_at_most_a_window_ahead_of_the_fold(tmp_path, monkeypatch):
+    # a worker waits on its pipe until the calling process reads its
+    # record, so it starts batch j only once batch j - procs is being
+    # read, after the fold of batch j - procs - 1: the calling process
+    # holds one record at a time, never all of them
+    log = tmp_path / "log"
+    log_batches(monkeypatch, log)
+    # eight trajectories of L = 2 per batch: 80 are 10 batches, and each
+    # record, 8 * 2049 * 2 float64 densities, is four times the 64 KiB
+    # that a pipe buffers
+    monkeypatch.setattr(trajectory, "BATCH_AMPS", 32)
+    cfg = RunConfig(t_final=2048.0, N_t=2048, N_traj=80, seed=2)
+    procs = 2
 
-    class LoggingPool:
-        def __init__(self, max_workers, initializer, initargs):
-            initializer(*initargs)
+    def fold(traj_id, codes):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} fold {traj_id}\n")
 
-        def __enter__(self):
-            return self
+    run_ensemble(chain_plan(2, 1.0, 0.0, 0.5), (ContactSpec(1, 0.5, 0.0),), cfg, (0,), workers=procs,
+                 events=fold)
+    entries = [tuple(line.split()[1:]) for line in log.read_text().splitlines()]
+    assert sorted(entries) == sorted((what, str(8 * k)) for k in range(10) for what in ("fold", "start"))
+    assert [int(k) // 8 for what, k in entries if what == "fold"] == list(range(10))
+    at = {entry: i for i, entry in enumerate(entries)}
+    for j in range(procs + 1, 10):
+        assert at["fold", str(8 * (j - procs - 1))] < at["start", str(8 * j)], j
 
-        def __exit__(self, *exc):
-            return False
 
-        def submit(self, fn, batch):
-            log.append("submit")
-            done = Future()
-            done.set_result(fn(batch))
-            return done
+def test_a_platform_without_fork_runs_every_batch_here(monkeypatch):
+    monkeypatch.setattr(trajectory, "BATCH_AMPS", 8)
+    plan = chain_plan(2, 1.0, 0.0, 0.5)
+    contacts = (ContactSpec(1, 0.5, 0.0),)
+    cfg = RunConfig(t_final=2.0, N_t=4, N_traj=9, seed=2)
+    pooled = run_ensemble(plan, contacts, cfg, (0,), workers=2)
+    monkeypatch.delattr(os, "fork")
+    here = run_ensemble(plan, contacts, cfg, (0,), workers=2)
+    assert here.mean_density.tobytes() == pooled.mean_density.tobytes()
+    assert trajectory.ensemble_bytes(2, 1, cfg, 2) == trajectory.ensemble_bytes(2, 1, cfg, 1)
 
-    monkeypatch.setattr(trajectory, "ProcessPoolExecutor", LoggingPool)
-    # two trajectories of L = 2 per batch: 20 are 10 batches
+
+def test_a_killed_worker_fails_the_ensemble(monkeypatch):
+    real = trajectory.run_trajectory
+
+    def killed_on_the_second_batch(*args):
+        if args[-2] == 2:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(*args)
+
+    monkeypatch.setattr(trajectory, "run_trajectory", killed_on_the_second_batch)
+    monkeypatch.setattr(trajectory, "BATCH_AMPS", 8)
+    cfg = RunConfig(t_final=2.0, N_t=4, N_traj=9, seed=2)
+    with pytest.raises(ChildProcessError, match=f"worker 1 ended before sending batch 1 .*signal {signal.SIGKILL}"):
+        run_ensemble(chain_plan(2, 1.0, 0.0, 0.5), (ContactSpec(1, 0.5, 0.0),), cfg, (0,), workers=2)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_caller_that_stops_the_ensemble_reaps_every_worker(monkeypatch):
+    pids = forked(monkeypatch)
     monkeypatch.setattr(trajectory, "BATCH_AMPS", 8)
     cfg = RunConfig(t_final=2.0, N_t=4, N_traj=20, seed=2)
-    procs = 2
-    run_ensemble(chain_plan(2, 1.0, 0.0, 0.5), (ContactSpec(1, 0.5, 0.0),), cfg, (0,), workers=procs,
-                 events=lambda traj_id, codes: log.append("fold"))
-    # batch k is folded once it and the procs + 1 after it are submitted
-    submitted = [log[:i].count("submit") for i, entry in enumerate(log) if entry == "fold"]
-    assert submitted == [min(10, k + 1 + procs + 1) for k in range(10)]
+
+    def stop(traj_id, codes):
+        raise KeyError("the caller stopped")
+
+    with pytest.raises(KeyError, match="the caller stopped"):
+        run_ensemble(chain_plan(2, 1.0, 0.0, 0.5), (ContactSpec(1, 0.5, 0.0),), cfg, (0,), workers=2,
+                     events=stop)
+    assert len(pids) == 2
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize("L, n_traj", [(8, 150), (8, 64), (3, 400), (2, 8000), (7, 2000),
