@@ -341,6 +341,17 @@ def run_trajectory(
 # -- parallel ensemble -------------------------------------------------
 
 
+def _picklable(exc: Exception) -> bytes:
+    """`exc` pickled, or, if it cannot be pickled and rebuilt, a
+    RuntimeError that carries its type and message."""
+    try:
+        data = pickle.dumps(exc, pickle.HIGHEST_PROTOCOL)
+        pickle.loads(data)
+        return data
+    except Exception:
+        return pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"), pickle.HIGHEST_PROTOCOL)
+
+
 def _work(plan, contacts, cfg, init, todo, w: int, procs: int, pipes, fd: int):
     """Worker w, in a forked process: run the batches w, w + procs, ...
     of the iterator `todo` and pickle each record, or the exception that
@@ -357,8 +368,13 @@ def _work(plan, contacts, cfg, init, todo, w: int, procs: int, pipes, fd: int):
                 for batch in itertools.islice(todo, w, None, procs):
                     pickle.dump(run_trajectory(plan, contacts, cfg, init, *batch), out,
                                 pickle.HIGHEST_PROTOCOL)
+                    # the pickler writes a large array straight to the pipe
+                    # but leaves the record's last frame in `out`'s buffer:
+                    # unflushed, the calling process would wait for it until
+                    # this worker had run its next batch
+                    out.flush()
             except Exception as exc:
-                pickle.dump(exc, out, pickle.HIGHEST_PROTOCOL)
+                out.write(_picklable(exc))
         code = 0
     finally:
         os._exit(code)
@@ -490,8 +506,10 @@ def run_ensemble(
     count.  With one worker or one batch the batches run in this
     process; otherwise min(workers, batches) forked workers run them,
     each at most one batch ahead of the fold (see the module
-    docstring).  A failed batch raises its exception here, a worker
-    that dies raises ChildProcessError, and no worker outlives the call.
+    docstring).  A failed batch raises its exception here (from a
+    worker, a RuntimeError with its type and message if it cannot be
+    pickled), a worker that dies raises ChildProcessError, and no worker
+    outlives the call.
     `workers` defaults to default_workers().  `events`, if given, is called as
     events(traj_id, codes) once per batch, in trajectory order, with the
     batch's first trajectory id and its (count, N_t, contacts) event

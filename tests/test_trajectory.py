@@ -4,6 +4,7 @@ import math
 import os
 import pickle
 import signal
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -339,6 +340,51 @@ def test_the_pool_runs_at_most_a_window_ahead_of_the_fold(tmp_path, monkeypatch)
         assert at["fold", str(8 * (j - procs - 1))] < at["start", str(8 * j)], j
 
 
+def test_workers_with_large_records_run_side_by_side(tmp_path, monkeypatch):
+    # 64 trajectories of L = 2 per batch: 384 are 6 batches, three rounds
+    # on two workers, and each record's 64 * 512 * 2 event codes alone
+    # fill the 64 KiB that a pipe buffers.  A record's last frame must
+    # reach the calling process when it is written, not when its worker
+    # has run its next batch: else the fold waits on one worker while the
+    # other waits on its pipe, and the workers take turns
+    pids = forked(monkeypatch)
+    log = tmp_path / "log"
+    real = trajectory.run_trajectory
+
+    def timed(*args):
+        start = time.monotonic()
+        rec = real(*args)
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} {args[-2]} {start} {time.monotonic()}\n")
+        return rec
+
+    def fold(traj_id, codes):
+        with open(log, "a") as fh:
+            fh.write(f"fold {traj_id} {time.monotonic()}\n")
+
+    monkeypatch.setattr(trajectory, "run_trajectory", timed)
+    monkeypatch.setattr(trajectory, "BATCH_AMPS", 256)
+    contacts = (ContactSpec(0, 0.5, 1.0), ContactSpec(1, 0.5, 0.0))
+    cfg = RunConfig(t_final=512.0, N_t=512, N_traj=384, seed=2)
+    run_ensemble(chain_plan(2, 1.0, 0.0, 0.5), contacts, cfg, (0,), workers=2, events=fold)
+    ran, folded = {}, {}
+    for line in log.read_text().splitlines():
+        who, first, *at = line.split()
+        if who == "fold":
+            folded[int(first) // 64] = float(at[0])
+        else:
+            ran[int(first) // 64] = (pids.index(int(who)), float(at[0]), float(at[1]))
+    assert sorted(ran) == sorted(folded) == list(range(6))
+    assert [w for w, _, _ in map(ran.get, range(6))] == [0, 1] * 3
+    for k in range(4):
+        # batch k is folded while its worker runs batch k + 2 ...
+        assert folded[k] < ran[k + 2][2], k
+    for k in range(0, 6, 2):
+        # ... so in every round the two workers' batches overlap
+        (_, start0, end0), (_, start1, end1) = ran[k], ran[k + 1]
+        assert max(start0, start1) < min(end0, end1), k // 2
+
+
 def test_a_platform_without_fork_runs_every_batch_here(monkeypatch):
     monkeypatch.setattr(trajectory, "BATCH_AMPS", 8)
     plan = chain_plan(2, 1.0, 0.0, 0.5)
@@ -366,6 +412,35 @@ def test_a_killed_worker_fails_the_ensemble(monkeypatch):
         run_ensemble(chain_plan(2, 1.0, 0.0, 0.5), (ContactSpec(1, 0.5, 0.0),), cfg, (0,), workers=2)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+class NeedsTwoArguments(Exception):
+    def __init__(self, what, why):
+        super().__init__(f"{what}: {why}")
+
+
+def test_a_batch_error_that_cannot_be_pickled_keeps_its_message(monkeypatch):
+    class Local(Exception):
+        pass
+
+    real = trajectory.run_trajectory
+    monkeypatch.setattr(trajectory, "BATCH_AMPS", 8)
+    cfg = RunConfig(t_final=2.0, N_t=4, N_traj=9, seed=2)
+    # a local class cannot be pickled; NeedsTwoArguments pickles, but
+    # cannot be rebuilt from its one message
+    for exc, want in ((Local("no pickle"), "Local: no pickle"),
+                      (NeedsTwoArguments("batch", "no rebuild"), "NeedsTwoArguments: batch: no rebuild")):
+
+        def fail_on_the_second_batch(*args, exc=exc):
+            if args[-2] == 2:
+                raise exc
+            return real(*args)
+
+        monkeypatch.setattr(trajectory, "run_trajectory", fail_on_the_second_batch)
+        with pytest.raises(RuntimeError, match=f"^{want}$"):
+            run_ensemble(chain_plan(2, 1.0, 0.0, 0.5), (ContactSpec(1, 0.5, 0.0),), cfg, (0,), workers=2)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 def test_a_caller_that_stops_the_ensemble_reaps_every_worker(monkeypatch):
